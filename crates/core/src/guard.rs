@@ -25,8 +25,33 @@
 //! identical arithmetic in the identical order as the unguarded loop,
 //! and emits no additional telemetry — the committed quickstart
 //! baselines stay byte-identical.
+//!
+//! # Serving state
+//!
+//! The guard also owns the [`SeriesState`] of every member that offers
+//! one ([`Forecaster::series_state`]: ARIMA and the ETS kinds), so a
+//! member whose forecast reads the whole history does constant work per
+//! step while the history grows:
+//!
+//! * it keeps a copy of the history it last swept; when a step's history
+//!   extends that copy **bit for bit** (compared with `to_bits`, since
+//!   `-0.0 == 0.0`), each state folds in only the values it has not seen
+//!   and predicts;
+//! * any other history (a sliding window, a rewritten value, a shorter
+//!   input) resets every state, which then folds the whole history —
+//!   the same work as a per-call `predict_next`;
+//! * each member keeps its own count of folded values: a member skipped
+//!   for its budget is not called and catches up on its next call, a
+//!   quarantined one keeps folding while it is probed;
+//! * a state whose fold or predict panics is dropped and rebuilt from
+//!   the full history on the member's next call; [`PoolGuard::reset`]
+//!   (refit) and `clone` start without states.
+//!
+//! A state serves the bits of the member's `predict_next`, so the path
+//! never changes a served value. Members without a state are called per
+//! step as before.
 
-use eadrl_models::{fallback_forecast, Forecaster, PredictError};
+use eadrl_models::{fallback_forecast, Forecaster, PredictError, SeriesState};
 use eadrl_obs::Level;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -109,27 +134,61 @@ pub struct GuardedSweep {
     pub all_active: bool,
 }
 
+/// How the guard calls one member (see "Serving state" above).
+#[derive(Debug)]
+enum Slot {
+    /// Not asked for a state yet: a new guard, after a reset, or after
+    /// the member's state panicked.
+    Unknown,
+    /// The member forecasts from each call's history.
+    PerCall,
+    /// The member's state and the number of history values it folded.
+    Folding {
+        state: Box<dyn SeriesState>,
+        folded: usize,
+    },
+}
+
 /// Tracks pool-member health across serving steps and executes the
 /// guarded per-model calls. Owned by [`crate::EaDrl`]; the pool itself
 /// stays outside so borrows remain simple.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PoolGuard {
     config: GuardConfig,
     health: Vec<MemberHealth>,
+    slots: Vec<Slot>,
+    /// The history of the last sweep, which the members' states folded.
+    seen: Vec<f64>,
+}
+
+/// A clone starts without serving states, which rebuild on its first
+/// sweep.
+impl Clone for PoolGuard {
+    fn clone(&self) -> Self {
+        PoolGuard::with_health(self.config.clone(), self.health.clone())
+    }
 }
 
 impl PoolGuard {
     /// Creates a guard for a pool of `m` members.
     pub fn new(config: GuardConfig, m: usize) -> Self {
+        PoolGuard::with_health(config, vec![MemberHealth::default(); m])
+    }
+
+    fn with_health(config: GuardConfig, health: Vec<MemberHealth>) -> Self {
+        let slots = health.iter().map(|_| Slot::Unknown).collect();
         PoolGuard {
             config,
-            health: vec![MemberHealth::default(); m],
+            health,
+            slots,
+            seen: Vec::new(),
         }
     }
 
-    /// Resets health tracking for a (re)fitted pool of `m` members.
+    /// Resets health tracking and drops the serving states for a
+    /// (re)fitted pool of `m` members.
     pub fn reset(&mut self, m: usize) {
-        self.health = vec![MemberHealth::default(); m];
+        *self = PoolGuard::new(self.config.clone(), m);
     }
 
     /// The active configuration.
@@ -157,11 +216,12 @@ impl PoolGuard {
     /// `history` is the (already sanitized) input passed to each model.
     pub fn sweep(&mut self, pool: &[Box<dyn Forecaster>], history: &[f64]) -> GuardedSweep {
         let substitute = fallback_forecast(history);
+        self.track(pool.len(), history);
         let mut values = Vec::with_capacity(pool.len());
         let mut active = Vec::with_capacity(pool.len());
         let mut faults = Vec::new();
         for (i, model) in pool.iter().enumerate() {
-            let outcome = guarded_call(model.as_ref(), history, self.config.latency_budget_us);
+            let outcome = self.call(i, model.as_ref(), history);
             match outcome {
                 Ok(value) => {
                     let in_quarantine = self.record_clean(i, model.name());
@@ -182,6 +242,80 @@ impl PoolGuard {
             active,
             faults,
             all_active,
+        }
+    }
+
+    /// Compares `history` with the last swept one: if it extends it bit
+    /// for bit, the states keep what they folded; otherwise every state
+    /// resets. Then remembers `history`.
+    fn track(&mut self, m: usize, history: &[f64]) {
+        if self.slots.len() != m {
+            // Another pool width: the states start over.
+            self.slots = (0..m).map(|_| Slot::Unknown).collect();
+            self.seen.clear();
+        }
+        if self.slots.iter().all(|s| matches!(s, Slot::PerCall)) {
+            // No member folds: nothing to compare against.
+            return;
+        }
+        let known = self.seen.len();
+        if known <= history.len() && same_bits(&self.seen, &history[..known]) {
+            self.seen.extend_from_slice(&history[known..]);
+            return;
+        }
+        for slot in &mut self.slots {
+            if let Slot::Folding { state, folded } = slot {
+                state.reset();
+                *folded = 0;
+            }
+        }
+        self.seen.clear();
+        self.seen.extend_from_slice(history);
+    }
+
+    /// One guarded call of member `i`: through its state when it has
+    /// one, else [`guarded_call`].
+    fn call(
+        &mut self,
+        i: usize,
+        model: &dyn Forecaster,
+        history: &[f64],
+    ) -> Result<f64, FaultClass> {
+        let budget = self.config.latency_budget_us;
+        let slot = &mut self.slots[i];
+        if let Slot::Unknown = slot {
+            match catch_unwind(AssertUnwindSafe(|| model.series_state())) {
+                Ok(Some(state)) => *slot = Slot::Folding { state, folded: 0 },
+                Ok(None) => *slot = Slot::PerCall,
+                Err(_) => return Err(FaultClass::Panic),
+            }
+        }
+        // One cost inquiry per call, as on the per-call path: a member's
+        // declared cost may depend on how often it was asked.
+        let Slot::Folding { state, folded } = slot else {
+            return guarded_call(model, history, budget);
+        };
+        if over_budget(model, budget) {
+            return Err(FaultClass::BudgetExceeded);
+        }
+        let unseen = &history[*folded..];
+        match catch_unwind(AssertUnwindSafe(|| {
+            state.fold(unseen);
+            state.predict()
+        })) {
+            Ok(value) => {
+                *folded = history.len();
+                if value.is_finite() {
+                    Ok(value)
+                } else {
+                    Err(FaultClass::NonFinite)
+                }
+            }
+            Err(_) => {
+                // A half-folded state is unusable: rebuild it next call.
+                *slot = Slot::Unknown;
+                Err(FaultClass::Panic)
+            }
         }
     }
 
@@ -238,6 +372,25 @@ impl PoolGuard {
     }
 }
 
+/// True when `a` and `b` hold the same bits. Chunked so the inner loop
+/// vectorizes; returns at the first differing chunk.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    const CHUNK: usize = 64;
+    a.len() == b.len()
+        && a.chunks(CHUNK).zip(b.chunks(CHUNK)).all(|(x, y)| {
+            x.iter()
+                .zip(y)
+                .fold(0u64, |acc, (u, v)| acc | (u.to_bits() ^ v.to_bits()))
+                == 0
+        })
+}
+
+/// Deterministic budget check: the member's declared cost against the
+/// serving budget.
+fn over_budget(model: &dyn Forecaster, budget_us: Option<u64>) -> bool {
+    matches!((budget_us, model.cost_hint_us()), (Some(budget), Some(cost)) if cost > budget)
+}
+
 /// One guarded model call: `catch_unwind` around the checked prediction
 /// path, plus deterministic budget enforcement.
 pub fn guarded_call(
@@ -245,10 +398,8 @@ pub fn guarded_call(
     history: &[f64],
     budget_us: Option<u64>,
 ) -> Result<f64, FaultClass> {
-    if let (Some(budget), Some(cost)) = (budget_us, model.cost_hint_us()) {
-        if cost > budget {
-            return Err(FaultClass::BudgetExceeded);
-        }
+    if over_budget(model, budget_us) {
+        return Err(FaultClass::BudgetExceeded);
     }
     // A fitted model is immutable while predicting (Forecaster contract),
     // so observing it after a caught panic cannot expose broken state.
@@ -298,6 +449,8 @@ pub fn renormalize_over_active(weights: &[f64], active: &[bool]) -> Vec<f64> {
 mod tests {
     use super::*;
     use eadrl_models::ModelError;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Scripted test double: panics / returns NaN on chosen calls.
     struct Scripted {
@@ -305,6 +458,7 @@ mod tests {
         outputs: Vec<f64>, // cycled; NaN entries fault, f64::MAX panics
         calls: std::sync::atomic::AtomicUsize,
         cost: Option<u64>,
+        inquiries: Arc<AtomicUsize>,
     }
 
     impl Scripted {
@@ -314,6 +468,7 @@ mod tests {
                 outputs,
                 calls: std::sync::atomic::AtomicUsize::new(0),
                 cost: None,
+                inquiries: Arc::default(),
             }
         }
     }
@@ -336,6 +491,7 @@ mod tests {
             v
         }
         fn cost_hint_us(&self) -> Option<u64> {
+            self.inquiries.fetch_add(1, Ordering::SeqCst);
             self.cost
         }
         fn box_clone(&self) -> Box<dyn Forecaster> {
@@ -419,6 +575,266 @@ mod tests {
         let sweep = guard.sweep(&pool, &[9.0]);
         assert_eq!(sweep.faults, vec![(0, FaultClass::BudgetExceeded)]);
         assert_eq!(sweep.active, vec![false, true]);
+    }
+
+    /// Shared script of the stateful double: counts the states it built
+    /// and the values they folded, and scripts a panicking fold, NaN
+    /// forecasts and a declared cost.
+    #[derive(Debug, Default)]
+    struct Script {
+        states: AtomicUsize,
+        folded: AtomicUsize,
+        folds: AtomicUsize,
+        /// The 1-based fold call that panics (0: none).
+        panic_on_fold: AtomicUsize,
+        /// Forecasts that come out NaN before the clean ones.
+        nan_predicts: AtomicUsize,
+        /// Declared per-call cost in µs (0: none declared).
+        cost: AtomicU64,
+        /// Times the declared cost was asked for.
+        inquiries: AtomicUsize,
+    }
+
+    impl Script {
+        fn folded(&self) -> usize {
+            self.folded.load(Ordering::SeqCst)
+        }
+
+        fn states(&self) -> usize {
+            self.states.load(Ordering::SeqCst)
+        }
+    }
+
+    /// Stateful test double: forecasts the sum of the history.
+    struct Summing(Arc<Script>);
+
+    #[derive(Debug)]
+    struct SumState {
+        sum: f64,
+        script: Arc<Script>,
+    }
+
+    fn sum(history: &[f64]) -> f64 {
+        history.iter().fold(0.0, |acc, &x| acc + x)
+    }
+
+    impl Forecaster for Summing {
+        fn name(&self) -> &str {
+            "Summing"
+        }
+        fn fit(&mut self, _s: &[f64]) -> Result<(), ModelError> {
+            Ok(())
+        }
+        fn predict_next(&self, history: &[f64]) -> f64 {
+            sum(history)
+        }
+        fn cost_hint_us(&self) -> Option<u64> {
+            self.0.inquiries.fetch_add(1, Ordering::SeqCst);
+            Some(self.0.cost.load(Ordering::SeqCst)).filter(|&c| c > 0)
+        }
+        fn series_state(&self) -> Option<Box<dyn SeriesState>> {
+            self.0.states.fetch_add(1, Ordering::SeqCst);
+            Some(Box::new(SumState {
+                sum: 0.0,
+                script: Arc::clone(&self.0),
+            }))
+        }
+        fn box_clone(&self) -> Box<dyn Forecaster> {
+            unreachable!("test double is never cloned")
+        }
+    }
+
+    impl SeriesState for SumState {
+        fn reset(&mut self) {
+            self.sum = 0.0;
+        }
+        fn fold(&mut self, values: &[f64]) {
+            let call = self.script.folds.fetch_add(1, Ordering::SeqCst) + 1;
+            if call == self.script.panic_on_fold.load(Ordering::SeqCst) {
+                panic!("scripted fold panic");
+            }
+            self.script.folded.fetch_add(values.len(), Ordering::SeqCst);
+            for &x in values {
+                self.sum += x;
+            }
+        }
+        fn predict(&self) -> f64 {
+            let nan = &self.script.nan_predicts;
+            if nan.load(Ordering::SeqCst) > 0 {
+                nan.fetch_sub(1, Ordering::SeqCst);
+                return f64::NAN;
+            }
+            self.sum
+        }
+    }
+
+    fn summing(script: &Arc<Script>) -> Box<dyn Forecaster> {
+        Box::new(Summing(Arc::clone(script)))
+    }
+
+    fn ramp(n: usize) -> Vec<f64> {
+        (1..=n).map(|v| v as f64 * 0.5).collect()
+    }
+
+    #[test]
+    fn a_growing_history_folds_only_the_new_values() {
+        let script = Arc::new(Script::default());
+        let pool = vec![summing(&script), boxed(vec![2.0])];
+        let mut guard = PoolGuard::new(GuardConfig::default(), 2);
+        let h = ramp(40);
+        for end in 1..=40 {
+            let sweep = guard.sweep(&pool, &h[..end]);
+            assert_eq!(sweep.values, vec![sum(&h[..end]), 2.0]);
+            assert_eq!(script.folded(), end, "one new value per step");
+        }
+        assert_eq!(script.states(), 1);
+    }
+
+    #[test]
+    fn a_panicking_fold_drops_the_state_and_rebuilds_from_the_full_history() {
+        let script = Arc::new(Script::default());
+        script.panic_on_fold.store(3, Ordering::SeqCst);
+        let pool = vec![summing(&script), boxed(vec![1.0])];
+        let mut guard = PoolGuard::new(GuardConfig::default(), 2);
+        let h = ramp(12);
+        guard.sweep(&pool, &h[..4]);
+        guard.sweep(&pool, &h[..5]);
+        let faulted = guard.sweep(&pool, &h[..6]);
+        assert_eq!(faulted.faults, vec![(0, FaultClass::Panic)]);
+        assert_eq!(faulted.values[0], h[5], "substitute is the last value");
+        assert_eq!(guard.total_faults(0), 1);
+        assert_eq!(script.folded(), 5, "the panicking fold folded nothing");
+        // The next step builds a fresh state over the whole history.
+        let rebuilt = guard.sweep(&pool, &h[..7]);
+        assert!(rebuilt.all_active);
+        assert_eq!(rebuilt.values[0].to_bits(), sum(&h[..7]).to_bits());
+        assert_eq!((script.states(), script.folded()), (2, 5 + 7));
+        let next = guard.sweep(&pool, &h[..8]);
+        assert_eq!(next.values[0].to_bits(), sum(&h[..8]).to_bits());
+        assert_eq!(script.folded(), 5 + 7 + 1);
+    }
+
+    #[test]
+    fn a_history_that_does_not_extend_the_last_one_rebuilds_the_states() {
+        let script = Arc::new(Script::default());
+        let pool = vec![summing(&script)];
+        let mut guard = PoolGuard::new(GuardConfig::default(), 1);
+        let mut last = 0;
+        let mut step = |guard: &mut PoolGuard, history: &[f64]| {
+            let sweep = guard.sweep(&pool, history);
+            assert_eq!(sweep.values[0].to_bits(), sum(history).to_bits());
+            let folded = script.folded() - last;
+            last = script.folded();
+            folded
+        };
+        let h = ramp(20);
+        assert_eq!(step(&mut guard, &h[..8]), 8);
+        assert_eq!(step(&mut guard, &h[..9]), 1);
+        // An earlier value rewritten.
+        let mut rewritten = h[..10].to_vec();
+        rewritten[2] = 99.0;
+        assert_eq!(step(&mut guard, &rewritten), 10);
+        // 0.0 rewritten as -0.0, which `==` would call equal.
+        assert_eq!(step(&mut guard, &[1.0, 0.0, 2.0]), 3);
+        assert_eq!(step(&mut guard, &[1.0, -0.0, 2.0, 3.0]), 4);
+        // A shorter history, then a slid window.
+        assert_eq!(step(&mut guard, &[1.0, -0.0]), 2);
+        assert_eq!(step(&mut guard, &h[..8]), 8);
+        assert_eq!(step(&mut guard, &h[1..9]), 8);
+        // The same history again folds nothing.
+        assert_eq!(step(&mut guard, &h[1..9]), 0);
+        assert_eq!(script.states(), 1, "rebuilds reset the state in place");
+    }
+
+    #[test]
+    fn reset_and_clone_start_without_states() {
+        let script = Arc::new(Script::default());
+        let pool = vec![summing(&script)];
+        let mut guard = PoolGuard::new(GuardConfig::default(), 1);
+        let h = ramp(10);
+        guard.sweep(&pool, &h[..5]);
+        let mut cloned = guard.clone();
+        cloned.sweep(&pool, &h[..6]);
+        assert_eq!((script.states(), script.folded()), (2, 5 + 6));
+        guard.reset(1);
+        let sweep = guard.sweep(&pool, &h[..6]);
+        assert_eq!(sweep.values[0].to_bits(), sum(&h[..6]).to_bits());
+        assert_eq!((script.states(), script.folded()), (3, 5 + 6 + 6));
+    }
+
+    #[test]
+    fn a_budget_skipped_member_catches_up_from_its_own_count() {
+        let skipped = Arc::new(Script::default());
+        let steady = Arc::new(Script::default());
+        let pool = vec![summing(&skipped), summing(&steady)];
+        let config = GuardConfig {
+            latency_budget_us: Some(100),
+            ..GuardConfig::default()
+        };
+        let mut guard = PoolGuard::new(config, 2);
+        let h = ramp(10);
+        guard.sweep(&pool, &h[..4]);
+        skipped.cost.store(500, Ordering::SeqCst);
+        for end in [5, 6] {
+            let sweep = guard.sweep(&pool, &h[..end]);
+            assert_eq!(sweep.faults, vec![(0, FaultClass::BudgetExceeded)]);
+        }
+        assert_eq!((skipped.folded(), steady.folded()), (4, 6));
+        skipped.cost.store(0, Ordering::SeqCst);
+        let sweep = guard.sweep(&pool, &h[..7]);
+        assert!(sweep.all_active);
+        assert_eq!(sweep.values[0].to_bits(), sum(&h[..7]).to_bits());
+        assert_eq!(skipped.folded(), 7, "folds the three values it missed");
+        assert_eq!(skipped.states(), 1);
+    }
+
+    #[test]
+    fn every_call_asks_for_the_declared_cost_once() {
+        // Fault injectors declare costs that depend on how often they
+        // were asked, so both paths ask exactly once per call.
+        for budget in [None, Some(100)] {
+            let script = Arc::new(Script::default());
+            let per_call = Scripted::new(vec![1.0]);
+            let asked = Arc::clone(&per_call.inquiries);
+            let pool: Vec<Box<dyn Forecaster>> = vec![summing(&script), Box::new(per_call)];
+            let config = GuardConfig {
+                latency_budget_us: budget,
+                ..GuardConfig::default()
+            };
+            let mut guard = PoolGuard::new(config, 2);
+            let h = ramp(5);
+            for end in 1..=5 {
+                guard.sweep(&pool, &h[..end]);
+            }
+            assert_eq!(script.inquiries.load(Ordering::SeqCst), 5);
+            assert_eq!(asked.load(Ordering::SeqCst), 5);
+        }
+    }
+
+    #[test]
+    fn a_quarantined_member_keeps_folding_while_probed() {
+        let script = Arc::new(Script::default());
+        script.nan_predicts.store(2, Ordering::SeqCst);
+        let pool = vec![summing(&script), boxed(vec![1.0])];
+        let config = GuardConfig {
+            quarantine_after: 2,
+            reentry_clean_calls: 3,
+            latency_budget_us: None,
+        };
+        let mut guard = PoolGuard::new(config, 2);
+        let h = ramp(10);
+        guard.sweep(&pool, &h[..3]);
+        guard.sweep(&pool, &h[..4]);
+        assert_eq!(guard.quarantined(), vec![0]);
+        for end in [5, 6] {
+            let probe = guard.sweep(&pool, &h[..end]);
+            assert_eq!(probe.active, vec![false, true]);
+            assert_eq!(probe.values[0].to_bits(), sum(&h[..end]).to_bits());
+            assert_eq!(script.folded(), end);
+        }
+        let back = guard.sweep(&pool, &h[..7]);
+        assert_eq!(back.active, vec![true, true]);
+        assert_eq!((script.states(), script.folded()), (1, 7));
     }
 
     #[test]

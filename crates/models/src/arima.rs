@@ -1,8 +1,12 @@
 //! ARIMA(p, d, q) fitted with the Hannan–Rissanen two-stage procedure.
 
-use crate::forecaster::{fallback_forecast, Forecaster, ModelError};
+use crate::forecaster::{fallback_forecast, Forecaster, ModelError, SeriesState};
 use eadrl_linalg::{ridge, Matrix};
 use eadrl_timeseries::transform::difference;
+
+/// Differenced values a serving state holds before it moves the newest
+/// `max(p, q)` of them to the front of its buffers.
+const LAG_BLOCK: usize = 1024;
 
 /// An ARIMA(p, d, q) forecaster.
 ///
@@ -15,7 +19,9 @@ use eadrl_timeseries::transform::difference;
 ///
 /// One-step forecasting filters the fitted model over the observed history
 /// to reconstruct the innovations, predicts the next differenced value and
-/// integrates back `d` times.
+/// integrates back `d` times. The filter is a forward recursion, so
+/// [`Forecaster::series_state`] offers it as a [`SeriesState`] that folds
+/// in one value per served step; `predict_next` folds a fresh one.
 #[derive(Debug, Clone)]
 pub struct Arima {
     name: String,
@@ -52,6 +58,18 @@ impl Arima {
     /// `(p, d, q)` orders.
     pub fn orders(&self) -> (usize, usize, usize) {
         (self.p, self.d, self.q)
+    }
+
+    /// Fitted `[intercept, phi_1..phi_p, theta_1..theta_q]` (empty before
+    /// fitting).
+    pub fn coefficients(&self) -> &[f64] {
+        &self.coef
+    }
+
+    /// Bound the innovation filter clamps each innovation to (set at fit
+    /// time).
+    pub fn innovation_cap(&self) -> f64 {
+        self.innovation_cap
     }
 
     /// Automatic order selection, the spirit of R's `auto.arima`:
@@ -139,25 +157,6 @@ impl Arima {
         }
         Some(resid)
     }
-
-    /// Filters the fitted ARMA over `w`, returning the innovation sequence.
-    fn filter_innovations(&self, w: &[f64]) -> Vec<f64> {
-        let mut e = vec![0.0; w.len()];
-        let start = self.p;
-        for t in start..w.len() {
-            let mut pred = self.coef[0];
-            for lag in 1..=self.p {
-                pred += self.coef[lag] * w[t - lag];
-            }
-            for lag in 1..=self.q {
-                if t >= lag {
-                    pred += self.coef[self.p + lag] * e[t - lag];
-                }
-            }
-            e[t] = (w[t] - pred).clamp(-self.innovation_cap, self.innovation_cap);
-        }
-        e
-    }
 }
 
 impl Forecaster for Arima {
@@ -202,8 +201,7 @@ impl Forecaster for Arima {
             context: e.to_string(),
         })?;
         // Enforce (approximate) invertibility of the MA part: the
-        // innovation filter in `filter_innovations` recurses on its own
-        // output, so |θ| ≥ 1 diverges exponentially over long histories.
+        // innovation filter in `ArimaState` recurses on its own output, so |θ| ≥ 1 diverges exponentially over long histories.
         // R's arima() enforces this via constrained optimization; clamping
         // is the lightweight equivalent.
         for theta in self.coef[1 + self.p..].iter_mut() {
@@ -220,49 +218,198 @@ impl Forecaster for Arima {
     }
 
     fn predict_next(&self, history: &[f64]) -> f64 {
-        if !self.fitted || history.len() < self.d + self.p.max(self.q) + 2 {
+        if !self.fitted {
             return fallback_forecast(history);
         }
-        let w = self.diff_all(history);
-        if w.len() < self.p.max(1) {
-            return fallback_forecast(history);
+        let mut state = ArimaState::new(self);
+        state.fold(history);
+        state.predict()
+    }
+
+    fn series_state(&self) -> Option<Box<dyn SeriesState>> {
+        if !self.fitted {
+            return None;
         }
-        let e = self.filter_innovations(&w);
-        // One-step-ahead forecast of the differenced series.
-        let t = w.len();
-        let mut pred = self.coef[0];
-        for lag in 1..=self.p {
-            if t >= lag {
-                pred += self.coef[lag] * w[t - lag];
-            }
-        }
-        for lag in 1..=self.q {
-            if t >= lag {
-                pred += self.coef[self.p + lag] * e[t - lag];
-            }
-        }
-        // Integrate back d times: forecast of x_{t+1} adds the last values
-        // of each integration level.
-        let mut levels: Vec<f64> = Vec::with_capacity(self.d);
-        let mut cur = history.to_vec();
-        for _ in 0..self.d {
-            let Some(&last) = cur.last() else { break };
-            levels.push(last);
-            cur = difference(&cur, 1);
-        }
-        let mut out = pred;
-        for &lvl in levels.iter().rev() {
-            out += lvl;
-        }
-        if out.is_finite() {
-            out
-        } else {
-            fallback_forecast(history)
-        }
+        Some(Box::new(ArimaState::new(self)))
     }
 
     fn box_clone(&self) -> Box<dyn Forecaster> {
         Box::new(self.clone())
+    }
+}
+
+/// A fitted ARIMA's innovation filter over one series: the `d`-times
+/// differenced values `w`, their innovations `e` and the integration
+/// levels, advanced one history value at a time.
+#[derive(Debug)]
+struct ArimaState {
+    p: usize,
+    d: usize,
+    q: usize,
+    /// The model's `[intercept, phi_1..phi_p, theta_1..theta_q]`.
+    coef: Vec<f64>,
+    innovation_cap: f64,
+    /// History values folded.
+    n: usize,
+    /// The newest history value (0.0 before any) and the newest first
+    /// difference: the levels a forecast integrates back.
+    levels: [f64; 2],
+    /// `w` and `e`, slot `s` holding w-index `base + s`. Slots fill by
+    /// index up to the buffer length; then the newest `max(p, q)` move
+    /// to the front, so the filter reads its lags as `w[s - lag]` and no
+    /// value is shifted per step.
+    w: Vec<f64>,
+    e: Vec<f64>,
+    base: usize,
+    len: usize,
+}
+
+impl ArimaState {
+    fn new(model: &Arima) -> Self {
+        let slots = model.p.max(model.q) + LAG_BLOCK;
+        ArimaState {
+            p: model.p,
+            d: model.d,
+            q: model.q,
+            coef: model.coef.clone(),
+            innovation_cap: model.innovation_cap,
+            n: 0,
+            levels: [0.0; 2],
+            w: vec![0.0; slots],
+            e: vec![0.0; slots],
+            base: 0,
+            len: 0,
+        }
+    }
+}
+
+/// The filter's working view of an [`ArimaState`] during one fold: locals
+/// and disjoint slices, so the per-value loop keeps them in registers.
+struct Filter<'a> {
+    coef: &'a [f64],
+    p: usize,
+    q: usize,
+    cap: f64,
+    w: &'a mut [f64],
+    e: &'a mut [f64],
+    base: usize,
+    len: usize,
+}
+
+impl Filter<'_> {
+    /// Filters the next differenced value: stores it and its innovation.
+    #[inline(always)]
+    fn advance(&mut self, value: f64) {
+        if self.len == self.w.len() {
+            let from = self.len - self.p.max(self.q);
+            self.w.copy_within(from..self.len, 0);
+            self.e.copy_within(from..self.len, 0);
+            self.base += from;
+            self.len -= from;
+        }
+        let (p, s) = (self.p, self.len);
+        let t = self.base + s;
+        self.w[s] = value;
+        self.e[s] = if t < p {
+            0.0
+        } else {
+            let mut pred = self.coef[0];
+            for lag in 1..=p {
+                pred += self.coef[lag] * self.w[s - lag];
+            }
+            for lag in 1..=self.q {
+                if t >= lag {
+                    pred += self.coef[p + lag] * self.e[s - lag];
+                }
+            }
+            (value - pred).clamp(-self.cap, self.cap)
+        };
+        self.len = s + 1;
+    }
+}
+
+impl SeriesState for ArimaState {
+    fn reset(&mut self) {
+        self.n = 0;
+        self.levels = [0.0; 2];
+        self.base = 0;
+        self.len = 0;
+    }
+
+    fn fold(&mut self, values: &[f64]) {
+        let mut f = Filter {
+            coef: &self.coef,
+            p: self.p,
+            q: self.q,
+            cap: self.innovation_cap,
+            w: &mut self.w,
+            e: &mut self.e,
+            base: self.base,
+            len: self.len,
+        };
+        let (mut n, mut levels) = (self.n, self.levels);
+        // The first `d` values of the series only seed the differences.
+        match self.d {
+            0 => {
+                for &x in values {
+                    f.advance(x);
+                    levels[0] = x;
+                }
+                n += values.len();
+            }
+            1 => {
+                for &x in values {
+                    if n > 0 {
+                        f.advance(x - levels[0]);
+                    }
+                    levels[0] = x;
+                    n += 1;
+                }
+            }
+            _ => {
+                for &x in values {
+                    if n > 0 {
+                        let first = x - levels[0];
+                        if n > 1 {
+                            f.advance(first - levels[1]);
+                        }
+                        levels[1] = first;
+                    }
+                    levels[0] = x;
+                    n += 1;
+                }
+            }
+        }
+        (self.base, self.len) = (f.base, f.len);
+        (self.n, self.levels) = (n, levels);
+    }
+
+    fn predict(&self) -> f64 {
+        let fallback = self.levels[0];
+        if self.n < self.d + self.p.max(self.q) + 2 {
+            return fallback;
+        }
+        // One-step-ahead forecast of the differenced series; every lag
+        // exists past the guard above.
+        let (p, s) = (self.p, self.len);
+        let mut pred = self.coef[0];
+        for lag in 1..=p {
+            pred += self.coef[lag] * self.w[s - lag];
+        }
+        for lag in 1..=self.q {
+            pred += self.coef[p + lag] * self.e[s - lag];
+        }
+        // Integrate back d times, innermost level first.
+        let out = match self.d {
+            0 => pred,
+            1 => pred + self.levels[0],
+            _ => pred + self.levels[1] + self.levels[0],
+        };
+        if out.is_finite() {
+            out
+        } else {
+            fallback
+        }
     }
 }
 

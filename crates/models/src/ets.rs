@@ -1,6 +1,6 @@
 //! Exponential-smoothing forecasters (SES, Holt, additive Holt–Winters).
 
-use crate::forecaster::{fallback_forecast, Forecaster, ModelError};
+use crate::forecaster::{fallback_forecast, Forecaster, ModelError, SeriesState};
 
 /// The exponential-smoothing variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +20,12 @@ pub enum EtsKind {
 /// An ETS forecaster whose smoothing parameters are selected by grid search
 /// on one-step-ahead training SSE (the standard automatic-ETS approach at
 /// laptop scale).
+///
+/// The smoothing recursion runs in one place, a [`SeriesState`] that folds
+/// the series in one value at a time: `fit` scores each grid point by the
+/// state's SSE, `predict_next` folds a fresh state over the history, and
+/// [`Forecaster::series_state`] hands one to a server that folds in only
+/// the newest value per step.
 #[derive(Debug, Clone)]
 pub struct Ets {
     name: String,
@@ -59,6 +65,19 @@ impl Ets {
         (self.alpha, self.beta, self.gamma)
     }
 
+    /// The exponential-smoothing variant.
+    pub fn kind(&self) -> EtsKind {
+        self.kind
+    }
+
+    /// One-step SSE of the smoothing recursion over `series` with the
+    /// given parameters.
+    fn sse(&self, series: &[f64], alpha: f64, beta: f64, gamma: f64) -> f64 {
+        let mut state = EtsState::new(self.kind, alpha, beta, gamma);
+        state.fold(series);
+        state.sse
+    }
+
     /// Automatic variant selection: fits SES, Holt, and (when the series
     /// is long enough) additive Holt–Winters with `season`, and returns
     /// the fitted model with the lowest one-step SSE over the training
@@ -75,7 +94,7 @@ impl Ets {
                 continue;
             }
             let (alpha, beta, gamma) = model.params();
-            let (_, sse) = model.run(series, alpha, beta, gamma);
+            let sse = model.sse(series, alpha, beta, gamma);
             if best.as_ref().is_none_or(|(b, _)| sse < *b) {
                 best = Some((sse, model));
             }
@@ -84,72 +103,6 @@ impl Ets {
             needed: 10,
             got: series.len(),
         })
-    }
-
-    /// Runs the smoothing recursion over `series` and returns the one-step
-    /// forecast for the value after the series, plus the accumulated
-    /// one-step SSE over the pass.
-    fn run(&self, series: &[f64], alpha: f64, beta: f64, gamma: f64) -> (f64, f64) {
-        match self.kind {
-            EtsKind::Simple => {
-                let mut level = series[0];
-                let mut sse = 0.0;
-                for &x in &series[1..] {
-                    let err = x - level;
-                    sse += err * err;
-                    level += alpha * err;
-                }
-                (level, sse)
-            }
-            EtsKind::Holt => {
-                let mut level = series[0];
-                let mut trend = if series.len() > 1 {
-                    series[1] - series[0]
-                } else {
-                    0.0
-                };
-                let mut sse = 0.0;
-                for &x in &series[1..] {
-                    let forecast = level + trend;
-                    let err = x - forecast;
-                    sse += err * err;
-                    let new_level = alpha * x + (1.0 - alpha) * (level + trend);
-                    trend = beta * (new_level - level) + (1.0 - beta) * trend;
-                    level = new_level;
-                }
-                (level + trend, sse)
-            }
-            EtsKind::HoltWinters { period } => {
-                if series.len() < 2 * period {
-                    // Too short for seasonal init; degrade to Holt.
-                    let holt = Ets {
-                        kind: EtsKind::Holt,
-                        ..self.clone()
-                    };
-                    return holt.run(series, alpha, beta, 0.0);
-                }
-                // Initialize level/trend from the first two seasons and the
-                // seasonal terms from first-season deviations.
-                let s1: f64 = series[..period].iter().sum::<f64>() / period as f64;
-                let s2: f64 = series[period..2 * period].iter().sum::<f64>() / period as f64;
-                let mut level = s1;
-                let mut trend = (s2 - s1) / period as f64;
-                let mut seasonal: Vec<f64> = series[..period].iter().map(|&x| x - s1).collect();
-                let mut sse = 0.0;
-                for (t, &x) in series.iter().enumerate().skip(period) {
-                    let sidx = t % period;
-                    let forecast = level + trend + seasonal[sidx];
-                    let err = x - forecast;
-                    sse += err * err;
-                    let new_level = alpha * (x - seasonal[sidx]) + (1.0 - alpha) * (level + trend);
-                    trend = beta * (new_level - level) + (1.0 - beta) * trend;
-                    seasonal[sidx] = gamma * (x - new_level) + (1.0 - gamma) * seasonal[sidx];
-                    level = new_level;
-                }
-                let next_sidx = series.len() % period;
-                (level + trend + seasonal[next_sidx], sse)
-            }
-        }
     }
 }
 
@@ -183,7 +136,7 @@ impl Forecaster for Ets {
         for &a in &grid {
             for &b in beta_grid {
                 for &g in gamma_grid {
-                    let (_, sse) = self.run(series, a, b, g);
+                    let sse = self.sse(series, a, b, g);
                     if sse < best.0 {
                         best = (sse, a, b, g);
                     }
@@ -198,19 +151,246 @@ impl Forecaster for Ets {
     }
 
     fn predict_next(&self, history: &[f64]) -> f64 {
-        if !self.fitted || history.len() < 2 {
+        if !self.fitted {
             return fallback_forecast(history);
         }
-        let (forecast, _) = self.run(history, self.alpha, self.beta, self.gamma);
-        if forecast.is_finite() {
-            forecast
-        } else {
-            fallback_forecast(history)
+        let mut state = EtsState::new(self.kind, self.alpha, self.beta, self.gamma);
+        state.fold(history);
+        state.predict()
+    }
+
+    fn series_state(&self) -> Option<Box<dyn SeriesState>> {
+        if !self.fitted {
+            return None;
         }
+        Some(Box::new(EtsState::new(
+            self.kind, self.alpha, self.beta, self.gamma,
+        )))
     }
 
     fn box_clone(&self) -> Box<dyn Forecaster> {
         Box::new(self.clone())
+    }
+}
+
+/// The smoothing recursion of one ETS variant over one series, advanced
+/// one history value at a time, with the one-step SSE of the pass.
+///
+/// Holt–Winters initializes its level, trend and seasonal terms from the
+/// first two seasons. Until the series has two seasons it forecasts as
+/// Holt and buffers the values; on the value that completes the second
+/// season it initializes and replays that season through the seasonal
+/// recursion.
+#[derive(Debug)]
+struct EtsState {
+    kind: EtsKind,
+    alpha: f64,
+    beta: f64,
+    gamma: f64,
+    /// History values folded.
+    n: usize,
+    /// The newest history value (0.0 before any): the fallback forecast.
+    last: f64,
+    level: f64,
+    trend: f64,
+    /// One-step squared errors summed over the pass; `fit` scores by it.
+    sse: f64,
+    /// Holt–Winters: the first two seasons (`2 × period` slots).
+    head: Vec<f64>,
+    /// Holt–Winters: the seasonal terms (`period` slots).
+    seasonal: Vec<f64>,
+    /// Holt–Winters: seasonal index of the next value.
+    sidx: usize,
+}
+
+impl EtsState {
+    fn new(kind: EtsKind, alpha: f64, beta: f64, gamma: f64) -> Self {
+        let period = match kind {
+            EtsKind::HoltWinters { period } => period,
+            _ => 0,
+        };
+        EtsState {
+            kind,
+            alpha,
+            beta,
+            gamma,
+            n: 0,
+            last: 0.0,
+            level: 0.0,
+            trend: 0.0,
+            sse: 0.0,
+            head: vec![0.0; 2 * period],
+            seasonal: vec![0.0; period],
+            sidx: 0,
+        }
+    }
+
+    fn fold_simple(&mut self, values: &[f64]) {
+        let mut rest = values;
+        if self.n == 0 {
+            if let Some((&first, tail)) = values.split_first() {
+                self.level = first;
+                rest = tail;
+            }
+        }
+        let alpha = self.alpha;
+        let (mut level, mut sse) = (self.level, self.sse);
+        for &x in rest {
+            let err = x - level;
+            sse += err * err;
+            level += alpha * err;
+        }
+        self.level = level;
+        self.sse = sse;
+        self.n += values.len();
+    }
+
+    fn fold_holt(&mut self, values: &[f64]) {
+        let (alpha, beta) = (self.alpha, self.beta);
+        let (mut level, mut trend, mut sse) = (self.level, self.trend, self.sse);
+        // The first value sets the level, the second the initial trend.
+        let (first, rest) = values.split_at(2usize.saturating_sub(self.n).min(values.len()));
+        for &x in first {
+            if self.n == 0 {
+                level = x;
+                trend = 0.0;
+            } else {
+                trend = x - level;
+                holt_step(x, alpha, beta, &mut level, &mut trend, &mut sse);
+            }
+            self.n += 1;
+        }
+        for &x in rest {
+            holt_step(x, alpha, beta, &mut level, &mut trend, &mut sse);
+        }
+        self.level = level;
+        self.trend = trend;
+        self.sse = sse;
+        self.n += rest.len();
+    }
+
+    fn fold_holt_winters(&mut self, values: &[f64], period: usize) {
+        let mut rest = values;
+        let seasons = 2 * period;
+        let params = (self.alpha, self.beta, self.gamma);
+        if self.n < seasons {
+            let take = (seasons - self.n).min(values.len());
+            self.head[self.n..self.n + take].copy_from_slice(&values[..take]);
+            if self.n + take < seasons {
+                // Still short of two seasons: forecast as Holt.
+                self.fold_holt(values);
+                return;
+            }
+            // Initialize level/trend from the first two seasons and the
+            // seasonal terms from first-season deviations, then run the
+            // second season through the recursion.
+            let s1: f64 = self.head[..period].iter().sum::<f64>() / period as f64;
+            let s2: f64 = self.head[period..seasons].iter().sum::<f64>() / period as f64;
+            self.level = s1;
+            self.trend = (s2 - s1) / period as f64;
+            self.sse = 0.0;
+            for (s, &x) in self.seasonal.iter_mut().zip(&self.head[..period]) {
+                *s = x - s1;
+            }
+            self.sidx = 0;
+            hw_pass(
+                &self.head[period..seasons],
+                params,
+                &mut self.seasonal,
+                &mut self.sidx,
+                [&mut self.level, &mut self.trend, &mut self.sse],
+            );
+            self.n = seasons;
+            rest = &values[take..];
+        }
+        hw_pass(
+            rest,
+            params,
+            &mut self.seasonal,
+            &mut self.sidx,
+            [&mut self.level, &mut self.trend, &mut self.sse],
+        );
+        self.n += rest.len();
+    }
+}
+
+/// Runs additive Holt–Winters over `values`, the first of which has
+/// seasonal index `sidx`; advances `sidx` and `[level, trend, sse]`.
+fn hw_pass(
+    values: &[f64],
+    (alpha, beta, gamma): (f64, f64, f64),
+    seasonal: &mut [f64],
+    sidx: &mut usize,
+    [level, trend, sse]: [&mut f64; 3],
+) {
+    let period = seasonal.len();
+    let (mut l, mut b, mut e2, mut i) = (*level, *trend, *sse, *sidx);
+    for &x in values {
+        let season = seasonal[i];
+        let forecast = l + b + season;
+        let err = x - forecast;
+        e2 += err * err;
+        let new_level = alpha * (x - season) + (1.0 - alpha) * (l + b);
+        b = beta * (new_level - l) + (1.0 - beta) * b;
+        seasonal[i] = gamma * (x - new_level) + (1.0 - gamma) * season;
+        l = new_level;
+        i += 1;
+        if i == period {
+            i = 0;
+        }
+    }
+    (*level, *trend, *sse, *sidx) = (l, b, e2, i);
+}
+
+/// One Holt step on observation `x`.
+#[inline(always)]
+fn holt_step(x: f64, alpha: f64, beta: f64, level: &mut f64, trend: &mut f64, sse: &mut f64) {
+    let forecast = *level + *trend;
+    let err = x - forecast;
+    *sse += err * err;
+    let new_level = alpha * x + (1.0 - alpha) * (*level + *trend);
+    *trend = beta * (new_level - *level) + (1.0 - beta) * *trend;
+    *level = new_level;
+}
+
+impl SeriesState for EtsState {
+    fn reset(&mut self) {
+        self.n = 0;
+        self.last = 0.0;
+        self.level = 0.0;
+        self.trend = 0.0;
+        self.sse = 0.0;
+        self.sidx = 0;
+    }
+
+    fn fold(&mut self, values: &[f64]) {
+        let Some(&newest) = values.last() else {
+            return;
+        };
+        match self.kind {
+            EtsKind::Simple => self.fold_simple(values),
+            EtsKind::Holt => self.fold_holt(values),
+            EtsKind::HoltWinters { period } => self.fold_holt_winters(values, period),
+        }
+        self.last = newest;
+    }
+
+    fn predict(&self) -> f64 {
+        if self.n < 2 {
+            return self.last;
+        }
+        let forecast = match self.kind {
+            EtsKind::Simple => self.level,
+            EtsKind::HoltWinters { period } if self.n >= 2 * period => {
+                self.level + self.trend + self.seasonal[self.sidx]
+            }
+            _ => self.level + self.trend,
+        };
+        if forecast.is_finite() {
+            forecast
+        } else {
+            self.last
+        }
     }
 }
 

@@ -100,6 +100,30 @@ impl std::error::Error for PredictError {}
 /// each boxed member into a worker, prediction shares `&dyn Forecaster`
 /// across threads. `predict_next(&self)` therefore must not use interior
 /// mutability — a fitted model is immutable while predicting.
+///
+/// # Serving state
+///
+/// A model whose forecast is a forward recursion over the whole history
+/// (ARIMA's innovation filter, ETS smoothing) also offers a
+/// [`SeriesState`] through [`Forecaster::series_state`], so a server
+/// that sees the same series grow one value per step folds in only the
+/// new values instead of re-running the recursion from `t = 0`:
+///
+/// * the **caller owns the state**, one per (fitted model, series); the
+///   model stays immutable and knows nothing of its states;
+/// * folding `history` into a fresh state and calling
+///   [`SeriesState::predict`] returns exactly `predict_next(history)`,
+///   bit for bit, and folding it in several pieces gives the same bits
+///   as folding it at once; the implementing models define
+///   `predict_next` that way, so each recursion is written once;
+/// * a state is only valid for the values it folded: when the next
+///   history does not extend them bit for bit (a sliding window, a
+///   rewritten value, a shorter input) the caller resets it and folds
+///   the whole history; after a refit it asks for a new state;
+/// * wrappers that intercept `predict_next` (fault injectors, timers)
+///   must not forward this method, so that they keep seeing every call.
+///
+/// `eadrl-core`'s `PoolGuard` is the owner on both serving paths.
 pub trait Forecaster: Send + Sync {
     /// Human-readable unique name, e.g. `"ARIMA(2,1,1)"`.
     fn name(&self) -> &str;
@@ -137,8 +161,33 @@ pub trait Forecaster: Send + Sync {
         None
     }
 
+    /// A fresh serving state for one series, for a model whose forecast
+    /// reads the whole history (see "Serving state" above). `None`, the
+    /// default, means the model forecasts from each call's history; so
+    /// do unfitted models.
+    fn series_state(&self) -> Option<Box<dyn SeriesState>> {
+        None
+    }
+
     /// Clones the fitted model into a box (object-safe clone).
     fn box_clone(&self) -> Box<dyn Forecaster>;
+}
+
+/// The running state of a fitted model's forecast recursion over one
+/// series, created by [`Forecaster::series_state`].
+///
+/// `Send + Sync` so a server that owns states keeps its auto traits.
+pub trait SeriesState: Send + Sync + std::fmt::Debug {
+    /// Forgets every folded value, keeping the buffers.
+    fn reset(&mut self);
+
+    /// Folds `values`, the next observations of the series (oldest
+    /// first), into the state.
+    fn fold(&mut self, values: &[f64]);
+
+    /// The forecast of the value after everything folded so far: the
+    /// same bits as the model's `predict_next` over those values.
+    fn predict(&self) -> f64;
 }
 
 impl Clone for Box<dyn Forecaster> {

@@ -1,31 +1,30 @@
 //! Benchmarks for the batched GEMM training path: the cache-blocked
-//! linalg kernels, the batched dense forward, and the minibatch-as-matrix
-//! DDPG update against its per-sample predecessor.
+//! linalg kernels, the batched dense forward and MLP train step against
+//! 64 batch-of-one calls, and the minibatch-as-matrix DDPG update.
 //!
 //! Flags (combinable):
 //! - `--quick`   shrink the measurement budget for CI smoke runs;
 //! - `--json`    print a machine-readable `kernels_bench` report on stdout;
 //! - `--out <p>` also write that JSON document to the file `<p>`;
-//! - `--check`   exit non-zero if the batched DDPG update is slower than
-//!   the per-sample path at any batch size ≥ 32 (the perf regression gate
-//!   wired into CI).
+//! - `--check`   exit non-zero if one batched call is slower than 64
+//!   batch-of-one calls on the kernels DDPG uses
+//!   (`dense_forward_32x32_batch64`, `mlp_fwd_bwd_12_32_32_1_batch64`) —
+//!   the perf regression gate wired into CI.
 //!
 //! The DDPG benchmarks fill the replay buffer with synthetic transitions
 //! rather than a fitted forecaster pool: the update cost depends only on
 //! the state/action dimensions, batch size, and network shape, and this
 //! keeps `--quick` runs in seconds. Each DDPG sample times
 //! [`UPDATES_PER_RUN`] consecutive updates from a freshly seeded agent
-//! (reported per update): the paths are bitwise-identical, so both
-//! traverse the same weight trajectory and see the same activation
-//! sparsity, making the comparison controlled and every sample
-//! deterministic.
+//! (reported per update), so every sample traverses the same weight
+//! trajectory, sees the same activation sparsity, and is deterministic.
 
-use eadrl_bench::harness::{Harness, Summary};
-use eadrl_bench::{json_output, print_json_report};
+use eadrl_bench::harness::{median_ns, Harness, Summary};
+use eadrl_bench::{emit_bench_report, exit_on_gate_failures};
 use eadrl_linalg::{kernels, Matrix};
 use eadrl_nn::{Activation, Dense, Mlp, Network};
 use eadrl_obs::json::JsonValue;
-use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition, UpdatePath};
+use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition};
 use eadrl_rng::DetRng;
 use std::hint::black_box;
 
@@ -112,7 +111,7 @@ fn bench_dense_forward(c: &mut Harness) -> Vec<(String, Summary)> {
     group.finish()
 }
 
-fn bench_mlp_train_step(c: &mut Harness) {
+fn bench_mlp_train_step(c: &mut Harness) -> Vec<(String, Summary)> {
     let mut rng = DetRng::seed_from_u64(13);
     let batch = 64;
     let rows: Vec<Vec<f64>> = (0..batch)
@@ -149,10 +148,10 @@ fn bench_mlp_train_step(c: &mut Harness) {
             black_box(bat.grad_norm())
         })
     });
-    group.finish();
+    group.finish()
 }
 
-fn agent_with(path: UpdatePath, batch_size: usize) -> DdpgAgent {
+fn agent_with(batch_size: usize) -> DdpgAgent {
     let mut agent = DdpgAgent::new(
         STATE_DIM,
         ACTION_DIM,
@@ -162,7 +161,6 @@ fn agent_with(path: UpdatePath, batch_size: usize) -> DdpgAgent {
             hidden: vec![32, 32],
             squash: ActionSquash::BoundedSoftmax { scale: 6.0 },
             seed: 42,
-            update_path: path,
             ..Default::default()
         },
     );
@@ -194,75 +192,33 @@ fn agent_with(path: UpdatePath, batch_size: usize) -> DdpgAgent {
 }
 
 /// One `ddpg_update_batchN` group per batch size; returns
-/// `(batch_size, per_sample_summary, batched_summary)` rows for the
-/// report and the `--check` gate.
-fn bench_ddpg_update(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, Summary, Summary)> {
+/// `(batch_size, median_ns)` rows for the report.
+fn bench_ddpg_update(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, f64)> {
     let mut results = Vec::new();
     for &batch_size in batch_sizes {
         let mut group = c.benchmark_group(format!("ddpg_update_batch{batch_size}"));
-        for (label, path) in [
-            ("per_sample", UpdatePath::PerSample),
-            ("batched", UpdatePath::Batched),
-        ] {
-            group.bench_function(label, |b| {
-                // Each sample times UPDATES_PER_RUN consecutive updates
-                // from a freshly seeded agent. Because the two update
-                // paths are bitwise-identical, both traverse exactly the
-                // same weight trajectory and therefore see exactly the
-                // same activation sparsity — a controlled comparison. A
-                // free-running agent would drift to a path-dependent
-                // weight state mid-measurement and confound the ratio.
-                b.iter_batched(
-                    || agent_with(path, batch_size),
-                    |mut agent| {
-                        for _ in 0..UPDATES_PER_RUN {
-                            agent.update();
-                        }
-                        black_box(agent.updates())
-                    },
-                );
-            });
-        }
-        let summaries = group.finish();
-        let get = |id: &str| -> Summary {
-            summaries
-                .iter()
-                .find(|(name, _)| name == id)
-                .map(|(_, s)| *s)
-                .unwrap_or(Summary {
-                    median_ns: f64::NAN,
-                    mean_ns: f64::NAN,
-                    min_ns: f64::NAN,
-                })
-        };
-        results.push((batch_size, get("per_sample"), get("batched")));
+        group.bench_function("batched", |b| {
+            // Each sample times UPDATES_PER_RUN consecutive updates from a
+            // freshly seeded agent. A free-running agent would drift to a
+            // different weight state (and activation sparsity) from one
+            // sample to the next.
+            b.iter_batched(
+                || agent_with(batch_size),
+                |mut agent| {
+                    for _ in 0..UPDATES_PER_RUN {
+                        agent.update();
+                    }
+                    black_box(agent.updates())
+                },
+            );
+        });
+        results.push((batch_size, median_ns(&group.finish(), "batched")));
     }
     results
 }
 
-/// `--out <path>` value, when present. Relative paths are resolved
-/// against the workspace root (cargo runs bench binaries with the
-/// package directory as cwd, which is rarely where the artifact should
-/// land).
-fn out_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let raw = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))?;
-    let path = std::path::PathBuf::from(raw);
-    if path.is_absolute() {
-        return Some(path);
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => Some(std::path::Path::new(&dir).join("../..").join(path)),
-        Err(_) => Some(path),
-    }
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let check = std::env::args().any(|a| a == "--check");
 
     let mut h = if quick {
         Harness::default()
@@ -278,78 +234,56 @@ fn main() {
 
     bench_gemm(&mut h);
     let dense = bench_dense_forward(&mut h);
-    bench_mlp_train_step(&mut h);
+    let mlp = bench_mlp_train_step(&mut h);
     let ddpg = bench_ddpg_update(&mut h, &[32, 64]);
 
-    let dense_get = |id: &str| -> f64 {
-        dense
-            .iter()
-            .find(|(name, _)| name == id)
-            .map_or(f64::NAN, |(_, s)| s.median_ns)
-    };
     let mut fields: Vec<(String, JsonValue)> = vec![
         ("state_dim".to_string(), STATE_DIM.into()),
         ("action_dim".to_string(), ACTION_DIM.into()),
-        (
-            "dense_per_sample_x64_median_ns".to_string(),
-            dense_get("per_sample_x64").into(),
-        ),
-        (
-            "dense_forward_batch_median_ns".to_string(),
-            dense_get("forward_batch").into(),
-        ),
     ];
     let mut gate_failures = Vec::new();
-    for (batch_size, per, bat) in &ddpg {
-        let speedup = per.median_ns / bat.median_ns;
+    // The gate: one batched call must not be slower than 64 batch-of-one
+    // calls of the same kernels. NaN (e.g. a zero-time fluke) must also
+    // trip it, hence the negated comparison rather than `speedup < 1.0`.
+    for (prefix, group, rows, per, bat) in [
+        (
+            "dense",
+            "dense_forward_32x32_batch64",
+            &dense,
+            "per_sample_x64",
+            "forward_batch",
+        ),
+        (
+            "mlp_fwd_bwd",
+            "mlp_fwd_bwd_12_32_32_1_batch64",
+            &mlp,
+            "per_sample_x64",
+            "batched",
+        ),
+    ] {
+        let (per_ns, bat_ns) = (median_ns(rows, per), median_ns(rows, bat));
+        let speedup = per_ns / bat_ns;
+        fields.push((format!("{prefix}_{per}_median_ns"), per_ns.into()));
+        fields.push((format!("{prefix}_{bat}_median_ns"), bat_ns.into()));
+        fields.push((format!("{prefix}_speedup_batched"), speedup.into()));
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(speedup >= 1.0) {
+            gate_failures.push(format!(
+                "{group}: batched slower than 64 batch-of-one calls (speedup {speedup:.3}x)"
+            ));
+        }
+    }
+    for (batch_size, median_ns) in &ddpg {
         // Each sample timed UPDATES_PER_RUN updates; report per-update.
         fields.push((
-            format!("ddpg_update_batch{batch_size}_per_sample_median_ns"),
-            (per.median_ns / UPDATES_PER_RUN as f64).into(),
-        ));
-        fields.push((
             format!("ddpg_update_batch{batch_size}_batched_median_ns"),
-            (bat.median_ns / UPDATES_PER_RUN as f64).into(),
+            (median_ns / UPDATES_PER_RUN as f64).into(),
         ));
-        fields.push((
-            format!("ddpg_update_batch{batch_size}_speedup_batched"),
-            speedup.into(),
-        ));
-        if *batch_size >= 32 && !(speedup >= 1.0) {
-            gate_failures.push((*batch_size, speedup));
-        }
     }
 
-    let doc = {
-        let mut obj: Vec<(String, JsonValue)> =
-            vec![("report".to_string(), "kernels_bench".into())];
-        obj.extend(fields.iter().cloned());
-        JsonValue::Obj(obj).to_json()
-    };
-    if let Some(path) = out_path() {
-        if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-    if json_output() {
-        print_json_report("kernels_bench", fields);
-    }
-
-    if check {
-        if gate_failures.is_empty() {
-            eprintln!(
-                "check passed: batched DDPG update at least matches per-sample at batch >= 32"
-            );
-        } else {
-            for (batch_size, speedup) in &gate_failures {
-                eprintln!(
-                    "check FAILED: batched DDPG update slower than per-sample at batch {batch_size} \
-                     (speedup {speedup:.3}x)"
-                );
-            }
-            std::process::exit(1);
-        }
-    }
+    emit_bench_report("kernels_bench", fields);
+    exit_on_gate_failures(
+        &gate_failures,
+        "batched dense forward and MLP train step at least match 64 batch-of-one calls",
+    );
 }

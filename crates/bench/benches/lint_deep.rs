@@ -15,8 +15,8 @@
 //! - `--check`   exit non-zero if the cold run exceeds the budget (the
 //!   latency regression gate wired into CI).
 
-use eadrl_bench::harness::Harness;
-use eadrl_bench::{json_output, print_json_report};
+use eadrl_bench::harness::{median_ns, Harness};
+use eadrl_bench::{emit_bench_report, exit_on_gate_failures};
 use eadrl_lint::deep::{self, Analysis, HotPathConfig};
 use eadrl_lint::source::SourceFile;
 use eadrl_obs::json::JsonValue;
@@ -74,25 +74,8 @@ fn cold_run(root: &Path, hot: &HotPathConfig) -> (Duration, usize, usize) {
     (elapsed, fns, analysis.files.len())
 }
 
-fn out_path() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let raw = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))?;
-    let path = PathBuf::from(raw);
-    if path.is_absolute() {
-        return Some(path);
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => Some(Path::new(&dir).join("../..").join(path)),
-        Err(_) => Some(path),
-    }
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let check = std::env::args().any(|a| a == "--check");
 
     let root = workspace_root();
     let hot = hot_config(&root);
@@ -129,12 +112,6 @@ fn main() {
         b.iter(|| black_box(deep::run_deep(&analysis, Some(&hot))))
     });
     let summaries = group.finish();
-    let median = |id: &str| -> f64 {
-        summaries
-            .iter()
-            .find(|(name, _)| name == id)
-            .map_or(f64::NAN, |(_, s)| s.median_ns)
-    };
 
     let fields: Vec<(String, JsonValue)> = vec![
         ("files".to_string(), file_count.into()),
@@ -149,43 +126,23 @@ fn main() {
         ),
         (
             "parse_and_graph_median_ns".to_string(),
-            median("parse_and_graph").into(),
+            median_ns(&summaries, "parse_and_graph").into(),
         ),
         (
             "deep_passes_median_ns".to_string(),
-            median("deep_passes").into(),
+            median_ns(&summaries, "deep_passes").into(),
         ),
     ];
-    let doc = {
-        let mut obj: Vec<(String, JsonValue)> =
-            vec![("report".to_string(), "lint_deep_bench".into())];
-        obj.extend(fields.iter().cloned());
-        JsonValue::Obj(obj).to_json()
-    };
-    if let Some(path) = out_path() {
-        if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
+    emit_bench_report("lint_deep_bench", fields);
+    let (cold_ms, budget_ms) = (cold.as_secs_f64() * 1e3, COLD_BUDGET.as_secs_f64() * 1e3);
+    let mut gate_failures = Vec::new();
+    if cold > COLD_BUDGET {
+        gate_failures.push(format!(
+            "lint_deep cold end-to-end run took {cold_ms:.1} ms (budget {budget_ms:.0} ms)"
+        ));
     }
-    if json_output() {
-        print_json_report("lint_deep_bench", fields);
-    }
-
-    if check {
-        if cold > COLD_BUDGET {
-            eprintln!(
-                "lint_deep check FAILED: cold end-to-end run took {:.1} ms (budget {:.0} ms)",
-                cold.as_secs_f64() * 1e3,
-                COLD_BUDGET.as_secs_f64() * 1e3,
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "lint_deep check passed: {:.1} ms cold (budget {:.0} ms)",
-            cold.as_secs_f64() * 1e3,
-            COLD_BUDGET.as_secs_f64() * 1e3,
-        );
-    }
+    exit_on_gate_failures(
+        &gate_failures,
+        &format!("lint_deep {cold_ms:.1} ms cold (budget {budget_ms:.0} ms)"),
+    );
 }

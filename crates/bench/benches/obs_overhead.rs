@@ -18,10 +18,10 @@
 //! Flags: `--quick` (CI smoke budget), `--json` (stdout report),
 //! `--out <path>` (write the JSON document, workspace-root-relative).
 
-use eadrl_bench::harness::{Harness, Summary};
-use eadrl_bench::{json_output, print_json_report};
+use eadrl_bench::emit_bench_report;
+use eadrl_bench::harness::{median_ns, Harness, Summary};
 use eadrl_obs::{JsonlSink, Level};
-use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition, UpdatePath};
+use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition};
 use eadrl_rng::DetRng;
 use std::hint::black_box;
 
@@ -42,7 +42,6 @@ fn seeded_agent() -> DdpgAgent {
             hidden: vec![32, 32],
             squash: ActionSquash::BoundedSoftmax { scale: 6.0 },
             seed: 42,
-            update_path: UpdatePath::Batched,
             ..Default::default()
         },
     );
@@ -103,22 +102,6 @@ fn bench_modes(c: &mut Harness) -> Vec<(String, Summary)> {
     group.finish()
 }
 
-fn out_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let raw = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))?;
-    let path = std::path::PathBuf::from(raw);
-    if path.is_absolute() {
-        return Some(path);
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => Some(std::path::Path::new(&dir).join("../..").join(path)),
-        Err(_) => Some(path),
-    }
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mut h = if quick {
@@ -134,15 +117,9 @@ fn main() {
     };
 
     let summaries = bench_modes(&mut h);
-    let median_of = |id: &str| -> f64 {
-        summaries
-            .iter()
-            .find(|(name, _)| name == id)
-            .map_or(f64::NAN, |(_, s)| s.median_ns)
-    };
-    let off = median_of("off");
-    let info = median_of("info_coarse");
-    let trace = median_of("trace_full");
+    let off = median_ns(&summaries, "off");
+    let info = median_ns(&summaries, "info_coarse");
+    let trace = median_ns(&summaries, "trace_full");
     let per_update = |total: f64| total / UPDATES_PER_RUN as f64;
     let fields: Vec<(String, eadrl_obs::json::JsonValue)> = vec![
         ("batch_size".to_string(), 64usize.into()),
@@ -163,20 +140,5 @@ fn main() {
         ("trace_over_off_ratio".to_string(), (trace / off).into()),
     ];
 
-    let doc = {
-        let mut obj: Vec<(String, eadrl_obs::json::JsonValue)> =
-            vec![("report".to_string(), "obs_overhead_bench".into())];
-        obj.extend(fields.iter().cloned());
-        eadrl_obs::json::JsonValue::Obj(obj).to_json()
-    };
-    if let Some(path) = out_path() {
-        if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-    if json_output() {
-        print_json_report("obs_overhead_bench", fields);
-    }
+    emit_bench_report("obs_overhead_bench", fields);
 }

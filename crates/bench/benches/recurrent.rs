@@ -1,24 +1,20 @@
 //! Benchmarks for the fused stacked-gate recurrent training path:
 //! windows-as-matrix LSTM/BiLSTM training epochs and the im2col Conv1d
-//! batch pass against their per-sequence predecessors.
+//! batch pass.
 //!
 //! Flags (combinable):
 //! - `--quick`   shrink the measurement budget for CI smoke runs;
 //! - `--json`    print a machine-readable `recurrent_bench` report on stdout;
-//! - `--out <p>` also write that JSON document to the file `<p>`;
-//! - `--check`   exit non-zero if the batched LSTM training epoch is
-//!   slower than the per-sequence path at any batch size ≥ 32 (the perf
-//!   regression gate wired into CI).
+//! - `--out <p>` also write that JSON document to the file `<p>`.
 //!
 //! Each epoch sample runs [`N_WINDOWS`] synthetic windows through
 //! `N_WINDOWS / batch` optimizer steps via `iter_batched` with freshly
-//! seeded networks per sample: the two paths are bitwise-identical, so
-//! both traverse the same weight trajectory and see the same activation
-//! sparsity — a controlled comparison, and every sample deterministic.
+//! seeded networks per sample, so every sample traverses the same weight
+//! trajectory, sees the same activation sparsity, and is deterministic.
 //! The measurement protocol is documented in `EXPERIMENTS.md`.
 
-use eadrl_bench::harness::{Harness, Summary};
-use eadrl_bench::{json_output, print_json_report};
+use eadrl_bench::emit_bench_report;
+use eadrl_bench::harness::{median_ns, Harness, Summary};
 use eadrl_linalg::Matrix;
 use eadrl_nn::{
     mse_loss_grad, Activation, Adam, BiLstm, BiRecurrentWorkspace, Conv1d, ConvWorkspace, Dense,
@@ -59,7 +55,7 @@ fn dataset(seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
 }
 
 /// Recurrent layer + head as one parameter group (mirrors the models
-/// crate wiring) so Adam's positional moments line up across paths.
+/// crate wiring).
 struct Stack<'a, R: Network>(&'a mut R, &'a mut Dense);
 
 impl<R: Network> Network for Stack<'_, R> {
@@ -84,33 +80,13 @@ fn fresh_bilstm() -> (BiLstm, Dense, Adam) {
 }
 
 /// One `lstm_epoch_batchN` group per batch size; returns
-/// `(batch, per_sequence_summary, batched_summary)` rows for the report
-/// and the `--check` gate.
-fn bench_lstm_epoch(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, Summary, Summary)> {
+/// `(batch, median_ns)` rows for the report.
+fn bench_lstm_epoch(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, f64)> {
     let (windows, targets) = dataset(0x5EED);
     let idx: Vec<usize> = (0..N_WINDOWS).collect();
     let mut results = Vec::new();
     for &batch in batch_sizes {
         let mut group = c.benchmark_group(format!("lstm_epoch_batch{batch}"));
-        group.bench_function("per_sequence", |b| {
-            b.iter_batched(fresh_lstm, |(mut lstm, mut head, mut opt)| {
-                for chunk in idx.chunks(batch) {
-                    let mut g = Stack(&mut lstm, &mut head);
-                    g.zero_grad();
-                    for &i in chunk {
-                        let seq: Vec<Vec<f64>> = windows[i].iter().map(|&v| vec![v]).collect();
-                        let h = g.0.forward_sequence(&seq);
-                        let y = g.1.forward(&h);
-                        let gr = mse_loss_grad(&y, &[targets[i]]);
-                        let gh = g.1.backward(&gr);
-                        g.0.backward_last(&gh);
-                    }
-                    g.clip_grad_norm(5.0);
-                    opt.step(&mut g);
-                }
-                black_box(lstm.flat_params()[0])
-            });
-        });
         group.bench_function("batched", |b| {
             b.iter_batched(
                 || {
@@ -153,19 +129,7 @@ fn bench_lstm_epoch(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, Summa
                 },
             );
         });
-        let summaries = group.finish();
-        let get = |id: &str| -> Summary {
-            summaries
-                .iter()
-                .find(|(name, _)| name == id)
-                .map(|(_, s)| *s)
-                .unwrap_or(Summary {
-                    median_ns: f64::NAN,
-                    mean_ns: f64::NAN,
-                    min_ns: f64::NAN,
-                })
-        };
-        results.push((batch, get("per_sequence"), get("batched")));
+        results.push((batch, median_ns(&group.finish(), "batched")));
     }
     results
 }
@@ -175,25 +139,6 @@ fn bench_bilstm_epoch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
     let (windows, targets) = dataset(0xB15);
     let idx: Vec<usize> = (0..N_WINDOWS).collect();
     let mut group = c.benchmark_group(format!("bilstm_epoch_batch{batch}"));
-    group.bench_function("per_sequence", |b| {
-        b.iter_batched(fresh_bilstm, |(mut bi, mut head, mut opt)| {
-            for chunk in idx.chunks(batch) {
-                let mut g = Stack(&mut bi, &mut head);
-                g.zero_grad();
-                for &i in chunk {
-                    let seq: Vec<Vec<f64>> = windows[i].iter().map(|&v| vec![v]).collect();
-                    let h = g.0.forward_sequence(&seq);
-                    let y = g.1.forward(&h);
-                    let gr = mse_loss_grad(&y, &[targets[i]]);
-                    let gh = g.1.backward(&gr);
-                    g.0.backward_last(&gh);
-                }
-                g.clip_grad_norm(5.0);
-                opt.step(&mut g);
-            }
-            black_box(bi.flat_params()[0])
-        });
-    });
     group.bench_function("batched", |b| {
         b.iter_batched(
             || {
@@ -239,9 +184,9 @@ fn bench_bilstm_epoch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
     group.finish()
 }
 
-/// Conv1d forward+backward over one staged batch: per-sample loops vs
-/// the im2col GEMM path (weights-only backward on both sides of the
-/// comparison — the CNN-LSTM wiring discards conv input gradients).
+/// Conv1d forward+backward over one staged batch through the im2col GEMM
+/// path (weights-only backward — the CNN-LSTM wiring discards conv input
+/// gradients).
 fn bench_conv_batch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
     let (windows, _) = dataset(0xC0);
     let (oc, k, in_len) = (4, 3, STEPS);
@@ -249,23 +194,6 @@ fn bench_conv_batch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
     let mut rng = DetRng::seed_from_u64(29);
     let conv_seed = Conv1d::new(&mut rng, 1, oc, k, Activation::Relu);
     let mut group = c.benchmark_group(format!("conv_fwd_bwd_c{oc}_k{k}_batch{batch}"));
-    group.bench_function("per_sample", |b| {
-        b.iter_batched(
-            || conv_seed.clone(),
-            |mut conv| {
-                conv.zero_grad();
-                for w in windows.iter().take(batch) {
-                    let y = conv.forward(std::slice::from_ref(w));
-                    let g: Vec<Vec<f64>> = y
-                        .iter()
-                        .map(|ch| ch.iter().map(|v| v - 0.25).collect())
-                        .collect();
-                    conv.backward(&g);
-                }
-                black_box(conv.grad_norm())
-            },
-        );
-    });
     group.bench_function("batched", |b| {
         b.iter_batched(
             || (conv_seed.clone(), ConvWorkspace::new()),
@@ -293,29 +221,8 @@ fn bench_conv_batch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
     group.finish()
 }
 
-/// `--out <path>` value, when present. Relative paths are resolved
-/// against the workspace root (cargo runs bench binaries with the
-/// package directory as cwd, which is rarely where the artifact should
-/// land).
-fn out_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let raw = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))?;
-    let path = std::path::PathBuf::from(raw);
-    if path.is_absolute() {
-        return Some(path);
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => Some(std::path::Path::new(&dir).join("../..").join(path)),
-        Err(_) => Some(path),
-    }
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let check = std::env::args().any(|a| a == "--check");
 
     let mut h = if quick {
         Harness::default()
@@ -333,97 +240,24 @@ fn main() {
     let bilstm = bench_bilstm_epoch(&mut h, 64);
     let conv = bench_conv_batch(&mut h, 64);
 
-    let pick = |rows: &[(String, Summary)], id: &str| -> f64 {
-        rows.iter()
-            .find(|(name, _)| name == id)
-            .map_or(f64::NAN, |(_, s)| s.median_ns)
-    };
     let mut fields: Vec<(String, JsonValue)> = vec![
         ("n_windows".to_string(), N_WINDOWS.into()),
         ("steps".to_string(), STEPS.into()),
         ("hidden".to_string(), HIDDEN.into()),
     ];
-    let mut gate_failures = Vec::new();
-    for (batch, per, bat) in &lstm {
-        let speedup = per.median_ns / bat.median_ns;
-        fields.push((
-            format!("lstm_epoch_batch{batch}_per_sequence_median_ns"),
-            per.median_ns.into(),
-        ));
+    for &(batch, median_ns) in &lstm {
         fields.push((
             format!("lstm_epoch_batch{batch}_batched_median_ns"),
-            bat.median_ns.into(),
+            median_ns.into(),
         ));
-        fields.push((
-            format!("lstm_epoch_batch{batch}_speedup_batched"),
-            speedup.into(),
-        ));
-        // NaN (e.g. a zero-time fluke) must also trip the gate, hence
-        // the negated comparison rather than `speedup < 1.0`.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if *batch >= 32 && !(speedup >= 1.0) {
-            gate_failures.push((*batch, speedup));
-        }
     }
-    let bi_per = pick(&bilstm, "per_sequence");
-    let bi_bat = pick(&bilstm, "batched");
-    fields.push((
-        "bilstm_epoch_batch64_per_sequence_median_ns".to_string(),
-        bi_per.into(),
-    ));
     fields.push((
         "bilstm_epoch_batch64_batched_median_ns".to_string(),
-        bi_bat.into(),
-    ));
-    fields.push((
-        "bilstm_epoch_batch64_speedup_batched".to_string(),
-        (bi_per / bi_bat).into(),
-    ));
-    let cv_per = pick(&conv, "per_sample");
-    let cv_bat = pick(&conv, "batched");
-    fields.push((
-        "conv_fwd_bwd_batch64_per_sample_median_ns".to_string(),
-        cv_per.into(),
+        median_ns(&bilstm, "batched").into(),
     ));
     fields.push((
         "conv_fwd_bwd_batch64_batched_median_ns".to_string(),
-        cv_bat.into(),
+        median_ns(&conv, "batched").into(),
     ));
-    fields.push((
-        "conv_fwd_bwd_batch64_speedup_batched".to_string(),
-        (cv_per / cv_bat).into(),
-    ));
-
-    let doc = {
-        let mut obj: Vec<(String, JsonValue)> =
-            vec![("report".to_string(), "recurrent_bench".into())];
-        obj.extend(fields.iter().cloned());
-        JsonValue::Obj(obj).to_json()
-    };
-    if let Some(path) = out_path() {
-        if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-    if json_output() {
-        print_json_report("recurrent_bench", fields);
-    }
-
-    if check {
-        if gate_failures.is_empty() {
-            eprintln!(
-                "check passed: batched LSTM epoch at least matches per-sequence at batch >= 32"
-            );
-        } else {
-            for (batch, speedup) in &gate_failures {
-                eprintln!(
-                    "check FAILED: batched LSTM epoch slower than per-sequence at batch {batch} \
-                     (speedup {speedup:.3}x)"
-                );
-            }
-            std::process::exit(1);
-        }
-    }
+    emit_bench_report("recurrent_bench", fields);
 }

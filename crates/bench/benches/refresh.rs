@@ -16,8 +16,8 @@
 //! runner all thread counts collapse onto one worker and the honest
 //! number is ~1.0x (see `EXPERIMENTS.md` for the multi-core protocol).
 
-use eadrl_bench::harness::{Harness, Summary};
-use eadrl_bench::{json_output, print_json_report};
+use eadrl_bench::harness::{median_ns, Harness, Summary};
+use eadrl_bench::{emit_bench_report, exit_on_gate_failures};
 use eadrl_core::{
     AdaptiveEaDrl, Combiner, EaDrlConfig, EaDrlPolicy, RefreshStrategy, RefreshTrigger,
 };
@@ -197,29 +197,8 @@ fn bench_history_record(c: &mut Harness, window: usize, steps: usize) -> Vec<(St
     group.finish()
 }
 
-/// `--out <path>` value, when present. Relative paths are resolved
-/// against the workspace root (cargo runs bench binaries with the
-/// package directory as cwd, which is rarely where the artifact should
-/// land).
-fn out_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let raw = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))?;
-    let path = std::path::PathBuf::from(raw);
-    if path.is_absolute() {
-        return Some(path);
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => Some(std::path::Path::new(&dir).join("../..").join(path)),
-        Err(_) => Some(path),
-    }
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let check = std::env::args().any(|a| a == "--check");
 
     let mut h = if quick {
         Harness::default()
@@ -238,12 +217,6 @@ fn main() {
     let slide_small = bench_window_slide(&mut h, 16, 512);
     let slide_large = bench_window_slide(&mut h, 256, 512);
     let record = bench_history_record(&mut h, 256, 512);
-
-    let pick = |rows: &[(String, Summary)], id: &str| -> f64 {
-        rows.iter()
-            .find(|(name, _)| name == id)
-            .map_or(f64::NAN, |(_, s)| s.median_ns)
-    };
 
     let mut fields: Vec<(String, JsonValue)> = vec![
         ("warm_steps".to_string(), WARM_STEPS.into()),
@@ -273,8 +246,8 @@ fn main() {
     }
     let mut gate_failures: Vec<String> = Vec::new();
 
-    let cold = pick(&refresh, "cold");
-    let warm = pick(&refresh, "warm_start");
+    let cold = median_ns(&refresh, "cold");
+    let warm = median_ns(&refresh, "warm_start");
     let refresh_speedup = cold / warm;
     fields.push(("refresh_cold_median_ns".to_string(), cold.into()));
     fields.push(("refresh_warm_start_median_ns".to_string(), warm.into()));
@@ -296,8 +269,8 @@ fn main() {
         ("window_slide_w256", &slide_large),
         ("history_record_w256", &record),
     ] {
-        let shift = pick(rows, "vec_shift");
-        let ring = pick(rows, "ring");
+        let shift = median_ns(rows, "vec_shift");
+        let ring = median_ns(rows, "ring");
         let speedup = shift / ring;
         fields.push((format!("{label}_vec_shift_median_ns"), shift.into()));
         fields.push((format!("{label}_ring_median_ns"), ring.into()));
@@ -314,33 +287,9 @@ fn main() {
         }
     }
 
-    let doc = {
-        let mut obj: Vec<(String, JsonValue)> =
-            vec![("report".to_string(), "refresh_bench".into())];
-        obj.extend(fields.iter().cloned());
-        JsonValue::Obj(obj).to_json()
-    };
-    if let Some(path) = out_path() {
-        if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-    if json_output() {
-        print_json_report("refresh_bench", fields);
-    }
-
-    if check {
-        if gate_failures.is_empty() {
-            eprintln!(
-                "check passed: warm-start refresh at most cold latency; rings at least match shifts"
-            );
-        } else {
-            for failure in &gate_failures {
-                eprintln!("check FAILED: {failure}");
-            }
-            std::process::exit(1);
-        }
-    }
+    emit_bench_report("refresh_bench", fields);
+    exit_on_gate_failures(
+        &gate_failures,
+        "warm-start refresh at most cold latency; rings at least match shifts",
+    );
 }

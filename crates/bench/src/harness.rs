@@ -148,6 +148,14 @@ impl Group<'_> {
     }
 }
 
+/// Median of the benchmark named `id` among a finished group's rows; NaN
+/// when it is missing, so a gate comparing it fails.
+pub fn median_ns(rows: &[(String, Summary)], id: &str) -> f64 {
+    rows.iter()
+        .find(|(name, _)| name == id)
+        .map_or(f64::NAN, |(_, s)| s.median_ns)
+}
+
 /// Public per-iteration timing summary of one benchmark, in
 /// nanoseconds — what [`Group::finish`] hands back for JSON reports.
 #[derive(Debug, Clone, Copy, PartialEq)]

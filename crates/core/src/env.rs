@@ -50,9 +50,12 @@ pub enum RewardKind {
     },
 }
 
-/// Entropy of a weight vector normalized to `[0, 1]` (1 = uniform); the
-/// diversity bonus of [`RewardKind::RankWithDiversity`].
-pub fn weight_entropy(weights: &[f64]) -> f64 {
+/// Entropy of a weight vector normalized to `[0, 1]` (1 = uniform) over
+/// the weights above 1e-12; the diversity bonus of
+/// [`RewardKind::RankWithDiversity`]. Not [`crate::weight_entropy`], the
+/// `eadrl.weights` telemetry value, which reports unnormalized nats over
+/// every positive weight.
+fn normalized_entropy(weights: &[f64]) -> f64 {
     if weights.len() < 2 {
         return 0.0;
     }
@@ -214,7 +217,7 @@ impl Environment for EnsembleEnv {
             RewardKind::OneMinusNrmse => self.nrmse_reward(action, t),
             RewardKind::RankWithDiversity { lambda } => {
                 let err = (ensemble - self.actuals[t]).abs();
-                self.rank_reward(err, t, true) + lambda * weight_entropy(action)
+                self.rank_reward(err, t, true) + lambda * normalized_entropy(action)
             }
         };
         // Deterministic transition: slide the ensemble-output window.
@@ -405,11 +408,11 @@ mod tests {
     }
 
     #[test]
-    fn weight_entropy_extremes() {
-        assert!((weight_entropy(&[0.5, 0.5]) - 1.0).abs() < 1e-12);
-        assert_eq!(weight_entropy(&[1.0, 0.0]), 0.0);
-        assert_eq!(weight_entropy(&[1.0]), 0.0);
-        let quarter = weight_entropy(&[0.25; 4]);
+    fn normalized_entropy_extremes() {
+        assert!((normalized_entropy(&[0.5, 0.5]) - 1.0).abs() < 1e-12);
+        assert_eq!(normalized_entropy(&[1.0, 0.0]), 0.0);
+        assert_eq!(normalized_entropy(&[1.0]), 0.0);
+        let quarter = normalized_entropy(&[0.25; 4]);
         assert!((quarter - 1.0).abs() < 1e-12);
     }
 

@@ -9,16 +9,16 @@
 //! each shuffled chunk into a row matrix and runs one
 //! [`Mlp::forward_batch`]/[`Mlp::backward_batch`] per network instead of
 //! one pass per sample. The recurrent families (LSTM, Bi-LSTM, CNN-LSTM,
-//! Conv-LSTM) stage the chunk's windows as one `B x in_dim` matrix *per
-//! timestep* and run the stacked-gate kernels over persistent workspaces
-//! ([`eadrl_nn::RecurrentWorkspace`] and friends): the sequential
-//! recurrence still walks timesteps one at a time, but each step is a
-//! batch-wide GEMM rather than B matvec loops. Both paths are bitwise
-//! identical to the per-sample loops (the kernels preserve per-element
-//! accumulation order; see `crates/nn/tests/recurrent_equivalence.rs`).
-//! The two-layer stacked LSTM keeps the per-sample reference fit — its
-//! layer-1 hidden sequence feeds layer 2 step-by-step, and the family is
-//! a paper baseline, not a pool member, so it stays on the readable path.
+//! Conv-LSTM, stacked LSTM) stage the chunk's windows as one
+//! `B x in_dim` matrix *per timestep* and run the stacked-gate kernels
+//! over persistent workspaces ([`eadrl_nn::RecurrentWorkspace`] and
+//! friends): the sequential recurrence still walks timesteps one at a
+//! time, but each step is a batch-wide GEMM rather than B matvec loops.
+//! The stacked LSTM chains two workspaces: layer 2 is staged from layer
+//! 1's per-step hidden blocks, and layer 2's input gradients flow back as
+//! layer 1's per-step hidden gradients. Every path is bitwise identical
+//! to the per-sample loops it replaced (the kernels preserve per-element
+//! accumulation order; `eadrl-nn` keeps those loops as test references).
 //!
 //! `predict_next` is alloc-free in steady state for all recurrent
 //! families: each regressor carries a `Scratch`-wrapped inference cache
@@ -174,11 +174,6 @@ impl TabularModel for MlpRegressor {
             .as_ref()
             .map_or(0.0, |n| n.forward_inference(input)[0])
     }
-}
-
-/// Turns a window into a sequence of 1-dimensional inputs.
-fn window_to_seq(window: &[f64]) -> Vec<Vec<f64>> {
-    window.iter().map(|&v| vec![v]).collect()
 }
 
 /// LSTM regressor (paper family **LSTM**): LSTM over the window as a
@@ -632,26 +627,55 @@ impl TabularModel for StackedLstmRegressor {
                 got: inputs.len(),
             });
         }
+        let steps = inputs[0].len();
+        let (h1, h2) = (self.hidden1, self.hidden2);
         let mut rng = DetRng::seed_from_u64(self.seed);
-        let mut lstm1 = Lstm::new(&mut rng, 1, self.hidden1);
-        let mut lstm2 = Lstm::new(&mut rng, self.hidden1, self.hidden2);
-        let mut head = Dense::new(&mut rng, self.hidden2, 1, Activation::Identity);
+        let mut lstm1 = Lstm::new(&mut rng, 1, h1);
+        let mut lstm2 = Lstm::new(&mut rng, h1, h2);
+        let mut head = Dense::new(&mut rng, h2, 1, Activation::Identity);
         let mut opt = Adam::new(self.lr);
+        let mut ws1 = RecurrentWorkspace::new();
+        let mut ws2 = RecurrentWorkspace::new();
+        let mut hb = Matrix::default();
+        let mut gb = Matrix::default();
         for _ in 0..self.epochs {
             let order = shuffled_indices(inputs.len(), &mut rng);
             for chunk in order.chunks(BATCH) {
                 let mut group = ParamGroup3(&mut lstm1, &mut lstm2, &mut head);
                 group.zero_grad();
-                for &i in chunk {
-                    let seq = window_to_seq(&inputs[i]);
-                    let hs1 = group.0.forward_sequence_full(&seq);
-                    let h2 = group.1.forward_sequence(&hs1);
-                    let y = group.2.forward(&h2);
-                    let g = mse_loss_grad(&y, &[targets[i]]);
-                    let gh2 = group.2.backward(&g);
-                    let gh1 = group.1.backward_last(&gh2);
-                    group.0.backward_full(&gh1);
+                let n = chunk.len();
+                ws1.stage(n, steps, 1, h1);
+                for (s, &i) in chunk.iter().enumerate() {
+                    debug_assert_eq!(inputs[i].len(), steps, "uniform window length");
+                    for (t, v) in inputs[i].iter().enumerate() {
+                        ws1.set_input(s, t, std::slice::from_ref(v));
+                    }
                 }
+                group.0.forward_batch(&mut ws1);
+                ws2.stage(n, steps, h1, h2);
+                for t in 0..steps {
+                    let hs = ws1.h_step(t);
+                    for s in 0..n {
+                        ws2.set_input(s, t, &hs[s * h1..(s + 1) * h1]);
+                    }
+                }
+                group.1.forward_batch(&mut ws2);
+                hb.resize(n, h2);
+                hb.data_mut().copy_from_slice(ws2.h_last());
+                gb.resize(n, 1);
+                {
+                    let out = group.2.forward_batch(&hb);
+                    for (r, &i) in chunk.iter().enumerate() {
+                        let g = mse_loss_grad(out.row(r), &[targets[i]]);
+                        gb.row_mut(r).copy_from_slice(&g);
+                    }
+                }
+                let gh = group.2.backward_batch(&gb);
+                group.1.backward_batch_last(gh.data(), &mut ws2, true);
+                for t in 0..steps {
+                    ws1.grad_h_mut(t).copy_from_slice(ws2.grad_x(t));
+                }
+                group.0.backward_batch_full(&mut ws1, false);
                 group.clip_grad_norm(5.0);
                 opt.step(&mut group);
             }
@@ -848,6 +872,64 @@ mod tests {
         let truth = (2.0 * std::f64::consts::PI * 200.0 / 12.0).sin() * 3.0 + 10.0;
         let pred = m.predict_next(&s);
         assert!((pred - truth).abs() < 1.5, "pred {pred} truth {truth}");
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn fnv_bits(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// `n` windows of length `k` with one value in six an exact zero,
+    /// plus scalar targets, from a fixed stream.
+    fn golden_windows(n: usize, k: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut rng = DetRng::seed_from_u64(seed);
+        let inputs = (0..n)
+            .map(|i| {
+                (0..k)
+                    .map(|t| {
+                        if (i + 2 * t) % 6 == 0 {
+                            0.0
+                        } else {
+                            rng.random_range(-2.0..2.0)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let targets = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
+        (inputs, targets)
+    }
+
+    #[test]
+    fn stacked_lstm_fit_matches_golden_digests() {
+        // (n, k, hidden1, hidden2, parameter digest, prediction digest).
+        // The digests were recorded from the per-sequence stacked fit the
+        // batched one replaced; n = 37, 50 and 120 leave ragged final
+        // chunks of 5, 2 and 8 windows.
+        let cases: [(usize, usize, usize, usize, u64, u64); 4] = [
+            (37, 5, 8, 8, 0x6c86_a8e0_d805_3009, 0xcffd_01c2_3910_51d9),
+            (50, 7, 5, 3, 0x9376_a04d_b64b_a9e6, 0x166d_8759_92d4_e86e),
+            (16, 4, 4, 4, 0x4309_58dc_b0f4_a82a, 0xff5b_6299_e6e3_9f46),
+            (120, 12, 8, 8, 0xd925_f4a9_03e8_80c1, 0x0041_41db_f321_817e),
+        ];
+        for &(n, k, h1, h2, want_params, want_preds) in &cases {
+            let (inputs, targets) = golden_windows(n, k, 0x5717 + n as u64);
+            let mut m = StackedLstmRegressor::new(h1, h2, 4, 0.01, 0x57 ^ k as u64);
+            m.fit(&inputs, &targets).unwrap();
+            let mut params = m.lstm1.as_mut().expect("fitted").flat_params();
+            params.extend(m.lstm2.as_mut().expect("fitted").flat_params());
+            params.extend(m.head.as_mut().expect("fitted").flat_params());
+            let preds: Vec<f64> = inputs.iter().map(|w| m.predict(w)).collect();
+            assert_eq!(
+                (fnv_bits(&params), fnv_bits(&preds)),
+                (want_params, want_preds),
+                "n={n} k={k} hidden=({h1},{h2})"
+            );
+        }
     }
 
     #[test]

@@ -1,19 +1,21 @@
 //! 1-D convolution layer (valid padding, stride 1).
 //!
-//! All arithmetic routes through the `eadrl_linalg` kernels: the
-//! single-sample paths gather each receptive field into an `in_ch * k`
-//! patch and run a bias-seeded `gemm_acc` (the accumulation chain starts
-//! at `b[oc]` and adds products in ascending `(ic, k)` order — the exact
-//! per-element chain of the original hand-rolled loops), and the batched
-//! training path ([`Conv1d::forward_batch`]) stages every window's
+//! All arithmetic routes through the `eadrl_linalg` kernels. Training has
+//! one path for any batch size B ≥ 1 ([`Conv1d::forward_batch`] /
+//! [`Conv1d::backward_batch_weights_only`]): it stages every window's
 //! receptive fields as an im2col matrix and runs one bias-seeded NT GEMM
-//! plus one `gemm_tn_acc` for the weight gradients. The two paths are
-//! bitwise-identical; `tests/recurrent_equivalence.rs` proves it.
+//! plus one `gemm_tn_acc` for the weight gradients. Serving reads one
+//! window through [`Conv1d::forward_inference_cached`], a bias-seeded
+//! `gemm_acc` per output position. Each output's accumulation chain starts
+//! at `b[oc]` and adds products in ascending `(ic, k)` order — the exact
+//! per-element chain of the original per-sample loops, which are kept as
+//! `#[cfg(test)]` reference code at the end of this file; the crate's
+//! `recurrent_equivalence` tests prove the paths bitwise-identical.
 
 use crate::activation::Activation;
 use crate::init;
 use crate::network::Network;
-use eadrl_linalg::{kernels, vector};
+use eadrl_linalg::kernels;
 use eadrl_rng::DetRng;
 
 /// Persistent buffers for the batched conv training path: staged inputs,
@@ -80,9 +82,9 @@ pub struct ConvInferenceCache {
 /// A 1-D convolution `out[c][t] = act(b[c] + Σ_ci Σ_k w[c][ci][k] · in[ci][t+k])`.
 ///
 /// Valid padding, stride 1: an input of length `L` yields outputs of length
-/// `L - kernel + 1`. Inputs and outputs are channel-major
-/// (`Vec<channel> -> Vec<time>`). This is the feature extractor of the
-/// CNN-LSTM base forecaster.
+/// `L - kernel + 1`. Staged inputs are channel-major per sample; outputs
+/// are time-major rows of `out_ch` values. This is the feature extractor of
+/// the CNN-LSTM base forecaster.
 #[derive(Debug, Clone)]
 pub struct Conv1d {
     in_channels: usize,
@@ -94,8 +96,6 @@ pub struct Conv1d {
     b: Vec<f64>,
     grad_w: Vec<f64>,
     grad_b: Vec<f64>,
-    cache_input: Vec<Vec<f64>>,
-    cache_output: Vec<Vec<f64>>,
 }
 
 impl Conv1d {
@@ -126,8 +126,6 @@ impl Conv1d {
             b: vec![0.0; out_channels],
             grad_w: vec![0.0; n],
             grad_b: vec![0.0; out_channels],
-            cache_input: Vec::new(),
-            cache_output: Vec::new(),
         }
     }
 
@@ -144,101 +142,6 @@ impl Conv1d {
     /// Output length for an input of length `len` (0 when too short).
     pub fn out_len(&self, len: usize) -> usize {
         (len + 1).saturating_sub(self.kernel)
-    }
-
-    fn weight(&self, oc: usize, ic: usize, k: usize) -> f64 {
-        self.w[(oc * self.in_channels + ic) * self.kernel + k]
-    }
-
-    /// Training forward pass (caches input and output).
-    ///
-    /// # Panics
-    /// Debug-panics when the channel count mismatches or the input is
-    /// shorter than the kernel.
-    pub fn forward(&mut self, input: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let out = self.forward_inference(input);
-        self.cache_input = input.to_vec();
-        self.cache_output = out.clone();
-        out
-    }
-
-    /// Gathers the receptive field at output position `t` into `patch`
-    /// (`in_ch * kernel`, matching the weight layout `[ic][k]`).
-    fn gather_patch(&self, input: &[Vec<f64>], t: usize, patch: &mut [f64]) {
-        for (ic, ich) in input.iter().enumerate() {
-            patch[ic * self.kernel..(ic + 1) * self.kernel]
-                .copy_from_slice(&ich[t..t + self.kernel]);
-        }
-    }
-
-    /// Inference-only forward pass.
-    ///
-    /// Each output column is a bias-seeded `gemm_acc` over the gathered
-    /// receptive field: the accumulation chain for `out[oc][t]` starts at
-    /// `b[oc]` and adds products in ascending `(ic, k)` order, exactly as
-    /// the original scalar loops did.
-    pub fn forward_inference(&self, input: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        debug_assert_eq!(input.len(), self.in_channels, "Conv1d: channel count");
-        let len = input.first().map_or(0, Vec::len);
-        debug_assert!(len >= self.kernel, "Conv1d: input shorter than kernel");
-        let out_len = self.out_len(len);
-        let ick = self.in_channels * self.kernel;
-        let mut out = vec![vec![0.0; out_len]; self.out_channels];
-        let mut patch = vec![0.0; ick];
-        let mut col = vec![0.0; self.out_channels];
-        for t in 0..out_len {
-            self.gather_patch(input, t, &mut patch);
-            col.copy_from_slice(&self.b);
-            kernels::gemm_acc(self.out_channels, ick, 1, &self.w, &patch, &mut col);
-            for (och, &s) in out.iter_mut().zip(col.iter()) {
-                och[t] = self.activation.apply(s);
-            }
-        }
-        out
-    }
-
-    /// Backward pass: accumulates parameter gradients and returns input
-    /// gradients (channel-major, same shape as the forward input).
-    ///
-    /// Weight gradients route through `vector::axpy` over the gathered
-    /// receptive field (per weight element the contributions stay in
-    /// ascending-`t` order). The input-gradient scatter stays scalar: its
-    /// writes overlap across output positions, so a col2im GEMM would
-    /// reorder the accumulation.
-    pub fn backward(&mut self, grad_output: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        debug_assert_eq!(grad_output.len(), self.out_channels);
-        debug_assert!(
-            !self.cache_input.is_empty(),
-            "Conv1d backward called before forward"
-        );
-        let in_len = self.cache_input[0].len();
-        let ick = self.in_channels * self.kernel;
-        let mut grad_input = vec![vec![0.0; in_len]; self.in_channels];
-        let mut patch = vec![0.0; ick];
-        let out_len = self.out_len(in_len);
-        for t in 0..out_len {
-            for (ic, ich) in self.cache_input.iter().enumerate() {
-                patch[ic * self.kernel..(ic + 1) * self.kernel]
-                    .copy_from_slice(&ich[t..t + self.kernel]);
-            }
-            for oc in 0..self.out_channels {
-                let gy = grad_output[oc][t];
-                let y = self.cache_output[oc][t];
-                let dz = gy * self.activation.derivative_from_output(y);
-                // eadrl-lint: allow(no-float-eq): ReLU subgradient — exact zero means no gradient flows, skip is lossless
-                if dz == 0.0 {
-                    continue;
-                }
-                self.grad_b[oc] += dz;
-                vector::axpy(dz, &patch, &mut self.grad_w[oc * ick..(oc + 1) * ick]);
-                for ic in 0..self.in_channels {
-                    for k in 0..self.kernel {
-                        grad_input[ic][t + k] += dz * self.weight(oc, ic, k);
-                    }
-                }
-            }
-        }
-        grad_input
     }
 
     /// Sizes the workspace for a batch of `batch` windows of length
@@ -262,8 +165,8 @@ impl Conv1d {
     /// Batched forward pass over the windows staged in `ws`: one im2col
     /// gather plus one bias-seeded NT GEMM for the whole minibatch.
     /// Output rows land in the workspace time-major per sample
-    /// ([`ConvWorkspace::output_row`]); bitwise-identical to running
-    /// [`Conv1d::forward`] per sample.
+    /// ([`ConvWorkspace::output_row`]); bitwise-identical to running the
+    /// per-sample reference loop on each window.
     pub fn forward_batch(&self, ws: &mut ConvWorkspace) {
         let mut span = eadrl_obs::span_at(eadrl_obs::Level::Trace, "nn.conv.forward_batch");
         span.record("rows", ws.batch.into());
@@ -293,8 +196,7 @@ impl Conv1d {
     /// caller stages upstream gradients via
     /// [`ConvWorkspace::grad_output_row_mut`]. Input gradients are not
     /// produced — in the CNN-LSTM wiring the convolution is the first
-    /// layer, so nothing consumes them (the single-sample
-    /// [`Conv1d::backward`] still computes them for gradient checking).
+    /// layer, so nothing consumes them.
     pub fn backward_batch_weights_only(&mut self, ws: &mut ConvWorkspace) {
         let mut span = eadrl_obs::span_at(eadrl_obs::Level::Trace, "nn.conv.backward_batch");
         span.record("rows", ws.batch.into());
@@ -320,8 +222,7 @@ impl Conv1d {
     /// Alloc-free single-window inference for the single-input-channel
     /// case: returns the *time-major* output (`out_len x out_ch` flat),
     /// ready to be consumed as a strided LSTM input sequence. Values are
-    /// bitwise-identical to [`Conv1d::forward_inference`] (which is
-    /// channel-major).
+    /// bitwise-identical to [`Conv1d::forward_batch`] at B = 1.
     pub fn forward_inference_cached<'a>(
         &self,
         window: &[f64],
@@ -362,6 +263,105 @@ impl Network for Conv1d {
     }
 }
 
+/// The per-sample reference loops: the original one-window-at-a-time
+/// training forward and backward (with input gradients), which the
+/// batched path must match bit for bit. The forward pass returns a
+/// [`reference::Tape`] instead of caching on the layer.
+#[cfg(test)]
+mod reference {
+    use super::Conv1d;
+    use eadrl_linalg::{kernels, vector};
+
+    /// One forward pass's input and output, read by the backward pass.
+    pub(crate) struct Tape {
+        input: Vec<Vec<f64>>,
+        output: Vec<Vec<f64>>,
+    }
+
+    impl Conv1d {
+        fn weight(&self, oc: usize, ic: usize, k: usize) -> f64 {
+            self.w[(oc * self.in_channels + ic) * self.kernel + k]
+        }
+
+        /// Gathers the receptive field at output position `t` into `patch`
+        /// (`in_ch * kernel`, matching the weight layout `[ic][k]`).
+        fn gather_patch(&self, input: &[Vec<f64>], t: usize, patch: &mut [f64]) {
+            for (ic, ich) in input.iter().enumerate() {
+                patch[ic * self.kernel..(ic + 1) * self.kernel]
+                    .copy_from_slice(&ich[t..t + self.kernel]);
+            }
+        }
+
+        /// Training forward pass over one channel-major window; returns the
+        /// channel-major output plus the tape for [`Conv1d::backward`].
+        ///
+        /// Each output column is a bias-seeded `gemm_acc` over the gathered
+        /// receptive field: the accumulation chain for `out[oc][t]` starts at
+        /// `b[oc]` and adds products in ascending `(ic, k)` order, exactly as
+        /// the original scalar loops did.
+        pub(crate) fn forward(&self, input: &[Vec<f64>]) -> (Vec<Vec<f64>>, Tape) {
+            debug_assert_eq!(input.len(), self.in_channels, "Conv1d: channel count");
+            let len = input.first().map_or(0, Vec::len);
+            debug_assert!(len >= self.kernel, "Conv1d: input shorter than kernel");
+            let out_len = self.out_len(len);
+            let ick = self.in_channels * self.kernel;
+            let mut out = vec![vec![0.0; out_len]; self.out_channels];
+            let mut patch = vec![0.0; ick];
+            let mut col = vec![0.0; self.out_channels];
+            for t in 0..out_len {
+                self.gather_patch(input, t, &mut patch);
+                col.copy_from_slice(&self.b);
+                kernels::gemm_acc(self.out_channels, ick, 1, &self.w, &patch, &mut col);
+                for (och, &s) in out.iter_mut().zip(col.iter()) {
+                    och[t] = self.activation.apply(s);
+                }
+            }
+            let tape = Tape {
+                input: input.to_vec(),
+                output: out.clone(),
+            };
+            (out, tape)
+        }
+
+        /// Backward pass: accumulates parameter gradients and returns input
+        /// gradients (channel-major, same shape as the forward input).
+        ///
+        /// Weight gradients route through `vector::axpy` over the gathered
+        /// receptive field (per weight element the contributions stay in
+        /// ascending-`t` order). The input-gradient scatter stays scalar: its
+        /// writes overlap across output positions, so a col2im GEMM would
+        /// reorder the accumulation.
+        pub(crate) fn backward(&mut self, tape: &Tape, grad_output: &[Vec<f64>]) -> Vec<Vec<f64>> {
+            debug_assert_eq!(grad_output.len(), self.out_channels);
+            let in_len = tape.input[0].len();
+            let ick = self.in_channels * self.kernel;
+            let mut grad_input = vec![vec![0.0; in_len]; self.in_channels];
+            let mut patch = vec![0.0; ick];
+            let out_len = self.out_len(in_len);
+            for t in 0..out_len {
+                self.gather_patch(&tape.input, t, &mut patch);
+                for oc in 0..self.out_channels {
+                    let gy = grad_output[oc][t];
+                    let y = tape.output[oc][t];
+                    let dz = gy * self.activation.derivative_from_output(y);
+                    // ReLU subgradient: an exact zero means no gradient flows, so the skip is lossless.
+                    if dz == 0.0 {
+                        continue;
+                    }
+                    self.grad_b[oc] += dz;
+                    vector::axpy(dz, &patch, &mut self.grad_w[oc * ick..(oc + 1) * ick]);
+                    for ic in 0..self.in_channels {
+                        for k in 0..self.kernel {
+                            grad_input[ic][t + k] += dz * self.weight(oc, ic, k);
+                        }
+                    }
+                }
+            }
+            grad_input
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,9 +373,9 @@ mod tests {
         assert_eq!(conv.out_len(5), 3);
         assert_eq!(conv.out_len(3), 1);
         assert_eq!(conv.out_len(2), 0);
-        let out = conv.forward_inference(&[vec![1.0, 2.0, 3.0, 4.0, 5.0]]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].len(), 3);
+        let mut cache = ConvInferenceCache::default();
+        let out = conv.forward_inference_cached(&[1.0, 2.0, 3.0, 4.0, 5.0], &mut cache);
+        assert_eq!(out.len(), 3 * 2);
     }
 
     #[test]
@@ -384,8 +384,9 @@ mod tests {
         let mut conv = Conv1d::new(&mut rng, 1, 1, 1, Activation::Identity);
         conv.w = vec![1.0];
         conv.b = vec![0.0];
-        let out = conv.forward(&[vec![3.0, -1.0, 4.0]]);
-        assert_eq!(out[0], vec![3.0, -1.0, 4.0]);
+        let mut cache = ConvInferenceCache::default();
+        let out = conv.forward_inference_cached(&[3.0, -1.0, 4.0], &mut cache);
+        assert_eq!(out, &[3.0, -1.0, 4.0]);
     }
 
     #[test]
@@ -394,8 +395,9 @@ mod tests {
         let mut conv = Conv1d::new(&mut rng, 1, 1, 2, Activation::Identity);
         conv.w = vec![0.5, 0.5];
         conv.b = vec![0.0];
-        let out = conv.forward(&[vec![1.0, 3.0, 5.0]]);
-        assert_eq!(out[0], vec![2.0, 4.0]);
+        let mut cache = ConvInferenceCache::default();
+        let out = conv.forward_inference_cached(&[1.0, 3.0, 5.0], &mut cache);
+        assert_eq!(out, &[2.0, 4.0]);
     }
 
     #[test]
@@ -403,15 +405,12 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(3);
         let mut conv = Conv1d::new(&mut rng, 2, 2, 2, Activation::Tanh);
         let input = vec![vec![0.2, -0.4, 0.6, 0.1], vec![0.5, 0.3, -0.2, 0.8]];
-        let out = conv.forward(&input);
+        let (out, tape) = conv.forward(&input);
         let ones: Vec<Vec<f64>> = out.iter().map(|c| vec![1.0; c.len()]).collect();
-        let gin = conv.backward(&ones);
+        let gin = conv.backward(&tape, &ones);
 
         let loss = |c: &Conv1d, inp: &[Vec<f64>]| -> f64 {
-            c.forward_inference(inp)
-                .iter()
-                .flat_map(|ch| ch.iter())
-                .sum()
+            c.forward(inp).0.iter().flat_map(|ch| ch.iter()).sum()
         };
         let h = 1e-6;
         // Weight gradients.
@@ -487,7 +486,7 @@ mod tests {
         }
         // Per-sample reference over the same data and gradients.
         for (s, win) in wins.iter().enumerate() {
-            let out = reference.forward(std::slice::from_ref(win));
+            let (out, tape) = reference.forward(std::slice::from_ref(win));
             for t in 0..t_out {
                 for oc in 0..3 {
                     assert_eq!(ws.output_row(s, t)[oc], out[oc][t], "y s={s} t={t} oc={oc}");
@@ -506,7 +505,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            reference.backward(&gy);
+            reference.backward(&tape, &gy);
         }
         batched.backward_batch_weights_only(&mut ws);
         assert_eq!(batched.grad_w, reference.grad_w);
@@ -514,17 +513,18 @@ mod tests {
     }
 
     #[test]
-    fn cached_inference_is_bitwise_equal_to_vec_path() {
+    fn cached_inference_is_bitwise_equal_to_forward_batch_of_one() {
         let mut rng = DetRng::seed_from_u64(6);
         let conv = Conv1d::new(&mut rng, 1, 4, 2, Activation::Relu);
         let window = [0.4, -0.2, 0.9, 0.0, -0.7, 0.3];
         let mut cache = ConvInferenceCache::default();
         let y = conv.forward_inference_cached(&window, &mut cache);
-        let expect = conv.forward_inference(&[window.to_vec()]);
+        let mut ws = ConvWorkspace::new();
+        conv.stage_batch(&mut ws, 1, window.len());
+        ws.input_mut(0).copy_from_slice(&window);
+        conv.forward_batch(&mut ws);
         for t in 0..conv.out_len(window.len()) {
-            for oc in 0..4 {
-                assert_eq!(y[t * 4 + oc], expect[oc][t], "t={t} oc={oc}");
-            }
+            assert_eq!(&y[t * 4..(t + 1) * 4], ws.output_row(0, t), "t={t}");
         }
     }
 

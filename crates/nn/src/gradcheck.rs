@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn lstm_fused_batched_backward_passes_the_check() {
-        use crate::lstm::{Lstm, RecurrentWorkspace};
+        use crate::lstm::{Lstm, LstmInferenceCache, RecurrentWorkspace};
 
         let mut rng = DetRng::seed_from_u64(11);
         let mut lstm = Lstm::new(&mut rng, 1, 4);
@@ -237,11 +237,11 @@ mod tests {
         lstm.backward_batch_last(&grad, &mut ws, false);
 
         let loss = |net: &mut Lstm| -> f64 {
+            let mut cache = LstmInferenceCache::default();
             windows
                 .iter()
                 .map(|w| {
-                    let seq: Vec<Vec<f64>> = w.iter().map(|&v| vec![v]).collect();
-                    let h = net.forward_inference(&seq);
+                    let h = net.forward_inference_cached(w, 1, &mut cache);
                     0.5 * h.iter().map(|v| v * v).sum::<f64>()
                 })
                 .sum()
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn conv_fused_batched_backward_passes_the_check() {
-        use crate::conv::{Conv1d, ConvWorkspace};
+        use crate::conv::{Conv1d, ConvInferenceCache, ConvWorkspace};
 
         let mut rng = DetRng::seed_from_u64(12);
         let mut conv = Conv1d::new(&mut rng, 1, 3, 2, Activation::Tanh);
@@ -281,15 +281,12 @@ mod tests {
         conv.backward_batch_weights_only(&mut ws);
 
         let loss = |net: &mut Conv1d| -> f64 {
+            let mut cache = ConvInferenceCache::default();
             windows
                 .iter()
                 .map(|w| {
-                    let y = net.forward_inference(std::slice::from_ref(w));
-                    0.5 * y
-                        .iter()
-                        .flat_map(|ch| ch.iter())
-                        .map(|v| v * v)
-                        .sum::<f64>()
+                    let y = net.forward_inference_cached(w, &mut cache);
+                    0.5 * y.iter().map(|v| v * v).sum::<f64>()
                 })
                 .sum()
         };

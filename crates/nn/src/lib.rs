@@ -11,11 +11,13 @@
 //!
 //! Scope is deliberately small: forward/backward passes over `f64` slices,
 //! explicit gradient buffers per layer, and optimizers that walk a
-//! network's parameters via the [`Network`] visitor. Single-sample paths
-//! are the readable reference implementations; the hot training loops go
-//! through batched, workspace-backed paths (minibatch-as-matrix GEMMs for
+//! network's parameters via the [`Network`] visitor. Every layer trains on
+//! one batched, workspace-backed path (minibatch-as-matrix GEMMs for
 //! [`Dense`]/[`Mlp`], stacked-gate recurrent kernels for [`Lstm`]/
-//! [`BiLstm`]/[`Conv1d`]) that are proven bitwise-identical to them.
+//! [`BiLstm`]/[`Conv1d`]); a single sample is the batch of one, and each
+//! layer adds an alloc-free single-window inference call for serving. The
+//! original per-sample loops survive only as `#[cfg(test)]` references
+//! that the batched paths are proven bitwise-identical to.
 //!
 //! Layers cache their forward activations, so the usage pattern is strictly
 //! `forward` → `backward` → optimizer `step` → `zero_grad`.
@@ -30,6 +32,8 @@ pub mod lstm;
 pub mod mlp;
 pub mod network;
 pub mod optimizer;
+#[cfg(test)]
+mod recurrent_equivalence;
 
 pub use activation::Activation;
 pub use conv::{Conv1d, ConvInferenceCache, ConvWorkspace};

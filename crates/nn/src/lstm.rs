@@ -1,18 +1,18 @@
 //! LSTM and bidirectional-LSTM sequence layers with full BPTT.
 //!
-//! Two training paths coexist and are bitwise-interchangeable:
+//! Training has one path for any batch size B ≥ 1: [`Lstm::forward_batch`]
+//! stages B training windows as one `B x in_dim` matrix per timestep and
+//! runs the stacked-gate kernels from `eadrl_linalg` over a persistent
+//! [`RecurrentWorkspace`] (SoA step caches, zero steady-state
+//! allocations); [`Lstm::backward_batch_last`] and
+//! [`Lstm::backward_batch_full`] run BPTT from a gradient on the last or on
+//! every hidden state. One sequence is the B = 1 case. Serving reads one
+//! window through the alloc-free [`Lstm::forward_inference_cached`].
 //!
-//! * the original per-sequence path ([`Lstm::forward_sequence`] /
-//!   [`Lstm::backward_last`]), kept as the reference implementation and
-//!   still used by the stacked-LSTM family, and
-//! * the batched path ([`Lstm::forward_batch`] / [`Lstm::backward_batch_last`]),
-//!   which stages B training windows as one `B x in_dim` matrix per
-//!   timestep and runs the stacked-gate kernels from `eadrl_linalg` over a
-//!   persistent [`RecurrentWorkspace`] (SoA step caches, zero steady-state
-//!   allocations).
-//!
-//! Bitwise equivalence of the two paths rests on three invariants, proven
-//! by `tests/recurrent_equivalence.rs`:
+//! The batched pass is bitwise equal to a one-sequence-at-a-time loop.
+//! That loop is kept as `#[cfg(test)]` reference code at the end of this
+//! file, and the equivalence rests on three invariants, proven by the
+//! crate's `recurrent_equivalence` tests:
 //!
 //! 1. the gate pre-activations are formed as `b + (W·x + U·h)` with each
 //!    GEMM element accumulated in ascending-k order from 0.0 — the exact
@@ -29,23 +29,6 @@ use crate::init;
 use crate::network::Network;
 use eadrl_linalg::{kernels, vector};
 use eadrl_rng::DetRng;
-
-/// Per-timestep cache of everything the backward pass needs.
-#[derive(Debug, Clone, Default)]
-struct StepCache {
-    x: Vec<f64>,
-    h_prev: Vec<f64>,
-    c_prev: Vec<f64>,
-    i: Vec<f64>,
-    f: Vec<f64>,
-    g: Vec<f64>,
-    o: Vec<f64>,
-    // Not read by the backward pass (it uses `tanh_c`), but kept so the
-    // serialized cache stays a complete record of the forward step.
-    #[allow(dead_code)]
-    c: Vec<f64>,
-    tanh_c: Vec<f64>,
-}
 
 /// Persistent SoA step caches for the batched LSTM training path.
 ///
@@ -153,8 +136,14 @@ impl RecurrentWorkspace {
     /// Final hidden states after [`Lstm::forward_batch`] (`B x hidden`,
     /// sample-major).
     pub fn h_last(&self) -> &[f64] {
+        self.h_step(self.steps - 1)
+    }
+
+    /// Hidden states for timestep `t` after [`Lstm::forward_batch`]
+    /// (`B x hidden`, sample-major) — the input block of a stacked layer.
+    pub fn h_step(&self, t: usize) -> &[f64] {
         let bh = self.batch * self.hidden;
-        &self.h[(self.steps - 1) * bh..]
+        &self.h[t * bh..(t + 1) * bh]
     }
 
     /// Input-gradient block for timestep `t` (`B x in_dim`), valid after a
@@ -205,7 +194,6 @@ pub struct Lstm {
     grad_w: Vec<f64>,
     grad_u: Vec<f64>,
     grad_b: Vec<f64>,
-    cache: Vec<StepCache>,
 }
 
 impl Lstm {
@@ -227,7 +215,6 @@ impl Lstm {
             w,
             u,
             b,
-            cache: Vec::new(),
         }
     }
 
@@ -241,204 +228,11 @@ impl Lstm {
         self.hidden
     }
 
-    /// Runs the sequence and returns the final hidden state, caching the
-    /// full unrolled pass for [`Lstm::backward_last`].
-    pub fn forward_sequence(&mut self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        self.cache.clear();
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        for x in inputs {
-            let (nh, nc, step) = self.step(x, &h, &c);
-            self.cache.push(step);
-            h = nh;
-            c = nc;
-        }
-        h
-    }
-
-    /// Runs the sequence and returns *every* hidden state (training pass;
-    /// caches for [`Lstm::backward_full`]). Used by stacked LSTMs, where
-    /// the next layer consumes the full hidden sequence.
-    pub fn forward_sequence_full(&mut self, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.cache.clear();
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        let mut out = Vec::with_capacity(inputs.len());
-        for x in inputs {
-            let (nh, nc, step) = self.step(x, &h, &c);
-            self.cache.push(step);
-            h = nh;
-            c = nc;
-            out.push(h.clone());
-        }
-        out
-    }
-
-    /// Inference-only pass returning every hidden state.
-    pub fn forward_inference_full(&self, inputs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        let mut out = Vec::with_capacity(inputs.len());
-        for x in inputs {
-            let (nh, nc, _) = self.step_no_cache(x, &h, &c);
-            h = nh;
-            c = nc;
-            out.push(h.clone());
-        }
-        out
-    }
-
-    /// Inference-only pass (no caching); returns the final hidden state.
-    pub fn forward_inference(&self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        let mut h = vec![0.0; self.hidden];
-        let mut c = vec![0.0; self.hidden];
-        for x in inputs {
-            let (nh, nc, _) = self.step_no_cache(x, &h, &c);
-            h = nh;
-            c = nc;
-        }
-        h
-    }
-
-    fn step(&self, x: &[f64], h_prev: &[f64], c_prev: &[f64]) -> (Vec<f64>, Vec<f64>, StepCache) {
-        debug_assert_eq!(x.len(), self.in_dim, "Lstm step: input dim");
-        let hsz = self.hidden;
-        // z = W x + U h_prev + b, gate blocks [i | f | g | o].
-        let mut z = self.b.clone();
-        for (row, zv) in z.iter_mut().enumerate() {
-            let wrow = &self.w[row * self.in_dim..(row + 1) * self.in_dim];
-            let urow = &self.u[row * hsz..(row + 1) * hsz];
-            *zv += wrow.iter().zip(x.iter()).map(|(a, b)| a * b).sum::<f64>()
-                + urow
-                    .iter()
-                    .zip(h_prev.iter())
-                    .map(|(a, b)| a * b)
-                    .sum::<f64>();
-        }
-        let sigmoid = |v: f64| 1.0 / (1.0 + (-v).exp());
-        let i: Vec<f64> = z[..hsz].iter().map(|&v| sigmoid(v)).collect();
-        let f: Vec<f64> = z[hsz..2 * hsz].iter().map(|&v| sigmoid(v)).collect();
-        let g: Vec<f64> = z[2 * hsz..3 * hsz].iter().map(|&v| v.tanh()).collect();
-        let o: Vec<f64> = z[3 * hsz..].iter().map(|&v| sigmoid(v)).collect();
-        let c: Vec<f64> = (0..hsz).map(|k| f[k] * c_prev[k] + i[k] * g[k]).collect();
-        let tanh_c: Vec<f64> = c.iter().map(|v| v.tanh()).collect();
-        let h: Vec<f64> = (0..hsz).map(|k| o[k] * tanh_c[k]).collect();
-        let cache = StepCache {
-            x: x.to_vec(),
-            h_prev: h_prev.to_vec(),
-            c_prev: c_prev.to_vec(),
-            i,
-            f,
-            g,
-            o,
-            c: c.clone(),
-            tanh_c,
-        };
-        (h, c, cache)
-    }
-
-    fn step_no_cache(&self, x: &[f64], h_prev: &[f64], c_prev: &[f64]) -> (Vec<f64>, Vec<f64>, ()) {
-        let (h, c, _) = self.step(x, h_prev, c_prev);
-        (h, c, ())
-    }
-
-    /// BPTT from a gradient on the *final* hidden state.
-    ///
-    /// Accumulates parameter gradients and returns the gradients with
-    /// respect to each input vector (same order as the forward inputs).
-    ///
-    /// # Panics
-    /// Panics when called before [`Lstm::forward_sequence`].
-    pub fn backward_last(&mut self, grad_h_last: &[f64]) -> Vec<Vec<f64>> {
-        assert!(
-            !self.cache.is_empty(),
-            "Lstm::backward_last called before forward_sequence"
-        );
-        let steps = self.cache.len();
-        let mut grads = vec![vec![0.0; self.hidden]; steps];
-        grads[steps - 1].copy_from_slice(grad_h_last);
-        self.backward_full(&grads)
-    }
-
-    /// BPTT with a gradient on *every* hidden state (stacked-LSTM case).
-    ///
-    /// `grad_hs[t]` is the gradient flowing into hidden state `h_t` from
-    /// above; returns gradients with respect to each input vector.
-    ///
-    /// # Panics
-    /// Panics when called before a forward pass or with a mismatched
-    /// number of step gradients.
-    pub fn backward_full(&mut self, grad_hs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        assert!(
-            !self.cache.is_empty(),
-            "Lstm::backward_full called before forward_sequence"
-        );
-        let hsz = self.hidden;
-        let steps = self.cache.len();
-        assert_eq!(grad_hs.len(), steps, "one hidden gradient per step");
-        let mut grad_inputs = vec![vec![0.0; self.in_dim]; steps];
-        let mut dh = vec![0.0; hsz];
-        let mut dc_next = vec![0.0; hsz];
-
-        for t in (0..steps).rev() {
-            for (d, g) in dh.iter_mut().zip(grad_hs[t].iter()) {
-                *d += g;
-            }
-            // Move the cache entry out to avoid borrowing issues; restore after.
-            let cache = std::mem::take(&mut self.cache[t]);
-            let mut dz = vec![0.0; 4 * hsz]; // pre-activation grads [i|f|g|o]
-            let mut dc_prev = vec![0.0; hsz];
-            for k in 0..hsz {
-                let do_k = dh[k] * cache.tanh_c[k];
-                let dc =
-                    dc_next[k] + dh[k] * cache.o[k] * (1.0 - cache.tanh_c[k] * cache.tanh_c[k]);
-                let di = dc * cache.g[k];
-                let df = dc * cache.c_prev[k];
-                let dg = dc * cache.i[k];
-                dc_prev[k] = dc * cache.f[k];
-                dz[k] = di * cache.i[k] * (1.0 - cache.i[k]);
-                dz[hsz + k] = df * cache.f[k] * (1.0 - cache.f[k]);
-                dz[2 * hsz + k] = dg * (1.0 - cache.g[k] * cache.g[k]);
-                dz[3 * hsz + k] = do_k * cache.o[k] * (1.0 - cache.o[k]);
-            }
-            // Parameter gradients and input/hidden gradients.
-            let mut dh_prev = vec![0.0; hsz];
-            for row in 0..4 * hsz {
-                let d = dz[row];
-                // eadrl-lint: allow(no-float-eq): subgradient sparsity skip — exact zero contributes nothing to any parameter
-                if d == 0.0 {
-                    continue;
-                }
-                self.grad_b[row] += d;
-                let gw = &mut self.grad_w[row * self.in_dim..(row + 1) * self.in_dim];
-                for (gwi, &xi) in gw.iter_mut().zip(cache.x.iter()) {
-                    *gwi += d * xi;
-                }
-                let gu = &mut self.grad_u[row * hsz..(row + 1) * hsz];
-                for (gui, &hi) in gu.iter_mut().zip(cache.h_prev.iter()) {
-                    *gui += d * hi;
-                }
-                let wrow = &self.w[row * self.in_dim..(row + 1) * self.in_dim];
-                for (gi, &wv) in grad_inputs[t].iter_mut().zip(wrow.iter()) {
-                    *gi += d * wv;
-                }
-                let urow = &self.u[row * hsz..(row + 1) * hsz];
-                for (ghi, &uv) in dh_prev.iter_mut().zip(urow.iter()) {
-                    *ghi += d * uv;
-                }
-            }
-            self.cache[t] = cache;
-            dh = dh_prev;
-            dc_next = dc_prev;
-        }
-        grad_inputs
-    }
-
     /// Batched forward pass over the windows staged in `ws`: one
     /// `X_t: B x in_dim` stacked-gate GEMM per timestep instead of B
     /// matvec loops. Results (and the SoA step caches the backward pass
-    /// reads) land in the workspace; bitwise-identical to running
-    /// [`Lstm::forward_sequence`] per sample.
+    /// reads) land in the workspace; bitwise-identical to running the
+    /// per-sequence reference loop on each sample.
     pub fn forward_batch(&self, ws: &mut RecurrentWorkspace) {
         debug_assert_eq!(ws.in_dim, self.in_dim, "Lstm::forward_batch: input dim");
         debug_assert_eq!(ws.hidden, self.hidden, "Lstm::forward_batch: hidden dim");
@@ -635,7 +429,7 @@ impl Lstm {
     /// (`stride == 1`), and a flat time-major feature sequence
     /// (`stride == in_dim`) all avoid materializing `Vec<Vec<f64>>`
     /// inputs. Returns the final hidden state, bitwise-identical to
-    /// [`Lstm::forward_inference`] on the equivalent sequence.
+    /// [`Lstm::forward_batch`] on the equivalent sequence at B = 1.
     pub fn forward_inference_cached<'a>(
         &self,
         data: &[f64],
@@ -711,43 +505,11 @@ impl BiLstm {
         2 * self.forward.hidden_dim()
     }
 
-    /// Training forward pass; returns `[h_fwd ‖ h_bwd]`.
-    pub fn forward_sequence(&mut self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        let mut out = self.forward.forward_sequence(inputs);
-        let reversed: Vec<Vec<f64>> = inputs.iter().rev().cloned().collect();
-        out.extend(self.backward.forward_sequence(&reversed));
-        out
-    }
-
-    /// Inference pass.
-    pub fn forward_inference(&self, inputs: &[Vec<f64>]) -> Vec<f64> {
-        let mut out = self.forward.forward_inference(inputs);
-        let reversed: Vec<Vec<f64>> = inputs.iter().rev().cloned().collect();
-        out.extend(self.backward.forward_inference(&reversed));
-        out
-    }
-
-    /// BPTT from a gradient on the concatenated output; returns per-input
-    /// gradients in forward order.
-    pub fn backward_last(&mut self, grad_out: &[f64]) -> Vec<Vec<f64>> {
-        let h = self.forward.hidden_dim();
-        debug_assert_eq!(grad_out.len(), 2 * h);
-        let mut grads = self.forward.backward_last(&grad_out[..h]);
-        let bwd_grads = self.backward.backward_last(&grad_out[h..]);
-        // bwd_grads are in reversed-input order; fold them back.
-        for (fwd_idx, g) in bwd_grads.into_iter().rev().enumerate() {
-            for (a, b) in grads[fwd_idx].iter_mut().zip(g.iter()) {
-                *a += b;
-            }
-        }
-        grads
-    }
-
     /// Batched forward pass: stages the reversed windows for the backward
     /// direction from the forward direction's inputs, runs both
     /// directions' stacked-gate passes, and concatenates the final hidden
     /// states into the workspace output (`B x 2H`, sample-major).
-    /// Bitwise-identical to per-sample [`BiLstm::forward_sequence`].
+    /// Bitwise-identical to the per-sequence reference loop per sample.
     pub fn forward_batch(&self, ws: &mut BiRecurrentWorkspace) {
         let (b, t_steps, ind) = (ws.fwd.batch, ws.fwd.steps, ws.fwd.in_dim);
         let h = self.forward.hidden_dim();
@@ -803,7 +565,7 @@ impl BiLstm {
     /// Alloc-free single-window inference; see
     /// [`Lstm::forward_inference_cached`] for the strided-view contract.
     /// Returns `[h_fwd ‖ h_bwd]`, bitwise-identical to
-    /// [`BiLstm::forward_inference`] on the equivalent sequence.
+    /// [`BiLstm::forward_batch`] on the equivalent sequence at B = 1.
     pub fn forward_inference_cached<'a>(
         &self,
         data: &[f64],
@@ -882,6 +644,213 @@ impl Network for BiLstm {
     }
 }
 
+/// The per-sequence reference loops: the original one-window-at-a-time
+/// training forward and BPTT, which the batched path must match bit for
+/// bit. The step caches live on a [`reference::Tape`] that the forward
+/// pass returns, not on the layer.
+#[cfg(test)]
+mod reference {
+    use super::{BiLstm, Lstm};
+
+    /// Per-timestep cache of everything the backward pass needs.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct StepCache {
+        x: Vec<f64>,
+        h_prev: Vec<f64>,
+        c_prev: Vec<f64>,
+        i: Vec<f64>,
+        f: Vec<f64>,
+        g: Vec<f64>,
+        o: Vec<f64>,
+        tanh_c: Vec<f64>,
+    }
+
+    /// One sequence's unrolled forward pass, read by the backward pass.
+    pub(crate) type Tape = Vec<StepCache>;
+
+    /// The forward and backward directions' tapes of a [`BiLstm`] pass.
+    pub(crate) type BiTape = (Tape, Tape);
+
+    impl Lstm {
+        /// Runs the sequence and returns the final hidden state plus the
+        /// tape for [`Lstm::backward_last`].
+        pub(crate) fn forward_sequence(&self, inputs: &[Vec<f64>]) -> (Vec<f64>, Tape) {
+            let mut tape = Tape::with_capacity(inputs.len());
+            let mut h = vec![0.0; self.hidden];
+            let mut c = vec![0.0; self.hidden];
+            for x in inputs {
+                let (nh, nc, step) = self.step(x, &h, &c);
+                tape.push(step);
+                h = nh;
+                c = nc;
+            }
+            (h, tape)
+        }
+
+        /// Runs the sequence and returns *every* hidden state plus the tape
+        /// for [`Lstm::backward_full`]. Used by stacked LSTMs, where the
+        /// next layer consumes the full hidden sequence.
+        pub(crate) fn forward_sequence_full(&self, inputs: &[Vec<f64>]) -> (Vec<Vec<f64>>, Tape) {
+            let mut tape = Tape::with_capacity(inputs.len());
+            let mut h = vec![0.0; self.hidden];
+            let mut c = vec![0.0; self.hidden];
+            let mut out = Vec::with_capacity(inputs.len());
+            for x in inputs {
+                let (nh, nc, step) = self.step(x, &h, &c);
+                tape.push(step);
+                h = nh;
+                c = nc;
+                out.push(h.clone());
+            }
+            (out, tape)
+        }
+
+        fn step(
+            &self,
+            x: &[f64],
+            h_prev: &[f64],
+            c_prev: &[f64],
+        ) -> (Vec<f64>, Vec<f64>, StepCache) {
+            debug_assert_eq!(x.len(), self.in_dim, "Lstm step: input dim");
+            let hsz = self.hidden;
+            // z = W x + U h_prev + b, gate blocks [i | f | g | o].
+            let mut z = self.b.clone();
+            for (row, zv) in z.iter_mut().enumerate() {
+                let wrow = &self.w[row * self.in_dim..(row + 1) * self.in_dim];
+                let urow = &self.u[row * hsz..(row + 1) * hsz];
+                *zv += wrow.iter().zip(x.iter()).map(|(a, b)| a * b).sum::<f64>()
+                    + urow
+                        .iter()
+                        .zip(h_prev.iter())
+                        .map(|(a, b)| a * b)
+                        .sum::<f64>();
+            }
+            let sigmoid = |v: f64| 1.0 / (1.0 + (-v).exp());
+            let i: Vec<f64> = z[..hsz].iter().map(|&v| sigmoid(v)).collect();
+            let f: Vec<f64> = z[hsz..2 * hsz].iter().map(|&v| sigmoid(v)).collect();
+            let g: Vec<f64> = z[2 * hsz..3 * hsz].iter().map(|&v| v.tanh()).collect();
+            let o: Vec<f64> = z[3 * hsz..].iter().map(|&v| sigmoid(v)).collect();
+            let c: Vec<f64> = (0..hsz).map(|k| f[k] * c_prev[k] + i[k] * g[k]).collect();
+            let tanh_c: Vec<f64> = c.iter().map(|v| v.tanh()).collect();
+            let h: Vec<f64> = (0..hsz).map(|k| o[k] * tanh_c[k]).collect();
+            let cache = StepCache {
+                x: x.to_vec(),
+                h_prev: h_prev.to_vec(),
+                c_prev: c_prev.to_vec(),
+                i,
+                f,
+                g,
+                o,
+                tanh_c,
+            };
+            (h, c, cache)
+        }
+
+        /// BPTT from a gradient on the *final* hidden state.
+        ///
+        /// Accumulates parameter gradients and returns the gradients with
+        /// respect to each input vector (same order as the forward inputs).
+        pub(crate) fn backward_last(&mut self, tape: &Tape, grad_h_last: &[f64]) -> Vec<Vec<f64>> {
+            let steps = tape.len();
+            let mut grads = vec![vec![0.0; self.hidden]; steps];
+            grads[steps - 1].copy_from_slice(grad_h_last);
+            self.backward_full(tape, &grads)
+        }
+
+        /// BPTT with a gradient on *every* hidden state (stacked-LSTM case).
+        ///
+        /// `grad_hs[t]` is the gradient flowing into hidden state `h_t` from
+        /// above; returns gradients with respect to each input vector.
+        pub(crate) fn backward_full(&mut self, tape: &Tape, grad_hs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+            let hsz = self.hidden;
+            let steps = tape.len();
+            assert_eq!(grad_hs.len(), steps, "one hidden gradient per step");
+            let mut grad_inputs = vec![vec![0.0; self.in_dim]; steps];
+            let mut dh = vec![0.0; hsz];
+            let mut dc_next = vec![0.0; hsz];
+
+            for t in (0..steps).rev() {
+                for (d, g) in dh.iter_mut().zip(grad_hs[t].iter()) {
+                    *d += g;
+                }
+                let cache = &tape[t];
+                let mut dz = vec![0.0; 4 * hsz]; // pre-activation grads [i|f|g|o]
+                let mut dc_prev = vec![0.0; hsz];
+                for k in 0..hsz {
+                    let do_k = dh[k] * cache.tanh_c[k];
+                    let dc =
+                        dc_next[k] + dh[k] * cache.o[k] * (1.0 - cache.tanh_c[k] * cache.tanh_c[k]);
+                    let di = dc * cache.g[k];
+                    let df = dc * cache.c_prev[k];
+                    let dg = dc * cache.i[k];
+                    dc_prev[k] = dc * cache.f[k];
+                    dz[k] = di * cache.i[k] * (1.0 - cache.i[k]);
+                    dz[hsz + k] = df * cache.f[k] * (1.0 - cache.f[k]);
+                    dz[2 * hsz + k] = dg * (1.0 - cache.g[k] * cache.g[k]);
+                    dz[3 * hsz + k] = do_k * cache.o[k] * (1.0 - cache.o[k]);
+                }
+                // Parameter gradients and input/hidden gradients.
+                let mut dh_prev = vec![0.0; hsz];
+                for row in 0..4 * hsz {
+                    let d = dz[row];
+                    // Subgradient sparsity skip: an exact zero contributes nothing to any parameter.
+                    if d == 0.0 {
+                        continue;
+                    }
+                    self.grad_b[row] += d;
+                    let gw = &mut self.grad_w[row * self.in_dim..(row + 1) * self.in_dim];
+                    for (gwi, &xi) in gw.iter_mut().zip(cache.x.iter()) {
+                        *gwi += d * xi;
+                    }
+                    let gu = &mut self.grad_u[row * hsz..(row + 1) * hsz];
+                    for (gui, &hi) in gu.iter_mut().zip(cache.h_prev.iter()) {
+                        *gui += d * hi;
+                    }
+                    let wrow = &self.w[row * self.in_dim..(row + 1) * self.in_dim];
+                    for (gi, &wv) in grad_inputs[t].iter_mut().zip(wrow.iter()) {
+                        *gi += d * wv;
+                    }
+                    let urow = &self.u[row * hsz..(row + 1) * hsz];
+                    for (ghi, &uv) in dh_prev.iter_mut().zip(urow.iter()) {
+                        *ghi += d * uv;
+                    }
+                }
+                dh = dh_prev;
+                dc_next = dc_prev;
+            }
+            grad_inputs
+        }
+    }
+
+    impl BiLstm {
+        /// Training forward pass; returns `[h_fwd ‖ h_bwd]` plus both
+        /// directions' tapes.
+        pub(crate) fn forward_sequence(&self, inputs: &[Vec<f64>]) -> (Vec<f64>, BiTape) {
+            let (mut out, fwd) = self.forward.forward_sequence(inputs);
+            let reversed: Vec<Vec<f64>> = inputs.iter().rev().cloned().collect();
+            let (h_bwd, bwd) = self.backward.forward_sequence(&reversed);
+            out.extend(h_bwd);
+            (out, (fwd, bwd))
+        }
+
+        /// BPTT from a gradient on the concatenated output; returns per-input
+        /// gradients in forward order.
+        pub(crate) fn backward_last(&mut self, tape: &BiTape, grad_out: &[f64]) -> Vec<Vec<f64>> {
+            let h = self.forward.hidden_dim();
+            debug_assert_eq!(grad_out.len(), 2 * h);
+            let mut grads = self.forward.backward_last(&tape.0, &grad_out[..h]);
+            let bwd_grads = self.backward.backward_last(&tape.1, &grad_out[h..]);
+            // bwd_grads are in reversed-input order; fold them back.
+            for (fwd_idx, g) in bwd_grads.into_iter().rev().enumerate() {
+                for (a, b) in grads[fwd_idx].iter_mut().zip(g.iter()) {
+                    *a += b;
+                }
+            }
+            grads
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -890,23 +859,39 @@ mod tests {
         vals.iter().map(|&v| vec![v]).collect()
     }
 
-    #[test]
-    fn forward_matches_inference() {
-        let mut rng = DetRng::seed_from_u64(1);
-        let mut lstm = Lstm::new(&mut rng, 1, 4);
-        let inputs = seq(&[0.1, -0.2, 0.5]);
-        let a = lstm.forward_sequence(&inputs);
-        let b = lstm.forward_inference(&inputs);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 4);
+    /// Final hidden state of `inputs` through the serving path.
+    fn infer(lstm: &Lstm, inputs: &[Vec<f64>]) -> Vec<f64> {
+        let mut cache = LstmInferenceCache::default();
+        lstm.forward_inference_cached(&inputs.concat(), lstm.in_dim, &mut cache)
+            .to_vec()
+    }
+
+    /// `[h_fwd ‖ h_bwd]` of `inputs` through the serving path.
+    fn infer_bi(bi: &BiLstm, inputs: &[Vec<f64>]) -> Vec<f64> {
+        let mut cache = BiLstmInferenceCache::default();
+        bi.forward_inference_cached(&inputs.concat(), bi.forward.in_dim, &mut cache)
+            .to_vec()
+    }
+
+    /// Runs `forward_batch` on one window as a batch of one; timestep `t`
+    /// reads `data[t*stride .. t*stride + in_dim]`.
+    fn batch_of_one(lstm: &Lstm, data: &[f64], stride: usize) -> RecurrentWorkspace {
+        let steps = (data.len() - lstm.in_dim) / stride + 1;
+        let mut ws = RecurrentWorkspace::new();
+        ws.stage(1, steps, lstm.in_dim, lstm.hidden);
+        for t in 0..steps {
+            ws.set_input(0, t, &data[t * stride..t * stride + lstm.in_dim]);
+        }
+        lstm.forward_batch(&mut ws);
+        ws
     }
 
     #[test]
     fn output_depends_on_order() {
         let mut rng = DetRng::seed_from_u64(2);
         let lstm = Lstm::new(&mut rng, 1, 3);
-        let a = lstm.forward_inference(&seq(&[1.0, 0.0, -1.0]));
-        let b = lstm.forward_inference(&seq(&[-1.0, 0.0, 1.0]));
+        let a = infer(&lstm, &seq(&[1.0, 0.0, -1.0]));
+        let b = infer(&lstm, &seq(&[-1.0, 0.0, 1.0]));
         assert_ne!(a, b, "LSTM must be order-sensitive");
     }
 
@@ -916,15 +901,15 @@ mod tests {
         let mut lstm = Lstm::new(&mut rng, 2, 3);
         let inputs = vec![vec![0.3, -0.1], vec![0.7, 0.2], vec![-0.5, 0.4]];
         // Loss = sum of final hidden state.
-        lstm.forward_sequence(&inputs);
+        let (_, tape) = lstm.forward_sequence(&inputs);
         let ones = vec![1.0; 3];
-        lstm.backward_last(&ones);
+        lstm.backward_last(&tape, &ones);
 
         let flat = lstm.flat_params();
         let mut grads = Vec::new();
         lstm.visit_params(&mut |_p, g| grads.extend_from_slice(g));
         let h = 1e-6;
-        let loss = |l: &Lstm| -> f64 { l.forward_inference(&inputs).iter().sum() };
+        let loss = |l: &Lstm| -> f64 { infer(l, &inputs).iter().sum() };
         for &idx in &[0usize, 7, 20, flat.len() - 2, flat.len() - 1] {
             let mut up = flat.clone();
             up[idx] += h;
@@ -949,16 +934,16 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(4);
         let mut lstm = Lstm::new(&mut rng, 1, 2);
         let inputs = seq(&[0.5, -0.3, 0.8, 0.1]);
-        lstm.forward_sequence(&inputs);
-        let gin = lstm.backward_last(&[1.0, 1.0]);
+        let (_, tape) = lstm.forward_sequence(&inputs);
+        let gin = lstm.backward_last(&tape, &[1.0, 1.0]);
         let h = 1e-6;
         for t in 0..inputs.len() {
             let mut up = inputs.clone();
             up[t][0] += h;
             let mut dn = inputs.clone();
             dn[t][0] -= h;
-            let lu: f64 = lstm.forward_inference(&up).iter().sum();
-            let ld: f64 = lstm.forward_inference(&dn).iter().sum();
+            let lu: f64 = infer(&lstm, &up).iter().sum();
+            let ld: f64 = infer(&lstm, &dn).iter().sum();
             let numeric = (lu - ld) / (2.0 * h);
             assert!(
                 (numeric - gin[t][0]).abs() < 1e-5,
@@ -969,18 +954,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before forward_sequence")]
-    fn backward_before_forward_panics() {
-        let mut rng = DetRng::seed_from_u64(5);
-        let mut lstm = Lstm::new(&mut rng, 1, 2);
-        lstm.backward_last(&[1.0, 1.0]);
-    }
-
-    #[test]
     fn bilstm_concatenates_directions() {
         let mut rng = DetRng::seed_from_u64(6);
-        let mut bi = BiLstm::new(&mut rng, 1, 3);
-        let out = bi.forward_sequence(&seq(&[0.1, 0.2, 0.3]));
+        let bi = BiLstm::new(&mut rng, 1, 3);
+        let out = infer_bi(&bi, &seq(&[0.1, 0.2, 0.3]));
         assert_eq!(out.len(), 6);
         assert_eq!(bi.out_dim(), 6);
     }
@@ -990,16 +967,16 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(7);
         let mut bi = BiLstm::new(&mut rng, 1, 2);
         let inputs = seq(&[0.4, -0.6, 0.2]);
-        bi.forward_sequence(&inputs);
-        let gin = bi.backward_last(&[1.0; 4]);
+        let (_, tape) = bi.forward_sequence(&inputs);
+        let gin = bi.backward_last(&tape, &[1.0; 4]);
         let h = 1e-6;
         for t in 0..inputs.len() {
             let mut up = inputs.clone();
             up[t][0] += h;
             let mut dn = inputs.clone();
             dn[t][0] -= h;
-            let lu: f64 = bi.forward_inference(&up).iter().sum();
-            let ld: f64 = bi.forward_inference(&dn).iter().sum();
+            let lu: f64 = infer_bi(&bi, &up).iter().sum();
+            let ld: f64 = infer_bi(&bi, &dn).iter().sum();
             let numeric = (lu - ld) / (2.0 * h);
             assert!(
                 (numeric - gin[t][0]).abs() < 1e-5,
@@ -1009,44 +986,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn full_sequence_matches_stepwise_last() {
-        let mut rng = DetRng::seed_from_u64(10);
-        let mut lstm = Lstm::new(&mut rng, 1, 3);
-        let inputs = seq(&[0.2, -0.4, 0.9]);
-        let all = lstm.forward_sequence_full(&inputs);
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[2], lstm.forward_inference(&inputs));
-        assert_eq!(all, lstm.forward_inference_full(&inputs));
+    /// Upstream gradient on unit `k` of sample `s`'s hidden state at step
+    /// `t` of `steps`.
+    fn upstream(s: usize, t: usize, k: usize, steps: usize) -> f64 {
+        0.1 * (s as f64 + 1.0) - 0.03 * k as f64 - 0.02 * (steps - 1 - t) as f64
     }
 
     #[test]
-    fn backward_full_gradcheck_inputs() {
+    fn backward_batch_full_gradcheck_inputs() {
         let mut rng = DetRng::seed_from_u64(11);
-        let mut lstm = Lstm::new(&mut rng, 1, 2);
-        let inputs = seq(&[0.3, -0.5, 0.7]);
-        // Loss = sum over ALL hidden states of all components.
-        lstm.forward_sequence_full(&inputs);
-        let grads = vec![vec![1.0; 2]; 3];
-        let gin = lstm.backward_full(&grads);
-        let loss = |l: &Lstm, inp: &[Vec<f64>]| -> f64 {
-            l.forward_inference_full(inp)
-                .iter()
-                .flat_map(|h| h.iter())
+        let mut lstm = Lstm::new(&mut rng, 2, 3);
+        let (steps, in_dim, hidden) = (4, 2, 3);
+        let wins: Vec<Vec<Vec<f64>>> = (0..2)
+            .map(|s| {
+                (0..steps)
+                    .map(|t| {
+                        (0..in_dim)
+                            .map(|i| ((s * 8 + t * 2 + i) as f64 * 0.37).sin())
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        // Loss = Σ_s Σ_t Σ_k upstream(s, t, k) · h_t[s][k]: a gradient on
+        // every hidden state, as a stacked layer above would send.
+        let mut ws = RecurrentWorkspace::new();
+        ws.stage(wins.len(), steps, in_dim, hidden);
+        for (s, win) in wins.iter().enumerate() {
+            for (t, x) in win.iter().enumerate() {
+                ws.set_input(s, t, x);
+            }
+        }
+        lstm.forward_batch(&mut ws);
+        for t in 0..steps {
+            for (i, g) in ws.grad_h_mut(t).iter_mut().enumerate() {
+                *g = upstream(i / hidden, t, i % hidden, steps);
+            }
+        }
+        lstm.backward_batch_full(&mut ws, true);
+
+        let loss = |s: usize, win: &[Vec<f64>]| -> f64 {
+            let mut cache = LstmInferenceCache::default();
+            let hs = lstm.forward_inference_cached_full(&win.concat(), in_dim, &mut cache);
+            hs.iter()
+                .enumerate()
+                .map(|(i, h)| upstream(s, i / hidden, i % hidden, steps) * h)
                 .sum()
         };
         let h = 1e-6;
-        for t in 0..inputs.len() {
-            let mut up = inputs.clone();
-            up[t][0] += h;
-            let mut dn = inputs.clone();
-            dn[t][0] -= h;
-            let numeric = (loss(&lstm, &up) - loss(&lstm, &dn)) / (2.0 * h);
-            assert!(
-                (numeric - gin[t][0]).abs() < 1e-5,
-                "input {t}: {numeric} vs {}",
-                gin[t][0]
-            );
+        for (s, win) in wins.iter().enumerate() {
+            for t in 0..steps {
+                for i in 0..in_dim {
+                    let mut up = win.clone();
+                    up[t][i] += h;
+                    let mut dn = win.clone();
+                    dn[t][i] -= h;
+                    let numeric = (loss(s, &up) - loss(s, &dn)) / (2.0 * h);
+                    let analytic = ws.grad_x(t)[s * in_dim + i];
+                    assert!(
+                        (numeric - analytic).abs() < 1e-5,
+                        "sample {s} step {t} input {i}: {numeric} vs {analytic}"
+                    );
+                }
+            }
         }
     }
 
@@ -1078,7 +1080,7 @@ mod tests {
     #[test]
     fn forward_batch_is_bitwise_equal_to_per_sequence() {
         let mut rng = DetRng::seed_from_u64(20);
-        let mut lstm = Lstm::new(&mut rng, 2, 5);
+        let lstm = Lstm::new(&mut rng, 2, 5);
         let wins = windows(3, 4, 2, 99);
         let mut ws = RecurrentWorkspace::new();
         ws.stage(wins.len(), 4, 2, 5);
@@ -1089,7 +1091,7 @@ mod tests {
         }
         lstm.forward_batch(&mut ws);
         for (s, win) in wins.iter().enumerate() {
-            let h = lstm.forward_sequence(win);
+            let (h, _) = lstm.forward_sequence(win);
             assert_eq!(&ws.h_last()[s * 5..(s + 1) * 5], &h[..], "sample {s}");
         }
     }
@@ -1097,75 +1099,100 @@ mod tests {
     #[test]
     fn backward_batch_accumulates_same_grads_as_per_sequence_loop() {
         let mut rng = DetRng::seed_from_u64(21);
-        let mut batched = Lstm::new(&mut rng, 2, 5);
-        let mut reference = batched.clone();
+        let lstm = Lstm::new(&mut rng, 2, 5);
         let wins = windows(3, 4, 2, 77);
-        let grad: Vec<Vec<f64>> = (0..wins.len())
-            .map(|s| {
+        let steps = 4;
+        // `full`: a gradient on every hidden state (`backward_batch_full`,
+        // the lower layer of a stack) instead of on the last one only.
+        for full in [false, true] {
+            let mut batched = lstm.clone();
+            let mut reference = lstm.clone();
+            let grad = |s: usize, t: usize| -> Vec<f64> {
                 (0..5)
-                    .map(|k| 0.1 * (s as f64 + 1.0) - 0.03 * k as f64)
+                    .map(|k| {
+                        if full || t == steps - 1 {
+                            upstream(s, t, k, steps)
+                        } else {
+                            0.0
+                        }
+                    })
                     .collect()
-            })
-            .collect();
+            };
 
-        let mut ws = RecurrentWorkspace::new();
-        ws.stage(wins.len(), 4, 2, 5);
-        for (s, win) in wins.iter().enumerate() {
-            for (t, x) in win.iter().enumerate() {
-                ws.set_input(s, t, x);
+            let mut ws = RecurrentWorkspace::new();
+            ws.stage(wins.len(), steps, 2, 5);
+            for (s, win) in wins.iter().enumerate() {
+                for (t, x) in win.iter().enumerate() {
+                    ws.set_input(s, t, x);
+                }
             }
-        }
-        batched.forward_batch(&mut ws);
-        let flat_grad: Vec<f64> = grad.iter().flatten().copied().collect();
-        batched.backward_batch_last(&flat_grad, &mut ws, true);
+            batched.forward_batch(&mut ws);
+            if full {
+                for t in 0..steps {
+                    let block: Vec<f64> = (0..wins.len()).flat_map(|s| grad(s, t)).collect();
+                    ws.grad_h_mut(t).copy_from_slice(&block);
+                }
+                batched.backward_batch_full(&mut ws, true);
+            } else {
+                let last: Vec<f64> = (0..wins.len()).flat_map(|s| grad(s, steps - 1)).collect();
+                batched.backward_batch_last(&last, &mut ws, true);
+            }
 
-        let mut ref_input_grads = Vec::new();
-        for (s, win) in wins.iter().enumerate() {
-            reference.forward_sequence(win);
-            ref_input_grads.push(reference.backward_last(&grad[s]));
-        }
-        assert_eq!(batched.grad_w, reference.grad_w);
-        assert_eq!(batched.grad_u, reference.grad_u);
-        assert_eq!(batched.grad_b, reference.grad_b);
-        for (s, gin) in ref_input_grads.iter().enumerate() {
-            for (t, g) in gin.iter().enumerate() {
-                assert_eq!(
-                    &ws.grad_x(t)[s * 2..(s + 1) * 2],
-                    &g[..],
-                    "sample {s} step {t}"
-                );
+            let mut ref_input_grads = Vec::new();
+            for (s, win) in wins.iter().enumerate() {
+                ref_input_grads.push(if full {
+                    let (hs, tape) = reference.forward_sequence_full(win);
+                    for (t, h) in hs.iter().enumerate() {
+                        assert_eq!(&ws.h_step(t)[s * 5..(s + 1) * 5], &h[..], "h s={s} t={t}");
+                    }
+                    let grads: Vec<Vec<f64>> = (0..steps).map(|t| grad(s, t)).collect();
+                    reference.backward_full(&tape, &grads)
+                } else {
+                    let (_, tape) = reference.forward_sequence(win);
+                    reference.backward_last(&tape, &grad(s, steps - 1))
+                });
+            }
+            assert_eq!(batched.grad_w, reference.grad_w, "full={full}");
+            assert_eq!(batched.grad_u, reference.grad_u, "full={full}");
+            assert_eq!(batched.grad_b, reference.grad_b, "full={full}");
+            for (s, gin) in ref_input_grads.iter().enumerate() {
+                for (t, g) in gin.iter().enumerate() {
+                    assert_eq!(
+                        &ws.grad_x(t)[s * 2..(s + 1) * 2],
+                        &g[..],
+                        "full={full} sample {s} step {t}"
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn cached_inference_is_bitwise_equal_to_vec_path() {
+    fn cached_inference_is_bitwise_equal_to_forward_batch_of_one() {
         let mut rng = DetRng::seed_from_u64(22);
         let lstm = Lstm::new(&mut rng, 1, 4);
         let data = [0.3, -0.7, 0.0, 0.9, 0.2];
-        let inputs = seq(&data);
+        let ws = batch_of_one(&lstm, &data, 1);
         let mut cache = LstmInferenceCache::default();
         let h = lstm.forward_inference_cached(&data, 1, &mut cache);
-        assert_eq!(h, &lstm.forward_inference(&inputs)[..]);
+        assert_eq!(h, ws.h_last());
         let hs = lstm.forward_inference_cached_full(&data, 1, &mut cache);
-        let expect: Vec<f64> = lstm
-            .forward_inference_full(&inputs)
-            .into_iter()
-            .flatten()
+        let expect: Vec<f64> = (0..data.len())
+            .flat_map(|t| ws.h_step(t).to_vec())
             .collect();
         assert_eq!(hs, &expect[..]);
     }
 
     #[test]
-    fn cached_inference_strided_patches_match_vec_path() {
+    fn cached_inference_strided_patches_match_forward_batch() {
         let mut rng = DetRng::seed_from_u64(23);
         let lstm = Lstm::new(&mut rng, 3, 4);
         let data = [0.3, -0.7, 0.0, 0.9, 0.2, -0.4, 0.6];
         // stride 1 with in_dim 3 ⇒ overlapping patches (Conv-LSTM view).
-        let inputs: Vec<Vec<f64>> = (0..5).map(|t| data[t..t + 3].to_vec()).collect();
+        let ws = batch_of_one(&lstm, &data, 1);
         let mut cache = LstmInferenceCache::default();
         let h = lstm.forward_inference_cached(&data, 1, &mut cache);
-        assert_eq!(h, &lstm.forward_inference(&inputs)[..]);
+        assert_eq!(h, ws.h_last());
     }
 
     #[test]
@@ -1186,9 +1213,9 @@ mod tests {
         batched.backward_batch_last(&grad, &mut ws, false);
 
         for (s, win) in wins.iter().enumerate() {
-            let out = reference.forward_sequence(win);
+            let (out, tape) = reference.forward_sequence(win);
             assert_eq!(&ws.output()[s * 6..(s + 1) * 6], &out[..], "sample {s}");
-            reference.backward_last(&grad[s * 6..(s + 1) * 6]);
+            reference.backward_last(&tape, &grad[s * 6..(s + 1) * 6]);
         }
         let flat = |n: &mut dyn Network| {
             let mut g = Vec::new();
@@ -1197,10 +1224,7 @@ mod tests {
         };
         assert_eq!(flat(&mut batched), flat(&mut reference));
 
-        let mut cache = BiLstmInferenceCache::default();
-        let data: Vec<f64> = wins[1].iter().map(|x| x[0]).collect();
-        let h = batched.forward_inference_cached(&data, 1, &mut cache);
-        assert_eq!(h, &batched.forward_inference(&wins[1])[..]);
+        assert_eq!(infer_bi(&batched, &wins[1]), &ws.output()[6..12]);
     }
 
     #[test]

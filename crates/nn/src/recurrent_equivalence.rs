@@ -1,5 +1,6 @@
 //! Differential proof that the fused batched recurrent paths are drop-in
-//! replacements for the per-sequence reference implementations.
+//! replacements for the per-sequence reference loops (the `reference`
+//! modules beside [`Lstm`], [`BiLstm`] and [`Conv1d`]).
 //!
 //! Each test trains two identically seeded stacks through full epoch
 //! loops with Adam — one through the per-sequence loops, one through the
@@ -10,11 +11,11 @@
 //! matrix {1, 4}; nothing here is thread-count sensitive, which is
 //! exactly the claim — the batched kernels are sequential-deterministic.
 
-use eadrl_linalg::Matrix;
-use eadrl_nn::{
+use crate::{
     mse_loss_grad, Activation, Adam, BiLstm, BiLstmInferenceCache, BiRecurrentWorkspace, Conv1d,
     ConvWorkspace, Dense, Lstm, LstmInferenceCache, Network, Optimizer, RecurrentWorkspace,
 };
+use eadrl_linalg::Matrix;
 use eadrl_rng::DetRng;
 
 const CHUNK: usize = 7;
@@ -72,11 +73,11 @@ fn lstm_training_epochs_batched_equals_per_sequence_bitwise() {
             group.zero_grad();
             for &i in chunk {
                 let seq: Vec<Vec<f64>> = windows[i].iter().map(|&v| vec![v]).collect();
-                let h = group.0.forward_sequence(&seq);
+                let (h, tape) = group.0.forward_sequence(&seq);
                 let y = group.1.forward(&h);
                 let g = mse_loss_grad(&y, &[targets[i]]);
                 let gh = group.1.backward(&g);
-                group.0.backward_last(&gh);
+                group.0.backward_last(&tape, &gh);
             }
             group.clip_grad_norm(5.0);
             opt_a.step(&mut group);
@@ -123,11 +124,11 @@ fn lstm_training_epochs_batched_equals_per_sequence_bitwise() {
     assert_eq!(flat(&mut lstm_a), flat(&mut lstm_b), "LSTM params diverged");
     assert_eq!(flat(&mut head_a), flat(&mut head_b), "head params diverged");
 
-    // Predictions: per-sequence inference vs the strided zero-alloc cache.
+    // Predictions: the per-sequence forward vs the strided zero-alloc cache.
     let mut cache = LstmInferenceCache::default();
     for w in &windows {
         let seq: Vec<Vec<f64>> = w.iter().map(|&v| vec![v]).collect();
-        let h_ref = lstm_a.forward_inference(&seq);
+        let (h_ref, _) = lstm_a.forward_sequence(&seq);
         let y_ref = head_a.forward_inference(&h_ref);
         let h = lstm_b.forward_inference_cached(w, 1, &mut cache);
         let mut y = [0.0];
@@ -153,11 +154,11 @@ fn bilstm_training_epochs_batched_equals_per_sequence_bitwise() {
             group.zero_grad();
             for &i in chunk {
                 let seq: Vec<Vec<f64>> = windows[i].iter().map(|&v| vec![v]).collect();
-                let h = group.0.forward_sequence(&seq);
+                let (h, tape) = group.0.forward_sequence(&seq);
                 let y = group.1.forward(&h);
                 let g = mse_loss_grad(&y, &[targets[i]]);
                 let gh = group.1.backward(&g);
-                group.0.backward_last(&gh);
+                group.0.backward_last(&tape, &gh);
             }
             group.clip_grad_norm(5.0);
             opt_a.step(&mut group);
@@ -206,7 +207,7 @@ fn bilstm_training_epochs_batched_equals_per_sequence_bitwise() {
     let mut cache = BiLstmInferenceCache::default();
     for w in &windows {
         let seq: Vec<Vec<f64>> = w.iter().map(|&v| vec![v]).collect();
-        let h_ref = bi_a.forward_inference(&seq);
+        let (h_ref, _) = bi_a.forward_sequence(&seq);
         let h = bi_b.forward_inference_cached(w, 1, &mut cache);
         assert_eq!(h_ref.as_slice(), h, "bi-directional output diverged");
     }
@@ -232,7 +233,7 @@ fn conv_training_steps_batched_equals_per_sample_bitwise() {
             // deterministic function of position (structured zeros again).
             conv_a.zero_grad();
             for &i in chunk {
-                let y = conv_a.forward(&[windows[i].clone()]);
+                let (y, tape) = conv_a.forward(&[windows[i].clone()]);
                 let g: Vec<Vec<f64>> = (0..oc)
                     .map(|c| {
                         (0..t_out)
@@ -246,7 +247,7 @@ fn conv_training_steps_batched_equals_per_sample_bitwise() {
                             .collect()
                     })
                     .collect();
-                conv_a.backward(&g);
+                conv_a.backward(&tape, &g);
             }
             conv_a.clip_grad_norm(5.0);
             opt_a.step(&mut conv_a);

@@ -1,7 +1,7 @@
 //! Property-based tests for the neural-network substrate.
 
 use eadrl_linalg::Matrix;
-use eadrl_nn::{Activation, Adam, Dense, Lstm, Mlp, Network, Optimizer};
+use eadrl_nn::{Activation, Adam, Dense, Lstm, LstmInferenceCache, Mlp, Network, Optimizer};
 use eadrl_ptest::prelude::*;
 use eadrl_rng::DetRng;
 
@@ -203,9 +203,8 @@ proptest! {
     ) {
         let mut rng = DetRng::seed_from_u64(seed);
         let lstm = Lstm::new(&mut rng, 1, 4);
-        let seq: Vec<Vec<f64>> = inputs.iter().map(|&v| vec![v]).collect();
-        let a = lstm.forward_inference(&seq);
-        let b = lstm.forward_inference(&seq);
+        let a = lstm.forward_inference_cached(&inputs, 1, &mut LstmInferenceCache::default()).to_vec();
+        let b = lstm.forward_inference_cached(&inputs, 1, &mut LstmInferenceCache::default()).to_vec();
         prop_assert_eq!(&a, &b);
         prop_assert!(a.iter().all(|v| v.is_finite()));
         // Hidden states are bounded by the tanh output gate.

@@ -10,28 +10,6 @@ use eadrl_obs::{Counter, Gauge, Histogram, Level};
 use eadrl_rng::DetRng;
 use std::sync::Arc;
 
-/// Which compute path [`DdpgAgent::update`] takes through the networks.
-///
-/// Both paths are **bitwise-identical** in every observable way —
-/// post-update parameters, [`UpdateStats`], telemetry at levels up to
-/// `debug`, and the RNG stream — as proven by the differential tests in
-/// `crates/rl/tests/batched_equivalence.rs` and
-/// `crates/core/tests/batched_determinism.rs`. (At `trace` level the
-/// batched path additionally emits per-phase profiling spans inside
-/// `ddpg.update` — `critic.forward`, `actor.backward`, … — which the
-/// per-sample reference deliberately lacks.) `Batched` assembles the
-/// minibatch into matrices once and runs one GEMM-backed forward/backward
-/// per network per update; `PerSample` is the original transition-at-a-time
-/// loop, kept as the differential reference (and for profiling the gap).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum UpdatePath {
-    /// Minibatch-as-matrix updates through `forward_batch`/`backward_batch`.
-    #[default]
-    Batched,
-    /// Original per-transition loop (reference implementation).
-    PerSample,
-}
-
 /// Hyper-parameters of the DDPG agent.
 ///
 /// Defaults follow the paper's EA-DRL setup where stated (γ = 0.9,
@@ -66,9 +44,6 @@ pub struct DdpgConfig {
     pub actor_logit_reg: f64,
     /// RNG seed (initialization, noise, replay sampling).
     pub seed: u64,
-    /// Compute path for gradient updates (bitwise-equivalent options; see
-    /// [`UpdatePath`]).
-    pub update_path: UpdatePath,
 }
 
 impl Default for DdpgConfig {
@@ -86,7 +61,6 @@ impl Default for DdpgConfig {
             noise_sigma: 0.2,
             actor_logit_reg: 1e-3,
             seed: 0,
-            update_path: UpdatePath::Batched,
         }
     }
 }
@@ -180,7 +154,7 @@ impl DdpgTelemetry {
     }
 }
 
-/// Persistent minibatch staging buffers for the batched update path.
+/// Persistent minibatch staging buffers for the update.
 ///
 /// Reshaped in place every update, so after the first update at a given
 /// batch size the assembly performs no heap allocations.
@@ -340,20 +314,13 @@ impl DdpgAgent {
     /// gradient + Polyak target updates) and returns its diagnostics.
     /// No-op (returning `None`) until the buffer holds at least one
     /// batch.
-    ///
-    /// The two [`UpdatePath`]s are interchangeable bit for bit: both
-    /// consume exactly one replay-sampling draw from the RNG stream and
-    /// produce identical post-update parameters and diagnostics.
     pub fn update(&mut self) -> Option<UpdateStats> {
         let n = self.config.batch_size;
         if self.buffer.len() < n {
             return None;
         }
         let _span = eadrl_obs::span_at(Level::Trace, "ddpg.update");
-        let stats = match self.config.update_path {
-            UpdatePath::Batched => self.update_batched(),
-            UpdatePath::PerSample => self.update_per_sample(),
-        };
+        let stats = self.update_batched();
         self.updates += 1;
         self.telemetry.updates.inc();
         self.telemetry.critic_loss.record(stats.critic_loss);
@@ -364,15 +331,16 @@ impl DdpgAgent {
     /// the persistent [`UpdateBuffers`] matrices once, and every network
     /// runs one batched forward/backward per update. Gradients accumulate
     /// through the GEMM kernels in sample order, so the result is
-    /// bitwise-identical to [`Self::update_per_sample`].
+    /// bitwise-identical to the original transition-at-a-time loop (kept
+    /// as the test reference).
     fn update_batched(&mut self) -> UpdateStats {
         let n = self.config.batch_size;
         let sd = self.state_dim;
         let ad = self.action_dim;
 
-        // ---- Stage the minibatch (one RNG draw, same as the per-sample
-        // path; the borrowed transitions are copied straight into the
-        // reused matrices — no per-transition clones).
+        // ---- Stage the minibatch (one RNG draw; the borrowed transitions
+        // are copied straight into the reused matrices — no per-transition
+        // clones).
         {
             let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.stage");
             let batch = self.buffer.sample(n, self.config.sampling, &mut self.rng);
@@ -479,8 +447,8 @@ impl DdpgAgent {
                 self.bufs.grad_q[(s, 0)] = -1.0 / n as f64;
             }
             // The critic is differentiated only to reach the action inputs —
-            // its own weight gradients are scratch in both update paths, so
-            // the input-only backward skips computing them altogether.
+            // its own weight gradients would be scratch, so the input-only
+            // backward skips computing them altogether.
             self.critic.backward_batch_input_only(&self.bufs.grad_q);
         }
         {
@@ -526,86 +494,8 @@ impl DdpgAgent {
         }
     }
 
-    /// Original transition-at-a-time update loop — the differential
-    /// reference for [`Self::update_batched`].
-    fn update_per_sample(&mut self) -> UpdateStats {
-        let n = self.config.batch_size;
-        let batch: Vec<Transition> = self
-            .buffer
-            .sample(n, self.config.sampling, &mut self.rng)
-            .into_iter()
-            .cloned()
-            .collect();
-
-        // ---- Critic update: minimize (Q(s,a) - y)² with Bellman targets.
-        let mut targets = Vec::with_capacity(n);
-        for t in &batch {
-            let raw_next = self.target_actor.forward_inference(&t.next_state);
-            let a_next = self.config.squash.forward(&raw_next);
-            let q_next = self
-                .target_critic
-                .forward_inference(&concat(&t.next_state, &a_next))[0];
-            let y = t.reward
-                + if t.done {
-                    0.0
-                } else {
-                    self.config.gamma * q_next
-                };
-            targets.push(y);
-        }
-        self.critic.zero_grad();
-        let mut critic_loss = 0.0;
-        for (t, &y) in batch.iter().zip(targets.iter()) {
-            let q = self.critic.forward(&concat(&t.state, &t.action))[0];
-            let err = q - y;
-            critic_loss += err * err / n as f64;
-            let g = 2.0 * err / n as f64;
-            self.critic.backward(&[g]);
-        }
-        // Gradient norms are only interesting to traces; skip the extra
-        // parameter sweep unless debug telemetry is on.
-        let critic_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| self.critic.grad_norm());
-        self.critic.clip_grad_norm(5.0);
-        self.critic_opt.step(&mut self.critic);
-
-        // ---- Actor update: ascend ∇_θ Q(s, π_θ(s)).
-        self.actor.zero_grad();
-        self.critic.zero_grad(); // scratch space for input gradients
-        let mut actor_objective = 0.0;
-        for t in &batch {
-            let raw = self.actor.forward(&t.state);
-            let action = self.config.squash.forward(&raw);
-            let q = self.critic.forward(&concat(&t.state, &action));
-            actor_objective += q[0] / n as f64;
-            // dQ/d(input) with loss = -Q / n (gradient ascent on Q).
-            let grad_in = self.critic.backward(&[-1.0 / n as f64]);
-            let grad_action = &grad_in[self.state_dim..];
-            let mut grad_raw = self.config.squash.backward(&raw, &action, grad_action);
-            // Logit weight decay: keeps the actor out of squash saturation.
-            let reg = self.config.actor_logit_reg;
-            if reg > 0.0 {
-                for (g, &r) in grad_raw.iter_mut().zip(raw.iter()) {
-                    *g += reg * r / n as f64;
-                }
-            }
-            self.actor.backward(&grad_raw);
-        }
-        let actor_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| self.actor.grad_norm());
-        self.actor.clip_grad_norm(5.0);
-        self.actor_opt.step(&mut self.actor);
-        self.critic.zero_grad(); // discard scratch gradients
-
-        self.polyak_target_updates();
-        UpdateStats {
-            critic_loss,
-            actor_objective,
-            critic_grad_norm,
-            actor_grad_norm,
-        }
-    }
-
-    /// Polyak soft target updates, shared by both update paths. Parameter
-    /// snapshots go through persistent scratch buffers
+    /// Polyak soft target updates. Parameter snapshots go through
+    /// persistent scratch buffers
     /// ([`Network::flat_params_into`]) so the per-update sync is
     /// allocation-free at steady state.
     fn polyak_target_updates(&mut self) {
@@ -761,20 +651,6 @@ impl DdpgAgent {
     pub fn load_actor_params(&mut self, params: &[f64]) {
         self.actor.load_flat_params(params);
     }
-
-    /// Snapshot of the critic's parameters (differential testing of the
-    /// batched vs per-sample update paths).
-    pub fn critic_params(&mut self) -> Vec<f64> {
-        self.critic.flat_params()
-    }
-
-    /// Snapshot of the target networks' parameters, actor then critic
-    /// (differential testing of the Polyak averaging step).
-    pub fn target_params(&mut self) -> Vec<f64> {
-        let mut v = self.target_actor.flat_params();
-        v.extend(self.target_critic.flat_params());
-        v
-    }
 }
 
 fn concat(a: &[f64], b: &[f64]) -> Vec<f64> {
@@ -788,6 +664,99 @@ fn concat(a: &[f64], b: &[f64]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::env::test_envs::PointMass;
+
+    /// The reference the batched update is compared against: the original
+    /// transition-at-a-time update loop, plus the parameter snapshots the
+    /// comparison reads.
+    impl DdpgAgent {
+        fn update_per_sample(&mut self) -> UpdateStats {
+            let n = self.config.batch_size;
+            let batch: Vec<Transition> = self
+                .buffer
+                .sample(n, self.config.sampling, &mut self.rng)
+                .into_iter()
+                .cloned()
+                .collect();
+
+            // ---- Critic update: minimize (Q(s,a) - y)² with Bellman targets.
+            let mut targets = Vec::with_capacity(n);
+            for t in &batch {
+                let raw_next = self.target_actor.forward_inference(&t.next_state);
+                let a_next = self.config.squash.forward(&raw_next);
+                let q_next = self
+                    .target_critic
+                    .forward_inference(&concat(&t.next_state, &a_next))[0];
+                let y = t.reward
+                    + if t.done {
+                        0.0
+                    } else {
+                        self.config.gamma * q_next
+                    };
+                targets.push(y);
+            }
+            self.critic.zero_grad();
+            let mut critic_loss = 0.0;
+            for (t, &y) in batch.iter().zip(targets.iter()) {
+                let q = self.critic.forward(&concat(&t.state, &t.action))[0];
+                let err = q - y;
+                critic_loss += err * err / n as f64;
+                let g = 2.0 * err / n as f64;
+                self.critic.backward(&[g]);
+            }
+            // Gradient norms are only interesting to traces; skip the extra
+            // parameter sweep unless debug telemetry is on.
+            let critic_grad_norm =
+                eadrl_obs::enabled(Level::Debug).then(|| self.critic.grad_norm());
+            self.critic.clip_grad_norm(5.0);
+            self.critic_opt.step(&mut self.critic);
+
+            // ---- Actor update: ascend ∇_θ Q(s, π_θ(s)).
+            self.actor.zero_grad();
+            self.critic.zero_grad(); // scratch space for input gradients
+            let mut actor_objective = 0.0;
+            for t in &batch {
+                let raw = self.actor.forward(&t.state);
+                let action = self.config.squash.forward(&raw);
+                let q = self.critic.forward(&concat(&t.state, &action));
+                actor_objective += q[0] / n as f64;
+                // dQ/d(input) with loss = -Q / n (gradient ascent on Q).
+                let grad_in = self.critic.backward(&[-1.0 / n as f64]);
+                let grad_action = &grad_in[self.state_dim..];
+                let mut grad_raw = self.config.squash.backward(&raw, &action, grad_action);
+                // Logit weight decay: keeps the actor out of squash saturation.
+                let reg = self.config.actor_logit_reg;
+                if reg > 0.0 {
+                    for (g, &r) in grad_raw.iter_mut().zip(raw.iter()) {
+                        *g += reg * r / n as f64;
+                    }
+                }
+                self.actor.backward(&grad_raw);
+            }
+            let actor_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| self.actor.grad_norm());
+            self.actor.clip_grad_norm(5.0);
+            self.actor_opt.step(&mut self.actor);
+            self.critic.zero_grad(); // discard scratch gradients
+
+            self.polyak_target_updates();
+            UpdateStats {
+                critic_loss,
+                actor_objective,
+                critic_grad_norm,
+                actor_grad_norm,
+            }
+        }
+
+        fn critic_params(&mut self) -> Vec<f64> {
+            self.critic.flat_params()
+        }
+
+        /// The target networks' parameters, actor then critic.
+        fn target_params(&mut self) -> Vec<f64> {
+            let mut v = self.target_actor.flat_params();
+            v.extend(self.target_critic.flat_params());
+            v
+        }
+    }
 
     fn small_config(squash: ActionSquash) -> DdpgConfig {
         DdpgConfig {
@@ -803,7 +772,6 @@ mod tests {
             noise_sigma: 0.3,
             actor_logit_reg: 0.0,
             seed: 7,
-            update_path: UpdatePath::Batched,
         }
     }
 
@@ -972,5 +940,138 @@ mod tests {
         assert_eq!(stats.len(), 20);
         assert!(agent.updates() > 0);
         assert!(stats.iter().all(|s| s.avg_reward.is_finite()));
+    }
+
+    // ---- Differential test of the batched update against the
+    // transition-at-a-time reference. The determinism contract requires
+    // the batched update to be *bitwise* equivalent, not just numerically
+    // close: after any number of updates on identical replay contents,
+    // both hold identical parameters (actor, critic, and both Polyak
+    // targets) and report identical `UpdateStats`.
+    //
+    // The batch size is deliberately not a power of two so that the
+    // `x / n as f64` mean-reduction terms cannot silently be replaced by
+    // a reciprocal multiply (which rounds differently).
+
+    const STATE_DIM: usize = 3;
+    const ACTION_DIM: usize = 4;
+
+    fn differential_agent(sampling: SamplingStrategy) -> DdpgAgent {
+        DdpgAgent::new(
+            STATE_DIM,
+            ACTION_DIM,
+            DdpgConfig {
+                gamma: 0.9,
+                actor_lr: 0.005,
+                critic_lr: 0.01,
+                tau: 0.02,
+                // Non-power-of-2: 1/33 is inexact, so any reciprocal-multiply
+                // shortcut in the batched path would change low-order bits.
+                batch_size: 33,
+                buffer_capacity: 1_000,
+                sampling,
+                hidden: vec![16, 8],
+                squash: ActionSquash::Softmax,
+                noise_sigma: 0.2,
+                // Non-zero so the actor's logit-regularisation term is part of
+                // the comparison.
+                actor_logit_reg: 1e-3,
+                seed: 11,
+            },
+        )
+    }
+
+    /// Deterministic synthetic replay contents: both agents observe the same
+    /// transition stream, including occasional terminal transitions so the
+    /// `done` branch of the Bellman target is exercised.
+    fn fill_buffer(agent: &mut DdpgAgent, transitions: usize) {
+        let mut rng = DetRng::seed_from_u64(404);
+        for i in 0..transitions {
+            let state: Vec<f64> = (0..STATE_DIM)
+                .map(|_| rng.random_range(-1.0..1.0))
+                .collect();
+            let next_state: Vec<f64> = (0..STATE_DIM)
+                .map(|_| rng.random_range(-1.0..1.0))
+                .collect();
+            let mut action: Vec<f64> = (0..ACTION_DIM)
+                .map(|_| rng.random_range(0.0..1.0))
+                .collect();
+            let sum: f64 = action.iter().sum();
+            for a in action.iter_mut() {
+                *a /= sum;
+            }
+            agent.observe(Transition {
+                state,
+                action,
+                reward: rng.random_range(-1.0..1.0),
+                next_state,
+                done: i % 7 == 0,
+            });
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_batched_matches_per_sample(sampling: SamplingStrategy) {
+        let mut batched = differential_agent(sampling);
+        let mut per_sample = differential_agent(sampling);
+        fill_buffer(&mut batched, 120);
+        fill_buffer(&mut per_sample, 120);
+
+        for step in 0..8 {
+            let sb = batched.update().expect("buffer is filled");
+            let sp = per_sample.update_per_sample();
+            assert_eq!(
+                sb.critic_loss.to_bits(),
+                sp.critic_loss.to_bits(),
+                "critic_loss diverged at update {step} ({sampling:?}): \
+                 batched {} vs per-sample {}",
+                sb.critic_loss,
+                sp.critic_loss,
+            );
+            assert_eq!(
+                sb.actor_objective.to_bits(),
+                sp.actor_objective.to_bits(),
+                "actor_objective diverged at update {step} ({sampling:?}): \
+                 batched {} vs per-sample {}",
+                sb.actor_objective,
+                sp.actor_objective,
+            );
+            assert_eq!(
+                bits(&batched.actor_params()),
+                bits(&per_sample.actor_params()),
+                "actor parameters diverged at update {step} ({sampling:?})"
+            );
+            assert_eq!(
+                bits(&batched.critic_params()),
+                bits(&per_sample.critic_params()),
+                "critic parameters diverged at update {step} ({sampling:?})"
+            );
+            assert_eq!(
+                bits(&batched.target_params()),
+                bits(&per_sample.target_params()),
+                "target parameters diverged at update {step} ({sampling:?})"
+            );
+        }
+
+        // The updated policies act identically too.
+        let probe = [0.25, -0.5, 0.75];
+        assert_eq!(
+            bits(&batched.act(&probe)),
+            bits(&per_sample.act(&probe)),
+            "greedy actions diverged ({sampling:?})"
+        );
+    }
+
+    #[test]
+    fn batched_updates_match_per_sample_bitwise_uniform() {
+        assert_batched_matches_per_sample(SamplingStrategy::Uniform);
+    }
+
+    #[test]
+    fn batched_updates_match_per_sample_bitwise_diversity() {
+        assert_batched_matches_per_sample(SamplingStrategy::Diversity);
     }
 }

@@ -22,7 +22,7 @@ pub mod noise;
 pub mod replay;
 pub mod squash;
 
-pub use ddpg::{DdpgAgent, DdpgConfig, EpisodeStats, UpdatePath, UpdateStats};
+pub use ddpg::{DdpgAgent, DdpgConfig, EpisodeStats, UpdateStats};
 pub use env::Environment;
 pub use noise::{GaussianNoise, Noise, OrnsteinUhlenbeck};
 pub use replay::{ReplayBuffer, SamplingStrategy, Transition};

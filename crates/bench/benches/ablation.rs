@@ -3,9 +3,9 @@
 //! and the window size ω.
 
 use eadrl_bench::harness::Harness;
-use eadrl_bench::{build_pool, fit_pool, prediction_matrix, Scale};
+use eadrl_bench::{build_pool, Scale};
 use eadrl_core::experiment::sanitize_predictions;
-use eadrl_core::{EnsembleEnv, RewardKind};
+use eadrl_core::{fit_pool, prediction_matrix, EnsembleEnv, RewardKind};
 use eadrl_datasets::{generate, DatasetId};
 use eadrl_rl::{ActionSquash, Environment};
 use std::hint::black_box;
@@ -17,7 +17,7 @@ fn prepared(reward: RewardKind, omega: usize) -> EnsembleEnv {
     let train = &series.values()[..cut];
     let fit_len = (train.len() as f64 * 0.75).round() as usize;
     let (fit_part, warm_part) = train.split_at(fit_len);
-    let pool = fit_pool(build_pool(scale, 24), fit_part);
+    let (pool, _) = fit_pool(build_pool(scale, 24), fit_part);
     let mut preds = prediction_matrix(&pool, fit_part, warm_part);
     sanitize_predictions(&mut preds, fit_part);
     EnsembleEnv::new(preds, warm_part.to_vec(), omega, reward, 1_000_000)

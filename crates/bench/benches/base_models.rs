@@ -95,7 +95,7 @@ fn matrix_with(
 fn bench_pool_matrix(c: &mut Harness) {
     let series = generate(DatasetId::BikeRentals, 480, 42);
     let (train, segment) = series.values().split_at(360);
-    let pool = eadrl_bench::fit_pool(quick_pool(5, 24, 42), train);
+    let (pool, _) = eadrl_core::fit_pool(quick_pool(5, 24, 42), train);
     let mut group = c.benchmark_group("pool_matrix");
     group.sample_size(10);
     group.bench_function("serial_1_worker", |b| {

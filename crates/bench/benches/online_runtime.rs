@@ -2,10 +2,10 @@
 //! policy inference versus the adaptive baselines' weight updates.
 
 use eadrl_bench::harness::Harness;
-use eadrl_bench::{build_pool, eadrl_config, fit_pool, prediction_matrix, Scale, OMEGA};
+use eadrl_bench::{build_pool, eadrl_config, Scale, OMEGA};
 use eadrl_core::baselines::{Demsc, SlidingWindowEnsemble};
 use eadrl_core::experiment::sanitize_predictions;
-use eadrl_core::{Combiner, EaDrlPolicy};
+use eadrl_core::{fit_pool, prediction_matrix, Combiner, EaDrlPolicy};
 use eadrl_datasets::{generate, DatasetId};
 use std::hint::black_box;
 
@@ -26,7 +26,7 @@ fn fixture() -> Fixture {
     let (train, test) = series.values().split_at(cut);
     let fit_len = (train.len() as f64 * 0.75).round() as usize;
     let (fit_part, warm_part) = train.split_at(fit_len);
-    let pool = fit_pool(build_pool(scale, 48), fit_part);
+    let (pool, _) = fit_pool(build_pool(scale, 48), fit_part);
     let mut warm_preds = prediction_matrix(&pool, fit_part, warm_part);
     let mut online_preds = prediction_matrix(&pool, train, test);
     sanitize_predictions(&mut warm_preds, fit_part);

@@ -3,9 +3,9 @@
 //! strategies of the paper.
 
 use eadrl_bench::harness::Harness;
-use eadrl_bench::{build_pool, fit_pool, prediction_matrix, Scale, OMEGA};
+use eadrl_bench::{build_pool, Scale, OMEGA};
 use eadrl_core::experiment::sanitize_predictions;
-use eadrl_core::{EnsembleEnv, RewardKind};
+use eadrl_core::{fit_pool, prediction_matrix, EnsembleEnv, RewardKind};
 use eadrl_datasets::{generate, DatasetId};
 use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, Environment, SamplingStrategy, Transition};
 use std::hint::black_box;
@@ -17,7 +17,7 @@ fn prepared_env(reward: RewardKind) -> (Vec<Vec<f64>>, Vec<f64>, EnsembleEnv) {
     let train = &series.values()[..cut];
     let fit_len = (train.len() as f64 * 0.75).round() as usize;
     let (fit_part, warm_part) = train.split_at(fit_len);
-    let pool = fit_pool(build_pool(scale, 24), fit_part);
+    let (pool, _) = fit_pool(build_pool(scale, 24), fit_part);
     let mut preds = prediction_matrix(&pool, fit_part, warm_part);
     sanitize_predictions(&mut preds, fit_part);
     let env = EnsembleEnv::new(preds.clone(), warm_part.to_vec(), OMEGA, reward, 100);

@@ -7,13 +7,12 @@
 //! cargo run -p eadrl-bench --release --bin ablation_study [-- --quick]
 //! ```
 
-use eadrl_bench::{
-    build_pool, fit_pool, json_output, prediction_matrix, print_json_report, Scale, OMEGA,
-};
+use eadrl_bench::{build_pool, json_output, print_json_report, Scale, OMEGA};
 use eadrl_core::baselines::all_baselines;
 use eadrl_core::experiment::sanitize_predictions;
 use eadrl_core::{
-    run_combiner, AdaptiveEaDrl, Combiner, EaDrlConfig, EaDrlPolicy, RefreshTrigger, RewardKind,
+    fit_pool, prediction_matrix, run_combiner, AdaptiveEaDrl, Combiner, EaDrlConfig, EaDrlPolicy,
+    RefreshTrigger, RewardKind,
 };
 use eadrl_datasets::{generate, DatasetId};
 use eadrl_eval::render_table;
@@ -36,7 +35,7 @@ fn prepare(id: DatasetId, scale: Scale) -> Prepared {
     let fit_len = (train.len() as f64 * 0.75).round() as usize;
     let (fit_part, warm_part) = train.split_at(fit_len);
     let season = series.frequency().default_season().min(series.len() / 4);
-    let pool = fit_pool(build_pool(scale, season), fit_part);
+    let (pool, _) = fit_pool(build_pool(scale, season), fit_part);
     let mut warm_preds = prediction_matrix(&pool, fit_part, warm_part);
     let mut online_preds = prediction_matrix(&pool, train, test);
     sanitize_predictions(&mut warm_preds, fit_part);

@@ -8,11 +8,8 @@
 //! cargo run -p eadrl-bench --release --bin fig2 [-- --quick]
 //! ```
 
-use eadrl_bench::{
-    build_pool, fit_pool, json_output, mean_std, prediction_matrix, print_json_report, sparkline,
-    Scale, OMEGA,
-};
-use eadrl_core::{EnsembleEnv, RewardKind};
+use eadrl_bench::{build_pool, json_output, mean_std, print_json_report, sparkline, Scale, OMEGA};
+use eadrl_core::{fit_pool, prediction_matrix, EnsembleEnv, RewardKind};
 use eadrl_datasets::{generate, DatasetId};
 use eadrl_obs::json::JsonValue;
 use eadrl_rl::{DdpgAgent, DdpgConfig, EpisodeStats, SamplingStrategy};
@@ -66,7 +63,7 @@ fn main() {
     let fit_len = (train.len() as f64 * 0.75).round() as usize;
     let (fit_part, warm_part) = train.split_at(fit_len);
     let season = series.frequency().default_season().min(series.len() / 4);
-    let pool = fit_pool(build_pool(scale, season), fit_part);
+    let (pool, _) = fit_pool(build_pool(scale, season), fit_part);
     let preds = prediction_matrix(&pool, fit_part, warm_part);
 
     eprintln!(

@@ -9,11 +9,10 @@
 //! ```
 
 use eadrl_bench::{
-    build_pool, demsc_combiner, eadrl_config, fit_pool, mean_std, prediction_matrix,
-    time_combination_only, time_online, Scale,
+    build_pool, demsc_combiner, eadrl_config, mean_std, time_combination_only, time_online, Scale,
 };
 use eadrl_core::experiment::sanitize_predictions;
-use eadrl_core::{Combiner, EaDrlPolicy};
+use eadrl_core::{fit_pool, prediction_matrix, Combiner, EaDrlPolicy};
 use eadrl_datasets::{generate, DatasetId};
 use eadrl_eval::render_table;
 
@@ -33,7 +32,7 @@ fn main() {
         let (fit_part, warm_part) = train.split_at(fit_len);
         let season = series.frequency().default_season().min(n / 4);
 
-        let pool = fit_pool(build_pool(scale, season), fit_part);
+        let (pool, _) = fit_pool(build_pool(scale, season), fit_part);
         let mut warm_preds = prediction_matrix(&pool, fit_part, warm_part);
         sanitize_predictions(&mut warm_preds, fit_part);
 

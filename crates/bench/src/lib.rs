@@ -351,25 +351,6 @@ pub fn table1_rows() -> Vec<(usize, String, String, String, String)> {
         .collect()
 }
 
-/// Fits a pool on `fit_part`, dropping members that cannot fit; returns the
-/// fitted pool. Shared by the Table III and Figure 2 binaries. Delegates
-/// to the parallel fitter the evaluation protocol itself uses.
-pub fn fit_pool(pool: Vec<Box<dyn Forecaster>>, fit_part: &[f64]) -> Vec<Box<dyn Forecaster>> {
-    let (kept, _dropped) = eadrl_core::parallel::fit_pool(pool, fit_part);
-    kept
-}
-
-/// Per-step prediction matrix `preds[t][i]` of a fitted pool over a
-/// segment, with the preceding history given by `train`. Delegates to
-/// the parallel matrix builder the evaluation protocol itself uses.
-pub fn prediction_matrix(
-    pool: &[Box<dyn Forecaster>],
-    train: &[f64],
-    segment: &[f64],
-) -> Vec<Vec<f64>> {
-    eadrl_core::parallel::prediction_matrix(pool, train, segment)
-}
-
 /// A crude ASCII sparkline for learning curves in terminal output.
 pub fn sparkline(values: &[f64]) -> String {
     const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];

@@ -71,13 +71,6 @@ pub struct EaDrlConfig {
     pub init_temperature: f64,
     /// Online state-window semantics.
     pub online_state: OnlineState,
-    /// Optional pool pruning before policy learning — the paper's §III-B
-    /// future-work hook ("incorporate a pruning step into our framework,
-    /// so that only relevant models take part in the weighting"). When
-    /// set, only this fraction of the pool (the most accurate members on
-    /// the validation segment) takes part in the combination; the rest
-    /// are discarded after fitting.
-    pub prune_fraction: Option<f64>,
     /// Greedy-rollout evaluation cadence (episodes) for checkpointing.
     pub eval_every: usize,
     /// Fraction of the validation segment held out from the training
@@ -114,7 +107,6 @@ impl Default for EaDrlConfig {
             informed_init: true,
             init_temperature: 8.0,
             online_state: OnlineState::EnsembleOutputs,
-            prune_fraction: None,
             guard: GuardConfig::default(),
             ddpg: DdpgConfig {
                 gamma: 0.9,
@@ -709,44 +701,6 @@ impl EaDrl {
         let mut preds = self.validation_predictions(fit_part, val_part);
         crate::experiment::sanitize_predictions(&mut preds, fit_part);
 
-        // Optional pruning (paper future work): keep only the fraction of
-        // the pool that performed best on the validation segment.
-        if let Some(fraction) = self.policy.config().prune_fraction {
-            let keep = ((self.pool.len() as f64) * fraction.clamp(0.05, 1.0)).ceil() as usize;
-            let keep = keep.clamp(1, self.pool.len());
-            if keep < self.pool.len() {
-                let m = self.pool.len();
-                let mut sse = vec![0.0; m];
-                for (p, &a) in preds.iter().zip(val_part.iter()) {
-                    for (s, &v) in sse.iter_mut().zip(p.iter()) {
-                        let e = v - a;
-                        *s += e * e;
-                    }
-                }
-                let mut order: Vec<usize> = (0..m).collect();
-                order.sort_by(|&a, &b| {
-                    sse[a]
-                        .partial_cmp(&sse[b])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let mut selected = order[..keep].to_vec();
-                selected.sort_unstable();
-                let mut kept_models = Vec::with_capacity(keep);
-                for (idx, model) in std::mem::take(&mut self.pool).into_iter().enumerate() {
-                    if selected.contains(&idx) {
-                        kept_models.push(model);
-                    } else {
-                        self.dropped.push(format!("{} (pruned)", model.name()));
-                    }
-                }
-                self.pool = kept_models;
-                preds = preds
-                    .into_iter()
-                    .map(|row| selected.iter().map(|&i| row[i]).collect())
-                    .collect();
-            }
-        }
-
         eadrl_obs::event_with("eadrl.fit.pool", Level::Info, || {
             vec![
                 ("kept".to_string(), self.pool.len().into()),
@@ -757,7 +711,7 @@ impl EaDrl {
             ]
         });
         self.policy.warm_up(&preds, val_part);
-        // Health tracking starts fresh for the (possibly pruned) pool.
+        // Health tracking starts fresh for the fitted pool.
         self.guard.reset(self.pool.len());
         self.fitted = true;
         Ok(())
@@ -1000,44 +954,6 @@ mod tests {
         assert!(!policy.is_trained());
         let w = policy.weights(4);
         assert_eq!(w, vec![0.25; 4]);
-    }
-
-    #[test]
-    fn pruning_shrinks_the_pool_to_the_best_members() {
-        let series = seasonal_series(320);
-        // Pool: two sensible models plus a hopeless constant-zero one.
-        #[derive(Debug, Clone)]
-        struct Zero;
-        impl Forecaster for Zero {
-            fn name(&self) -> &str {
-                "Zero"
-            }
-            fn fit(&mut self, _s: &[f64]) -> Result<(), eadrl_models::ModelError> {
-                Ok(())
-            }
-            fn predict_next(&self, _h: &[f64]) -> f64 {
-                0.0
-            }
-            fn box_clone(&self) -> Box<dyn Forecaster> {
-                Box::new(self.clone())
-            }
-        }
-        let mut pool = tiny_pool();
-        pool.push(Box::new(Zero));
-        let mut config = quick_config(8);
-        config.prune_fraction = Some(0.5); // keep ceil(4 * 0.5) = 2 models
-        let mut model = EaDrl::new(pool, config);
-        model.fit(&series[..260]).unwrap();
-        assert_eq!(model.n_models(), 2);
-        assert!(
-            model.dropped_models().iter().any(|n| n.contains("Zero")),
-            "the hopeless model must be pruned: {:?}",
-            model.dropped_models()
-        );
-        // Weights still form a distribution over the pruned pool.
-        let w = model.current_weights();
-        assert_eq!(w.len(), 2);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,30 +1,36 @@
-//! Neural base forecasters: MLP, LSTM, Bi-LSTM, CNN-LSTM and Conv-LSTM.
+//! Neural base forecasters: MLP, LSTM, Bi-LSTM, CNN-LSTM and Conv-LSTM,
+//! plus the stacked-LSTM (StLSTM) baseline of Table II.
 //!
-//! All five families from the paper's pool are trained the same way: Adam
-//! on mini-batches of embedded windows, a fixed epoch budget, seeded
-//! initialization. Windows arrive already z-scored via
-//! [`crate::tabular::Windowed`], so no internal scaling is needed.
+//! Every family trains with one recipe, written once in the private
+//! driver `Recipe::train`: Adam on shuffled mini-batches of embedded
+//! windows, a fixed epoch budget, seeded initialization, the per-row MSE
+//! gradient and a clip to global gradient norm 5 before each step.
+//! Windows arrive already z-scored via [`crate::tabular::Windowed`].
 //!
-//! Every family trains through a batched GEMM path. The MLP assembles
-//! each shuffled chunk into a row matrix and runs one
-//! [`Mlp::forward_batch`]/[`Mlp::backward_batch`] per network instead of
-//! one pass per sample. The recurrent families (LSTM, Bi-LSTM, CNN-LSTM,
-//! Conv-LSTM, stacked LSTM) stage the chunk's windows as one
-//! `B x in_dim` matrix *per timestep* and run the stacked-gate kernels
-//! over persistent workspaces ([`eadrl_nn::RecurrentWorkspace`] and
-//! friends): the sequential recurrence still walks timesteps one at a
-//! time, but each step is a batch-wide GEMM rather than B matvec loops.
-//! The stacked LSTM chains two workspaces: layer 2 is staged from layer
-//! 1's per-step hidden blocks, and layer 2's input gradients flow back as
-//! layer 1's per-step hidden gradients. Every path is bitwise identical
-//! to the per-sample loops it replaced (the kernels preserve per-element
-//! accumulation order; `eadrl-nn` keeps those loops as test references).
+//! A family supplies only what differs, as one network struct behind the
+//! private `NeuralNet` trait: its layers, drawn from the seeded stream in
+//! a fixed order; staging a chunk of windows and running it forward to
+//! `n x 1` outputs; and backpropagating the output gradient. The struct's
+//! `Network::visit_params` order is the order Adam's positional moments
+//! and the clip norm see. Training workspaces are driver locals, so a
+//! fitted model holds only its layers and an inference cache. Plain LSTM
+//! is Conv-LSTM with a patch of 1.
 //!
-//! `predict_next` is alloc-free in steady state for all recurrent
-//! families: each regressor carries a `Scratch`-wrapped inference cache
-//! (interior mutability behind a `Mutex`, keeping the model `Send + Sync`)
-//! and windows are consumed as strided slices instead of `Vec<Vec<f64>>`
-//! sequences.
+//! Every chunk runs batched: the MLP as one row matrix through
+//! [`Mlp::forward_batch`]/[`Mlp::backward_batch`], the recurrent families
+//! as one `B x in_dim` matrix *per timestep* through the stacked-gate
+//! kernels over [`eadrl_nn::RecurrentWorkspace`] and friends. The stacked
+//! LSTM chains two workspaces: layer 2 is staged from layer 1's per-step
+//! hidden blocks, and layer 2's input gradients flow back as layer 1's
+//! per-step hidden gradients. Every path is bitwise identical to the
+//! per-sample loops it replaced (`eadrl-nn` keeps those as test
+//! references).
+//!
+//! A fitted recurrent regressor's `predict` is alloc-free in steady
+//! state: it reads the window as strided slices through a
+//! `Scratch`-wrapped inference cache (interior mutability behind a
+//! `Mutex`, keeping the model `Send + Sync`). `Windowed::predict_next`
+//! around it still allocates the scaled window on every call.
 //!
 //! Faithfulness note (documented in `DESIGN.md`): Conv-LSTM is implemented
 //! as an LSTM over overlapping *patches* of the window — the input-to-state
@@ -77,27 +83,313 @@ fn shuffled_indices(n: usize, rng: &mut DetRng) -> Vec<usize> {
     idx
 }
 
-/// Two freshly built layers trained as one parameter group, so Adam's
-/// positional moment buffers line up across batches. Training on locals
-/// (and storing them only after the loop) keeps the `Option` fields out
-/// of the hot path entirely — no `.expect("initialized")` needed.
-struct ParamGroup2<'a, A: Network, B: Network>(&'a mut A, &'a mut B);
+/// A neural family's network as the training driver sees it: all of the
+/// family's layers in one struct, trained as one parameter group.
+trait NeuralNet: Network {
+    /// The family's chunk staging buffers; one lives for one fit, as a
+    /// driver local.
+    type Workspace: Default;
 
-impl<A: Network, B: Network> Network for ParamGroup2<'_, A, B> {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        self.0.visit_params(f);
-        self.1.visit_params(f);
+    /// Stages the windows `inputs[i]`, `i` in `chunk`, into `ws` and runs
+    /// them forward; returns the `chunk.len() x 1` outputs.
+    fn forward_chunk(
+        &mut self,
+        ws: &mut Self::Workspace,
+        inputs: &[Vec<f64>],
+        chunk: &[usize],
+    ) -> &Matrix;
+
+    /// Backpropagates `grad`, the loss gradient on the outputs of the last
+    /// [`NeuralNet::forward_chunk`], accumulating parameter gradients.
+    fn backward_chunk(&mut self, ws: &mut Self::Workspace, grad: &Matrix);
+}
+
+/// The training settings every family takes: epoch budget, Adam learning
+/// rate and initialization seed.
+#[derive(Debug, Clone, Copy)]
+struct Recipe {
+    epochs: usize,
+    lr: f64,
+    seed: u64,
+}
+
+impl Recipe {
+    fn new(epochs: usize, lr: f64, seed: u64) -> Self {
+        Recipe {
+            epochs: epochs.max(1),
+            lr,
+            seed,
+        }
+    }
+
+    /// The one training loop. `build` draws the network for windows of the
+    /// given length from the seeded stream, which then drives the
+    /// shuffles; each chunk of `BATCH` windows takes one clipped Adam step.
+    fn train<N: NeuralNet>(
+        self,
+        inputs: &[Vec<f64>],
+        targets: &[f64],
+        build: impl FnOnce(&mut DetRng, usize) -> Result<N, ModelError>,
+    ) -> Result<N, ModelError> {
+        if inputs.is_empty() || inputs.len() != targets.len() {
+            return Err(ModelError::SeriesTooShort {
+                needed: 1,
+                got: inputs.len(),
+            });
+        }
+        let mut rng = DetRng::seed_from_u64(self.seed);
+        let mut net = build(&mut rng, inputs[0].len())?;
+        let mut opt = Adam::new(self.lr);
+        // Staging reused across chunks and epochs, so the steady state
+        // allocates nothing beyond `mse_loss_grad`'s tiny per-row vector.
+        let mut ws = N::Workspace::default();
+        let mut grad = Matrix::default();
+        for _ in 0..self.epochs {
+            let order = shuffled_indices(inputs.len(), &mut rng);
+            for chunk in order.chunks(BATCH) {
+                net.zero_grad();
+                grad.resize(chunk.len(), 1);
+                let out = net.forward_chunk(&mut ws, inputs, chunk);
+                for (r, &i) in chunk.iter().enumerate() {
+                    grad.row_mut(r)
+                        .copy_from_slice(&mse_loss_grad(out.row(r), &[targets[i]]));
+                }
+                net.backward_chunk(&mut ws, &grad);
+                net.clip_grad_norm(5.0);
+                opt.step(&mut net);
+            }
+        }
+        Ok(net)
     }
 }
 
-/// Three-layer variant of [`ParamGroup2`] (conv/LSTM/head stacks).
-struct ParamGroup3<'a, A: Network, B: Network, C: Network>(&'a mut A, &'a mut B, &'a mut C);
+/// Runs the linear `head` over the chunk's `n` final feature rows
+/// (sample-major), staged as a row matrix in `hb`.
+fn head_forward<'a>(
+    head: &'a mut Dense,
+    hb: &mut Matrix,
+    n: usize,
+    features: &[f64],
+) -> &'a Matrix {
+    hb.resize(n, head.in_dim());
+    hb.data_mut().copy_from_slice(features);
+    head.forward_batch(hb)
+}
 
-impl<A: Network, B: Network, C: Network> Network for ParamGroup3<'_, A, B, C> {
+impl NeuralNet for Mlp {
+    type Workspace = Matrix;
+
+    fn forward_chunk(&mut self, xb: &mut Matrix, inputs: &[Vec<f64>], chunk: &[usize]) -> &Matrix {
+        xb.resize(chunk.len(), self.in_dim());
+        for (r, &i) in chunk.iter().enumerate() {
+            xb.row_mut(r).copy_from_slice(&inputs[i]);
+        }
+        self.forward_batch(xb)
+    }
+
+    fn backward_chunk(&mut self, _xb: &mut Matrix, grad: &Matrix) {
+        self.backward_batch_weights_only(grad);
+    }
+}
+
+/// An LSTM over the window's overlapping width-`in_dim` patches with a
+/// linear head on the final hidden state (Conv-LSTM; LSTM at patch 1).
+#[derive(Debug, Clone)]
+struct PatchLstmNet {
+    lstm: Lstm,
+    head: Dense,
+}
+
+impl Network for PatchLstmNet {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        self.0.visit_params(f);
-        self.1.visit_params(f);
-        self.2.visit_params(f);
+        self.lstm.visit_params(f);
+        self.head.visit_params(f);
+    }
+}
+
+impl NeuralNet for PatchLstmNet {
+    type Workspace = (RecurrentWorkspace, Matrix);
+
+    fn forward_chunk(
+        &mut self,
+        (ws, hb): &mut Self::Workspace,
+        inputs: &[Vec<f64>],
+        chunk: &[usize],
+    ) -> &Matrix {
+        let (n, window, patch) = (chunk.len(), inputs[chunk[0]].len(), self.lstm.in_dim());
+        ws.stage(n, window + 1 - patch, patch, self.lstm.hidden_dim());
+        for (s, &i) in chunk.iter().enumerate() {
+            debug_assert_eq!(inputs[i].len(), window, "uniform window length");
+            for (t, x) in inputs[i].windows(patch).enumerate() {
+                ws.set_input(s, t, x);
+            }
+        }
+        self.lstm.forward_batch(ws);
+        head_forward(&mut self.head, hb, n, ws.h_last())
+    }
+
+    fn backward_chunk(&mut self, (ws, _): &mut Self::Workspace, grad: &Matrix) {
+        let gh = self.head.backward_batch(grad);
+        self.lstm.backward_batch_last(gh.data(), ws, false);
+    }
+}
+
+/// A Bi-LSTM over the scalar window with a linear head on both
+/// directions' final hidden states.
+#[derive(Debug, Clone)]
+struct BiLstmNet {
+    bilstm: BiLstm,
+    head: Dense,
+}
+
+impl Network for BiLstmNet {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+        self.bilstm.visit_params(f);
+        self.head.visit_params(f);
+    }
+}
+
+impl NeuralNet for BiLstmNet {
+    type Workspace = (BiRecurrentWorkspace, Matrix);
+
+    fn forward_chunk(
+        &mut self,
+        (ws, hb): &mut Self::Workspace,
+        inputs: &[Vec<f64>],
+        chunk: &[usize],
+    ) -> &Matrix {
+        let (n, steps) = (chunk.len(), inputs[chunk[0]].len());
+        ws.stage(n, steps, 1, self.bilstm.out_dim() / 2);
+        for (s, &i) in chunk.iter().enumerate() {
+            debug_assert_eq!(inputs[i].len(), steps, "uniform window length");
+            for (t, x) in inputs[i].windows(1).enumerate() {
+                ws.set_input(s, t, x);
+            }
+        }
+        self.bilstm.forward_batch(ws);
+        head_forward(&mut self.head, hb, n, ws.output())
+    }
+
+    fn backward_chunk(&mut self, (ws, _): &mut Self::Workspace, grad: &Matrix) {
+        let gh = self.head.backward_batch(grad);
+        self.bilstm.backward_batch_last(gh.data(), ws, false);
+    }
+}
+
+/// Conv1d features over the window, an LSTM over the feature sequence
+/// and a linear head on its final hidden state.
+#[derive(Debug, Clone)]
+struct CnnLstmNet {
+    conv: Conv1d,
+    lstm: Lstm,
+    head: Dense,
+}
+
+impl Network for CnnLstmNet {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+        self.conv.visit_params(f);
+        self.lstm.visit_params(f);
+        self.head.visit_params(f);
+    }
+}
+
+impl NeuralNet for CnnLstmNet {
+    type Workspace = (ConvWorkspace, RecurrentWorkspace, Matrix);
+
+    fn forward_chunk(
+        &mut self,
+        (cws, ws, hb): &mut Self::Workspace,
+        inputs: &[Vec<f64>],
+        chunk: &[usize],
+    ) -> &Matrix {
+        let (n, window) = (chunk.len(), inputs[chunk[0]].len());
+        self.conv.stage_batch(cws, n, window);
+        for (s, &i) in chunk.iter().enumerate() {
+            debug_assert_eq!(inputs[i].len(), window, "uniform window length");
+            cws.input_mut(s).copy_from_slice(&inputs[i]);
+        }
+        self.conv.forward_batch(cws);
+        let steps = self.conv.out_len(window);
+        ws.stage(n, steps, self.conv.out_channels(), self.lstm.hidden_dim());
+        for s in 0..n {
+            for t in 0..steps {
+                ws.set_input(s, t, cws.output_row(s, t));
+            }
+        }
+        self.lstm.forward_batch(ws);
+        head_forward(&mut self.head, hb, n, ws.h_last())
+    }
+
+    fn backward_chunk(&mut self, (cws, ws, _): &mut Self::Workspace, grad: &Matrix) {
+        let gh = self.head.backward_batch(grad);
+        self.lstm.backward_batch_last(gh.data(), ws, true);
+        let (n, ch) = (grad.rows(), self.conv.out_channels());
+        for t in 0..ws.steps() {
+            let gx = ws.grad_x(t);
+            for s in 0..n {
+                cws.grad_output_row_mut(s, t)
+                    .copy_from_slice(&gx[s * ch..(s + 1) * ch]);
+            }
+        }
+        self.conv.backward_batch_weights_only(cws);
+    }
+}
+
+/// Two stacked LSTMs over the scalar window, the full hidden sequence of
+/// the first feeding the second, and a linear head on the second's final
+/// hidden state.
+#[derive(Debug, Clone)]
+struct StackedLstmNet {
+    lstm1: Lstm,
+    lstm2: Lstm,
+    head: Dense,
+}
+
+impl Network for StackedLstmNet {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+        self.lstm1.visit_params(f);
+        self.lstm2.visit_params(f);
+        self.head.visit_params(f);
+    }
+}
+
+impl NeuralNet for StackedLstmNet {
+    type Workspace = (RecurrentWorkspace, RecurrentWorkspace, Matrix);
+
+    fn forward_chunk(
+        &mut self,
+        (ws1, ws2, hb): &mut Self::Workspace,
+        inputs: &[Vec<f64>],
+        chunk: &[usize],
+    ) -> &Matrix {
+        let (n, steps) = (chunk.len(), inputs[chunk[0]].len());
+        let (h1, h2) = (self.lstm1.hidden_dim(), self.lstm2.hidden_dim());
+        ws1.stage(n, steps, 1, h1);
+        for (s, &i) in chunk.iter().enumerate() {
+            debug_assert_eq!(inputs[i].len(), steps, "uniform window length");
+            for (t, x) in inputs[i].windows(1).enumerate() {
+                ws1.set_input(s, t, x);
+            }
+        }
+        self.lstm1.forward_batch(ws1);
+        ws2.stage(n, steps, h1, h2);
+        for t in 0..steps {
+            let hs = ws1.h_step(t);
+            for s in 0..n {
+                ws2.set_input(s, t, &hs[s * h1..(s + 1) * h1]);
+            }
+        }
+        self.lstm2.forward_batch(ws2);
+        head_forward(&mut self.head, hb, n, ws2.h_last())
+    }
+
+    fn backward_chunk(&mut self, (ws1, ws2, _): &mut Self::Workspace, grad: &Matrix) {
+        let gh = self.head.backward_batch(grad);
+        self.lstm2.backward_batch_last(gh.data(), ws2, true);
+        for t in 0..ws2.steps() {
+            ws1.grad_h_mut(t).copy_from_slice(ws2.grad_x(t));
+        }
+        self.lstm1.backward_batch_full(ws1, false);
     }
 }
 
@@ -105,9 +397,7 @@ impl<A: Network, B: Network, C: Network> Network for ParamGroup3<'_, A, B, C> {
 #[derive(Debug, Clone)]
 pub struct MlpRegressor {
     hidden: Vec<usize>,
-    epochs: usize,
-    lr: f64,
-    seed: u64,
+    recipe: Recipe,
     net: Option<Mlp>,
 }
 
@@ -116,9 +406,7 @@ impl MlpRegressor {
     pub fn new(hidden: Vec<usize>, epochs: usize, lr: f64, seed: u64) -> Self {
         MlpRegressor {
             hidden,
-            epochs: epochs.max(1),
-            lr,
-            seed,
+            recipe: Recipe::new(epochs, lr, seed),
             net: None,
         }
     }
@@ -126,46 +414,18 @@ impl MlpRegressor {
 
 impl TabularModel for MlpRegressor {
     fn fit(&mut self, inputs: &[Vec<f64>], targets: &[f64]) -> Result<(), ModelError> {
-        if inputs.is_empty() || inputs.len() != targets.len() {
-            return Err(ModelError::SeriesTooShort {
-                needed: 1,
-                got: inputs.len(),
-            });
-        }
-        let mut rng = DetRng::seed_from_u64(self.seed);
-        let mut sizes = vec![inputs[0].len()];
-        sizes.extend(&self.hidden);
-        sizes.push(1);
-        let mut net = Mlp::new(&mut rng, &sizes, Activation::Relu, Activation::Identity);
-        let mut opt = Adam::new(self.lr);
-        // Chunk staging matrices, reused across batches so the steady
-        // state allocates nothing beyond `mse_loss_grad`'s tiny per-row
-        // vector.
-        let mut xb = Matrix::default();
-        let mut gb = Matrix::default();
-        for _ in 0..self.epochs {
-            let order = shuffled_indices(inputs.len(), &mut rng);
-            for chunk in order.chunks(BATCH) {
-                net.zero_grad();
-                let n = chunk.len();
-                xb.resize(n, sizes[0]);
-                for (r, &i) in chunk.iter().enumerate() {
-                    xb.row_mut(r).copy_from_slice(&inputs[i]);
-                }
-                gb.resize(n, 1);
-                {
-                    let out = net.forward_batch(&xb);
-                    for (r, &i) in chunk.iter().enumerate() {
-                        let g = mse_loss_grad(out.row(r), &[targets[i]]);
-                        gb.row_mut(r).copy_from_slice(&g);
-                    }
-                }
-                net.backward_batch_weights_only(&gb);
-                net.clip_grad_norm(5.0);
-                opt.step(&mut net);
-            }
-        }
-        self.net = Some(net);
+        let hidden = &self.hidden;
+        self.net = Some(self.recipe.train(inputs, targets, |rng, window| {
+            let mut sizes = vec![window];
+            sizes.extend(hidden);
+            sizes.push(1);
+            Ok(Mlp::new(
+                rng,
+                &sizes,
+                Activation::Relu,
+                Activation::Identity,
+            ))
+        })?);
         Ok(())
     }
 
@@ -176,108 +436,12 @@ impl TabularModel for MlpRegressor {
     }
 }
 
-/// LSTM regressor (paper family **LSTM**): LSTM over the window as a
-/// length-k sequence, linear head on the final hidden state.
-#[derive(Debug, Clone)]
-pub struct LstmRegressor {
-    hidden: usize,
-    epochs: usize,
-    lr: f64,
-    seed: u64,
-    lstm: Option<Lstm>,
-    head: Option<Dense>,
-    scratch: Scratch<(LstmInferenceCache, [f64; 1])>,
-}
-
-impl LstmRegressor {
-    /// Creates an unfitted LSTM regressor.
-    pub fn new(hidden: usize, epochs: usize, lr: f64, seed: u64) -> Self {
-        LstmRegressor {
-            hidden: hidden.max(1),
-            epochs: epochs.max(1),
-            lr,
-            seed,
-            lstm: None,
-            head: None,
-            scratch: Scratch::default(),
-        }
-    }
-}
-
-impl TabularModel for LstmRegressor {
-    fn fit(&mut self, inputs: &[Vec<f64>], targets: &[f64]) -> Result<(), ModelError> {
-        if inputs.is_empty() || inputs.len() != targets.len() {
-            return Err(ModelError::SeriesTooShort {
-                needed: 1,
-                got: inputs.len(),
-            });
-        }
-        let steps = inputs[0].len();
-        let mut rng = DetRng::seed_from_u64(self.seed);
-        let mut lstm = Lstm::new(&mut rng, 1, self.hidden);
-        let mut head = Dense::new(&mut rng, self.hidden, 1, Activation::Identity);
-        let mut opt = Adam::new(self.lr);
-        // Persistent staging: the recurrent workspace plus the head's
-        // chunk matrices are reused across every batch and epoch.
-        let mut ws = RecurrentWorkspace::new();
-        let mut hb = Matrix::default();
-        let mut gb = Matrix::default();
-        for _ in 0..self.epochs {
-            let order = shuffled_indices(inputs.len(), &mut rng);
-            for chunk in order.chunks(BATCH) {
-                let mut group = ParamGroup2(&mut lstm, &mut head);
-                group.zero_grad();
-                let n = chunk.len();
-                ws.stage(n, steps, 1, self.hidden);
-                for (s, &i) in chunk.iter().enumerate() {
-                    debug_assert_eq!(inputs[i].len(), steps, "uniform window length");
-                    for (t, v) in inputs[i].iter().enumerate() {
-                        ws.set_input(s, t, std::slice::from_ref(v));
-                    }
-                }
-                group.0.forward_batch(&mut ws);
-                hb.resize(n, self.hidden);
-                hb.data_mut().copy_from_slice(ws.h_last());
-                gb.resize(n, 1);
-                {
-                    let out = group.1.forward_batch(&hb);
-                    for (r, &i) in chunk.iter().enumerate() {
-                        let g = mse_loss_grad(out.row(r), &[targets[i]]);
-                        gb.row_mut(r).copy_from_slice(&g);
-                    }
-                }
-                let gh = group.1.backward_batch(&gb);
-                group.0.backward_batch_last(gh.data(), &mut ws, false);
-                group.clip_grad_norm(5.0);
-                opt.step(&mut group);
-            }
-        }
-        self.lstm = Some(lstm);
-        self.head = Some(head);
-        Ok(())
-    }
-
-    fn predict(&self, input: &[f64]) -> f64 {
-        let (Some(lstm), Some(head)) = (self.lstm.as_ref(), self.head.as_ref()) else {
-            return 0.0;
-        };
-        let mut guard = self.scratch.lock();
-        let (cache, out) = &mut *guard;
-        let h = lstm.forward_inference_cached(input, 1, cache);
-        head.forward_inference_into(h, out);
-        out[0]
-    }
-}
-
 /// Bi-LSTM regressor (paper family **Bi-LSTM**).
 #[derive(Debug, Clone)]
 pub struct BiLstmRegressor {
     hidden: usize,
-    epochs: usize,
-    lr: f64,
-    seed: u64,
-    bilstm: Option<BiLstm>,
-    head: Option<Dense>,
+    recipe: Recipe,
+    net: Option<BiLstmNet>,
     scratch: Scratch<(BiLstmInferenceCache, [f64; 1])>,
 }
 
@@ -286,11 +450,8 @@ impl BiLstmRegressor {
     pub fn new(hidden: usize, epochs: usize, lr: f64, seed: u64) -> Self {
         BiLstmRegressor {
             hidden: hidden.max(1),
-            epochs: epochs.max(1),
-            lr,
-            seed,
-            bilstm: None,
-            head: None,
+            recipe: Recipe::new(epochs, lr, seed),
+            net: None,
             scratch: Scratch::default(),
         }
     }
@@ -298,63 +459,22 @@ impl BiLstmRegressor {
 
 impl TabularModel for BiLstmRegressor {
     fn fit(&mut self, inputs: &[Vec<f64>], targets: &[f64]) -> Result<(), ModelError> {
-        if inputs.is_empty() || inputs.len() != targets.len() {
-            return Err(ModelError::SeriesTooShort {
-                needed: 1,
-                got: inputs.len(),
-            });
-        }
-        let steps = inputs[0].len();
-        let mut rng = DetRng::seed_from_u64(self.seed);
-        let mut bilstm = BiLstm::new(&mut rng, 1, self.hidden);
-        let mut head = Dense::new(&mut rng, 2 * self.hidden, 1, Activation::Identity);
-        let mut opt = Adam::new(self.lr);
-        let mut ws = BiRecurrentWorkspace::new();
-        let mut hb = Matrix::default();
-        let mut gb = Matrix::default();
-        for _ in 0..self.epochs {
-            let order = shuffled_indices(inputs.len(), &mut rng);
-            for chunk in order.chunks(BATCH) {
-                let mut group = ParamGroup2(&mut bilstm, &mut head);
-                group.zero_grad();
-                let n = chunk.len();
-                ws.stage(n, steps, 1, self.hidden);
-                for (s, &i) in chunk.iter().enumerate() {
-                    debug_assert_eq!(inputs[i].len(), steps, "uniform window length");
-                    for (t, v) in inputs[i].iter().enumerate() {
-                        ws.set_input(s, t, std::slice::from_ref(v));
-                    }
-                }
-                group.0.forward_batch(&mut ws);
-                hb.resize(n, 2 * self.hidden);
-                hb.data_mut().copy_from_slice(ws.output());
-                gb.resize(n, 1);
-                {
-                    let out = group.1.forward_batch(&hb);
-                    for (r, &i) in chunk.iter().enumerate() {
-                        let g = mse_loss_grad(out.row(r), &[targets[i]]);
-                        gb.row_mut(r).copy_from_slice(&g);
-                    }
-                }
-                let gh = group.1.backward_batch(&gb);
-                group.0.backward_batch_last(gh.data(), &mut ws, false);
-                group.clip_grad_norm(5.0);
-                opt.step(&mut group);
-            }
-        }
-        self.bilstm = Some(bilstm);
-        self.head = Some(head);
+        let hidden = self.hidden;
+        self.net = Some(self.recipe.train(inputs, targets, |rng, _window| {
+            Ok(BiLstmNet {
+                bilstm: BiLstm::new(rng, 1, hidden),
+                head: Dense::new(rng, 2 * hidden, 1, Activation::Identity),
+            })
+        })?);
         Ok(())
     }
 
     fn predict(&self, input: &[f64]) -> f64 {
-        let (Some(b), Some(head)) = (self.bilstm.as_ref(), self.head.as_ref()) else {
-            return 0.0;
-        };
+        let Some(net) = &self.net else { return 0.0 };
         let mut guard = self.scratch.lock();
         let (cache, out) = &mut *guard;
-        let h = b.forward_inference_cached(input, 1, cache);
-        head.forward_inference_into(h, out);
+        let h = net.bilstm.forward_inference_cached(input, 1, cache);
+        net.head.forward_inference_into(h, out);
         out[0]
     }
 }
@@ -366,12 +486,8 @@ pub struct CnnLstmRegressor {
     channels: usize,
     kernel: usize,
     hidden: usize,
-    epochs: usize,
-    lr: f64,
-    seed: u64,
-    conv: Option<Conv1d>,
-    lstm: Option<Lstm>,
-    head: Option<Dense>,
+    recipe: Recipe,
+    net: Option<CnnLstmNet>,
     scratch: Scratch<(ConvInferenceCache, LstmInferenceCache, [f64; 1])>,
 }
 
@@ -389,12 +505,8 @@ impl CnnLstmRegressor {
             channels: channels.max(1),
             kernel: kernel.max(1),
             hidden: hidden.max(1),
-            epochs: epochs.max(1),
-            lr,
-            seed,
-            conv: None,
-            lstm: None,
-            head: None,
+            recipe: Recipe::new(epochs, lr, seed),
+            net: None,
             scratch: Scratch::default(),
         }
     }
@@ -402,105 +514,45 @@ impl CnnLstmRegressor {
 
 impl TabularModel for CnnLstmRegressor {
     fn fit(&mut self, inputs: &[Vec<f64>], targets: &[f64]) -> Result<(), ModelError> {
-        if inputs.is_empty() || inputs.len() != targets.len() {
-            return Err(ModelError::SeriesTooShort {
-                needed: 1,
-                got: inputs.len(),
-            });
-        }
-        let window = inputs[0].len();
-        if window < self.kernel {
-            return Err(ModelError::Numerical {
-                context: format!("window {window} shorter than conv kernel {}", self.kernel),
-            });
-        }
-        let mut rng = DetRng::seed_from_u64(self.seed);
-        let mut conv = Conv1d::new(&mut rng, 1, self.channels, self.kernel, Activation::Relu);
-        let mut lstm = Lstm::new(&mut rng, self.channels, self.hidden);
-        let mut head = Dense::new(&mut rng, self.hidden, 1, Activation::Identity);
-        let mut opt = Adam::new(self.lr);
-        let t_out = window - self.kernel + 1;
-        let ch = self.channels;
-        let mut cws = ConvWorkspace::new();
-        let mut ws = RecurrentWorkspace::new();
-        let mut hb = Matrix::default();
-        let mut gb = Matrix::default();
-        for _ in 0..self.epochs {
-            let order = shuffled_indices(inputs.len(), &mut rng);
-            for chunk in order.chunks(BATCH) {
-                let mut group = ParamGroup3(&mut conv, &mut lstm, &mut head);
-                group.zero_grad();
-                let n = chunk.len();
-                group.0.stage_batch(&mut cws, n, window);
-                for (s, &i) in chunk.iter().enumerate() {
-                    debug_assert_eq!(inputs[i].len(), window, "uniform window length");
-                    cws.input_mut(s).copy_from_slice(&inputs[i]);
-                }
-                group.0.forward_batch(&mut cws);
-                ws.stage(n, t_out, ch, self.hidden);
-                for s in 0..n {
-                    for t in 0..t_out {
-                        ws.set_input(s, t, cws.output_row(s, t));
-                    }
-                }
-                group.1.forward_batch(&mut ws);
-                hb.resize(n, self.hidden);
-                hb.data_mut().copy_from_slice(ws.h_last());
-                gb.resize(n, 1);
-                {
-                    let out = group.2.forward_batch(&hb);
-                    for (r, &i) in chunk.iter().enumerate() {
-                        let g = mse_loss_grad(out.row(r), &[targets[i]]);
-                        gb.row_mut(r).copy_from_slice(&g);
-                    }
-                }
-                let gh = group.2.backward_batch(&gb);
-                group.1.backward_batch_last(gh.data(), &mut ws, true);
-                for t in 0..t_out {
-                    let gx = ws.grad_x(t);
-                    for s in 0..n {
-                        cws.grad_output_row_mut(s, t)
-                            .copy_from_slice(&gx[s * ch..(s + 1) * ch]);
-                    }
-                }
-                group.0.backward_batch_weights_only(&mut cws);
-                group.clip_grad_norm(5.0);
-                opt.step(&mut group);
+        let (channels, kernel, hidden) = (self.channels, self.kernel, self.hidden);
+        self.net = Some(self.recipe.train(inputs, targets, |rng, window| {
+            if window < kernel {
+                return Err(ModelError::Numerical {
+                    context: format!("window {window} shorter than conv kernel {kernel}"),
+                });
             }
-        }
-        self.conv = Some(conv);
-        self.lstm = Some(lstm);
-        self.head = Some(head);
+            Ok(CnnLstmNet {
+                conv: Conv1d::new(rng, 1, channels, kernel, Activation::Relu),
+                lstm: Lstm::new(rng, channels, hidden),
+                head: Dense::new(rng, hidden, 1, Activation::Identity),
+            })
+        })?);
         Ok(())
     }
 
     fn predict(&self, input: &[f64]) -> f64 {
-        let (Some(conv), Some(lstm), Some(head)) =
-            (self.conv.as_ref(), self.lstm.as_ref(), self.head.as_ref())
-        else {
-            return 0.0;
-        };
+        let Some(net) = &self.net else { return 0.0 };
         let mut guard = self.scratch.lock();
         let (conv_cache, lstm_cache, out) = &mut *guard;
-        let y = conv.forward_inference_cached(input, conv_cache);
-        let h = lstm.forward_inference_cached(y, self.channels, lstm_cache);
-        head.forward_inference_into(h, out);
+        let y = net.conv.forward_inference_cached(input, conv_cache);
+        let h = net
+            .lstm
+            .forward_inference_cached(y, self.channels, lstm_cache);
+        net.head.forward_inference_into(h, out);
         out[0]
     }
 }
 
 /// Conv-LSTM regressor (paper family **Conv-LSTM**): LSTM over overlapping
 /// width-`patch` slices of the window, so every input-to-state transition
-/// has a local receptive field.
+/// has a local receptive field. At patch 1 it is the paper's plain
+/// **LSTM** family: an LSTM over the window as a length-k sequence.
 #[derive(Debug, Clone)]
 pub struct ConvLstmRegressor {
     patch: usize,
     hidden: usize,
-    epochs: usize,
-    lr: f64,
-    seed: u64,
-    lstm: Option<Lstm>,
-    head: Option<Dense>,
+    recipe: Recipe,
+    net: Option<PatchLstmNet>,
     scratch: Scratch<(LstmInferenceCache, [f64; 1])>,
 }
 
@@ -510,11 +562,8 @@ impl ConvLstmRegressor {
         ConvLstmRegressor {
             patch: patch.max(1),
             hidden: hidden.max(1),
-            epochs: epochs.max(1),
-            lr,
-            seed,
-            lstm: None,
-            head: None,
+            recipe: Recipe::new(epochs, lr, seed),
+            net: None,
             scratch: Scratch::default(),
         }
     }
@@ -522,65 +571,22 @@ impl ConvLstmRegressor {
 
 impl TabularModel for ConvLstmRegressor {
     fn fit(&mut self, inputs: &[Vec<f64>], targets: &[f64]) -> Result<(), ModelError> {
-        if inputs.is_empty() || inputs.len() != targets.len() {
-            return Err(ModelError::SeriesTooShort {
-                needed: 1,
-                got: inputs.len(),
-            });
-        }
-        let window = inputs[0].len();
-        let in_dim = self.patch.min(window);
-        let steps = window - in_dim + 1;
-        let mut rng = DetRng::seed_from_u64(self.seed);
-        let mut lstm = Lstm::new(&mut rng, in_dim, self.hidden);
-        let mut head = Dense::new(&mut rng, self.hidden, 1, Activation::Identity);
-        let mut opt = Adam::new(self.lr);
-        let mut ws = RecurrentWorkspace::new();
-        let mut hb = Matrix::default();
-        let mut gb = Matrix::default();
-        for _ in 0..self.epochs {
-            let order = shuffled_indices(inputs.len(), &mut rng);
-            for chunk in order.chunks(BATCH) {
-                let mut group = ParamGroup2(&mut lstm, &mut head);
-                group.zero_grad();
-                let n = chunk.len();
-                ws.stage(n, steps, in_dim, self.hidden);
-                for (s, &i) in chunk.iter().enumerate() {
-                    debug_assert_eq!(inputs[i].len(), window, "uniform window length");
-                    for t in 0..steps {
-                        ws.set_input(s, t, &inputs[i][t..t + in_dim]);
-                    }
-                }
-                group.0.forward_batch(&mut ws);
-                hb.resize(n, self.hidden);
-                hb.data_mut().copy_from_slice(ws.h_last());
-                gb.resize(n, 1);
-                {
-                    let out = group.1.forward_batch(&hb);
-                    for (r, &i) in chunk.iter().enumerate() {
-                        let g = mse_loss_grad(out.row(r), &[targets[i]]);
-                        gb.row_mut(r).copy_from_slice(&g);
-                    }
-                }
-                let gh = group.1.backward_batch(&gb);
-                group.0.backward_batch_last(gh.data(), &mut ws, false);
-                group.clip_grad_norm(5.0);
-                opt.step(&mut group);
-            }
-        }
-        self.lstm = Some(lstm);
-        self.head = Some(head);
+        let (patch, hidden) = (self.patch, self.hidden);
+        self.net = Some(self.recipe.train(inputs, targets, |rng, window| {
+            Ok(PatchLstmNet {
+                lstm: Lstm::new(rng, patch.min(window), hidden),
+                head: Dense::new(rng, hidden, 1, Activation::Identity),
+            })
+        })?);
         Ok(())
     }
 
     fn predict(&self, input: &[f64]) -> f64 {
-        let (Some(lstm), Some(head)) = (self.lstm.as_ref(), self.head.as_ref()) else {
-            return 0.0;
-        };
+        let Some(net) = &self.net else { return 0.0 };
         let mut guard = self.scratch.lock();
         let (cache, out) = &mut *guard;
-        let h = lstm.forward_inference_cached(input, 1, cache);
-        head.forward_inference_into(h, out);
+        let h = net.lstm.forward_inference_cached(input, 1, cache);
+        net.head.forward_inference_into(h, out);
         out[0]
     }
 }
@@ -593,12 +599,8 @@ impl TabularModel for ConvLstmRegressor {
 pub struct StackedLstmRegressor {
     hidden1: usize,
     hidden2: usize,
-    epochs: usize,
-    lr: f64,
-    seed: u64,
-    lstm1: Option<Lstm>,
-    lstm2: Option<Lstm>,
-    head: Option<Dense>,
+    recipe: Recipe,
+    net: Option<StackedLstmNet>,
     scratch: Scratch<(LstmInferenceCache, LstmInferenceCache, [f64; 1])>,
 }
 
@@ -608,12 +610,8 @@ impl StackedLstmRegressor {
         StackedLstmRegressor {
             hidden1: hidden1.max(1),
             hidden2: hidden2.max(1),
-            epochs: epochs.max(1),
-            lr,
-            seed,
-            lstm1: None,
-            lstm2: None,
-            head: None,
+            recipe: Recipe::new(epochs, lr, seed),
+            net: None,
             scratch: Scratch::default(),
         }
     }
@@ -621,82 +619,24 @@ impl StackedLstmRegressor {
 
 impl TabularModel for StackedLstmRegressor {
     fn fit(&mut self, inputs: &[Vec<f64>], targets: &[f64]) -> Result<(), ModelError> {
-        if inputs.is_empty() || inputs.len() != targets.len() {
-            return Err(ModelError::SeriesTooShort {
-                needed: 1,
-                got: inputs.len(),
-            });
-        }
-        let steps = inputs[0].len();
         let (h1, h2) = (self.hidden1, self.hidden2);
-        let mut rng = DetRng::seed_from_u64(self.seed);
-        let mut lstm1 = Lstm::new(&mut rng, 1, h1);
-        let mut lstm2 = Lstm::new(&mut rng, h1, h2);
-        let mut head = Dense::new(&mut rng, h2, 1, Activation::Identity);
-        let mut opt = Adam::new(self.lr);
-        let mut ws1 = RecurrentWorkspace::new();
-        let mut ws2 = RecurrentWorkspace::new();
-        let mut hb = Matrix::default();
-        let mut gb = Matrix::default();
-        for _ in 0..self.epochs {
-            let order = shuffled_indices(inputs.len(), &mut rng);
-            for chunk in order.chunks(BATCH) {
-                let mut group = ParamGroup3(&mut lstm1, &mut lstm2, &mut head);
-                group.zero_grad();
-                let n = chunk.len();
-                ws1.stage(n, steps, 1, h1);
-                for (s, &i) in chunk.iter().enumerate() {
-                    debug_assert_eq!(inputs[i].len(), steps, "uniform window length");
-                    for (t, v) in inputs[i].iter().enumerate() {
-                        ws1.set_input(s, t, std::slice::from_ref(v));
-                    }
-                }
-                group.0.forward_batch(&mut ws1);
-                ws2.stage(n, steps, h1, h2);
-                for t in 0..steps {
-                    let hs = ws1.h_step(t);
-                    for s in 0..n {
-                        ws2.set_input(s, t, &hs[s * h1..(s + 1) * h1]);
-                    }
-                }
-                group.1.forward_batch(&mut ws2);
-                hb.resize(n, h2);
-                hb.data_mut().copy_from_slice(ws2.h_last());
-                gb.resize(n, 1);
-                {
-                    let out = group.2.forward_batch(&hb);
-                    for (r, &i) in chunk.iter().enumerate() {
-                        let g = mse_loss_grad(out.row(r), &[targets[i]]);
-                        gb.row_mut(r).copy_from_slice(&g);
-                    }
-                }
-                let gh = group.2.backward_batch(&gb);
-                group.1.backward_batch_last(gh.data(), &mut ws2, true);
-                for t in 0..steps {
-                    ws1.grad_h_mut(t).copy_from_slice(ws2.grad_x(t));
-                }
-                group.0.backward_batch_full(&mut ws1, false);
-                group.clip_grad_norm(5.0);
-                opt.step(&mut group);
-            }
-        }
-        self.lstm1 = Some(lstm1);
-        self.lstm2 = Some(lstm2);
-        self.head = Some(head);
+        self.net = Some(self.recipe.train(inputs, targets, |rng, _window| {
+            Ok(StackedLstmNet {
+                lstm1: Lstm::new(rng, 1, h1),
+                lstm2: Lstm::new(rng, h1, h2),
+                head: Dense::new(rng, h2, 1, Activation::Identity),
+            })
+        })?);
         Ok(())
     }
 
     fn predict(&self, input: &[f64]) -> f64 {
-        let (Some(l1), Some(l2), Some(head)) =
-            (self.lstm1.as_ref(), self.lstm2.as_ref(), self.head.as_ref())
-        else {
-            return 0.0;
-        };
+        let Some(net) = &self.net else { return 0.0 };
         let mut guard = self.scratch.lock();
         let (c1, c2, out) = &mut *guard;
-        let hs1 = l1.forward_inference_cached_full(input, 1, c1);
-        let h2 = l2.forward_inference_cached(hs1, l2.in_dim(), c2);
-        head.forward_inference_into(h2, out);
+        let hs1 = net.lstm1.forward_inference_cached_full(input, 1, c1);
+        let h2 = net.lstm2.forward_inference_cached(hs1, self.hidden1, c2);
+        net.head.forward_inference_into(h2, out);
         out[0]
     }
 }
@@ -715,17 +655,18 @@ pub fn mlp_forecaster(
     )
 }
 
-/// An LSTM forecaster over embedded windows.
+/// An LSTM forecaster over embedded windows: the Conv-LSTM regressor with
+/// a patch of 1, which reads the window as a length-k scalar sequence.
 pub fn lstm_forecaster(
     k: usize,
     hidden: usize,
     epochs: usize,
     seed: u64,
-) -> Windowed<LstmRegressor> {
+) -> Windowed<ConvLstmRegressor> {
     Windowed::new(
         format!("LSTM(h={hidden})"),
         k,
-        LstmRegressor::new(hidden, epochs, 0.01, seed),
+        ConvLstmRegressor::new(1, hidden, epochs, 0.01, seed),
     )
 }
 
@@ -904,12 +845,143 @@ mod tests {
         (inputs, targets)
     }
 
+    /// Fits `model` on the golden windows `(n, k)` and returns FNV
+    /// digests of its fitted parameters (flattened by `params` in Adam's
+    /// visit order) and of its predictions on the training windows.
+    fn golden_digests<M: TabularModel>(
+        mut model: M,
+        n: usize,
+        k: usize,
+        params: impl FnOnce(&mut M) -> Vec<f64>,
+    ) -> (u64, u64) {
+        let (inputs, targets) = golden_windows(n, k, 0x5717 + n as u64);
+        model.fit(&inputs, &targets).unwrap();
+        let preds: Vec<f64> = inputs.iter().map(|w| model.predict(w)).collect();
+        (fnv_bits(&params(&mut model)), fnv_bits(&preds))
+    }
+
+    // The golden digests below pin every family's fit bit for bit: each
+    // (n, k, hyper-parameters, parameter digest, prediction digest) case
+    // was recorded in release and debug builds before the families'
+    // training loops were folded into one driver. n = 37, 50 and 120
+    // leave ragged final chunks of 5, 2 and 8 windows.
+
+    #[test]
+    fn mlp_fit_matches_golden_digests() {
+        let cases: [(usize, usize, &[usize], u64, u64); 3] = [
+            (37, 5, &[8], 0x6eeb_e101_ee8d_bc25, 0x5d60_5cc5_6dc0_5247),
+            (
+                50,
+                7,
+                &[16, 8],
+                0x950e_d626_c095_300a,
+                0xa95d_4dec_0824_6c76,
+            ),
+            (120, 12, &[16], 0xfd45_ba20_b214_bc8f, 0x395d_c441_a685_4a86),
+        ];
+        for &(n, k, hidden, want_params, want_preds) in &cases {
+            let m = MlpRegressor::new(hidden.to_vec(), 4, 0.01, 0x81 ^ k as u64);
+            let got = golden_digests(m, n, k, |m| m.net.as_mut().expect("fitted").flat_params());
+            assert_eq!(
+                got,
+                (want_params, want_preds),
+                "n={n} k={k} hidden={hidden:?} got {got:#x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn lstm_fit_matches_golden_digests() {
+        // The regressor comes from `lstm_forecaster`, so these pin the
+        // factory's Conv-LSTM at patch 1 against the digests recorded from
+        // the separate LSTM regressor it replaced.
+        let cases: [(usize, usize, usize, u64, u64); 3] = [
+            (37, 5, 8, 0x517c_7e44_5259_7645, 0xf37f_2f45_97c0_ccf7),
+            (50, 7, 4, 0xdfbf_84f7_0c07_a369, 0x149a_f3bd_b740_37f7),
+            (120, 5, 12, 0xde6f_9ed7_e1f7_f9f9, 0xfb9b_8c79_dbce_9abc),
+        ];
+        for &(n, k, h, want_params, want_preds) in &cases {
+            let m = lstm_forecaster(k, h, 4, 0x91 ^ k as u64).inner().clone();
+            let got = golden_digests(m, n, k, |m| m.net.as_mut().expect("fitted").flat_params());
+            assert_eq!(
+                got,
+                (want_params, want_preds),
+                "n={n} k={k} hidden={h} got {got:#x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn bilstm_fit_matches_golden_digests() {
+        let cases: [(usize, usize, usize, u64, u64); 3] = [
+            (37, 5, 4, 0x1d9f_c7ea_1931_a72a, 0x7672_a9e7_77eb_439d),
+            (50, 7, 6, 0xde78_f99c_c8bc_deb8, 0x1c23_bb53_a9d8_bde4),
+            (120, 5, 8, 0x804f_60f3_628f_fb4e, 0xa719_81c3_c0b6_a4eb),
+        ];
+        for &(n, k, h, want_params, want_preds) in &cases {
+            let m = BiLstmRegressor::new(h, 4, 0.01, 0xa1 ^ k as u64);
+            let got = golden_digests(m, n, k, |m| m.net.as_mut().expect("fitted").flat_params());
+            assert_eq!(
+                got,
+                (want_params, want_preds),
+                "n={n} k={k} hidden={h} got {got:#x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn cnn_lstm_fit_matches_golden_digests() {
+        // (n, k, channels, kernel, hidden, ..); k = kernel leaves the
+        // LSTM a single step.
+        let cases: [(usize, usize, usize, usize, usize, u64, u64); 3] = [
+            (37, 5, 4, 2, 8, 0xbf20_7da7_4053_f0c7, 0xf81f_1128_c541_3e42),
+            (50, 7, 3, 3, 5, 0x06f0_d96e_39c4_2a1f, 0x3756_2e34_07cf_2c2b),
+            (
+                120,
+                3,
+                2,
+                3,
+                4,
+                0xacfc_784b_9933_c815,
+                0x650d_3a57_a06f_382b,
+            ),
+        ];
+        for &(n, k, c, kernel, h, want_params, want_preds) in &cases {
+            let m = CnnLstmRegressor::new(c, kernel, h, 4, 0.01, 0xb1 ^ k as u64);
+            let got = golden_digests(m, n, k, |m| m.net.as_mut().expect("fitted").flat_params());
+            assert_eq!(
+                got,
+                (want_params, want_preds),
+                "n={n} k={k} c={c} kernel={kernel} hidden={h} got {got:#x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn conv_lstm_fit_matches_golden_digests() {
+        // (n, k, patch, hidden, ..); a patch wider than the window
+        // degrades to one step over the whole window.
+        let cases: [(usize, usize, usize, usize, u64, u64); 3] = [
+            (37, 5, 2, 8, 0x9a22_65be_fcb7_9b71, 0xbbdd_bd49_b627_dfe4),
+            (50, 7, 3, 4, 0x478f_c64c_adf7_19e3, 0x96d9_97be_94ff_d8ad),
+            (120, 3, 5, 6, 0x954a_47c5_ac35_b739, 0xde47_b080_eda0_f37f),
+        ];
+        for &(n, k, patch, h, want_params, want_preds) in &cases {
+            let m = ConvLstmRegressor::new(patch, h, 4, 0.01, 0xc1 ^ k as u64);
+            let got = golden_digests(m, n, k, |m| m.net.as_mut().expect("fitted").flat_params());
+            assert_eq!(
+                got,
+                (want_params, want_preds),
+                "n={n} k={k} patch={patch} hidden={h} got {got:#x?}"
+            );
+        }
+    }
+
     #[test]
     fn stacked_lstm_fit_matches_golden_digests() {
         // (n, k, hidden1, hidden2, parameter digest, prediction digest).
         // The digests were recorded from the per-sequence stacked fit the
-        // batched one replaced; n = 37, 50 and 120 leave ragged final
-        // chunks of 5, 2 and 8 windows.
+        // batched one replaced.
         let cases: [(usize, usize, usize, usize, u64, u64); 4] = [
             (37, 5, 8, 8, 0x6c86_a8e0_d805_3009, 0xcffd_01c2_3910_51d9),
             (50, 7, 5, 3, 0x9376_a04d_b64b_a9e6, 0x166d_8759_92d4_e86e),
@@ -917,15 +989,10 @@ mod tests {
             (120, 12, 8, 8, 0xd925_f4a9_03e8_80c1, 0x0041_41db_f321_817e),
         ];
         for &(n, k, h1, h2, want_params, want_preds) in &cases {
-            let (inputs, targets) = golden_windows(n, k, 0x5717 + n as u64);
-            let mut m = StackedLstmRegressor::new(h1, h2, 4, 0.01, 0x57 ^ k as u64);
-            m.fit(&inputs, &targets).unwrap();
-            let mut params = m.lstm1.as_mut().expect("fitted").flat_params();
-            params.extend(m.lstm2.as_mut().expect("fitted").flat_params());
-            params.extend(m.head.as_mut().expect("fitted").flat_params());
-            let preds: Vec<f64> = inputs.iter().map(|w| m.predict(w)).collect();
+            let m = StackedLstmRegressor::new(h1, h2, 4, 0.01, 0x57 ^ k as u64);
+            let got = golden_digests(m, n, k, |m| m.net.as_mut().expect("fitted").flat_params());
             assert_eq!(
-                (fnv_bits(&params), fnv_bits(&preds)),
+                got,
                 (want_params, want_preds),
                 "n={n} k={k} hidden=({h1},{h2})"
             );
@@ -954,7 +1021,6 @@ mod tests {
             MlpRegressor::new(vec![4], 5, 0.01, 0).predict(&[1.0; 5]),
             0.0
         );
-        assert_eq!(LstmRegressor::new(4, 5, 0.01, 0).predict(&[1.0; 5]), 0.0);
         assert_eq!(BiLstmRegressor::new(4, 5, 0.01, 0).predict(&[1.0; 5]), 0.0);
         assert_eq!(
             CnnLstmRegressor::new(2, 2, 4, 5, 0.01, 0).predict(&[1.0; 5]),

@@ -133,6 +133,13 @@ impl RecurrentWorkspace {
         &mut self.grad_h[t * bh..(t + 1) * bh]
     }
 
+    /// Timesteps of the last [`stage`].
+    ///
+    /// [`stage`]: RecurrentWorkspace::stage
+    pub fn steps(&self) -> usize {
+        self.steps
+    }
+
     /// Final hidden states after [`Lstm::forward_batch`] (`B x hidden`,
     /// sample-major).
     pub fn h_last(&self) -> &[f64] {

@@ -13,11 +13,18 @@
 //!
 //! The DDPG benchmarks fill the replay buffer with synthetic transitions
 //! rather than a fitted forecaster pool: the update cost depends only on
-//! the state/action dimensions, batch size, and network shape, and this
-//! keeps `--quick` runs in seconds. Each DDPG sample times
-//! [`UPDATES_PER_RUN`] consecutive updates from a freshly seeded agent
-//! (reported per update), so every sample traverses the same weight
+//! the state/action dimensions, batch size, network shape and replay
+//! sampling, and this keeps `--quick` runs in seconds. Each DDPG sample
+//! times [`UPDATES_PER_RUN`] consecutive updates from a freshly seeded
+//! agent (reported per update), so every sample traverses the same weight
 //! trajectory, sees the same activation sparsity, and is deterministic.
+//! The `ddpg_update_batch32_paper` row runs at the paper's shape: ω = 10,
+//! a 43-member pool, diversity sampling over 3,000 stored transitions
+//! with rank-valued rewards, and one push before each update, as in the
+//! training loop late in warm-up.
+//!
+//! The report records `cores` and `simd`, the compiled copy of the GEMM
+//! kernels the run used (`"avx2"` or `"portable"`).
 
 use eadrl_bench::harness::{median_ns, Harness, Summary};
 use eadrl_bench::{emit_bench_report, exit_on_gate_failures};
@@ -37,6 +44,12 @@ const ACTION_DIM: usize = 10;
 /// Consecutive updates timed per DDPG benchmark sample (from a fresh
 /// seeded agent, so every sample does the identical deterministic work).
 const UPDATES_PER_RUN: usize = 100;
+
+/// The paper's pool size: the action of the paper-shape update row.
+const PAPER_ACTION_DIM: usize = 43;
+
+/// Transitions stored before the paper-shape row's timed updates.
+const PAPER_PREFILL: usize = 3_000;
 
 fn random_matrix(rng: &mut DetRng, rows: usize, cols: usize) -> Matrix {
     let data: Vec<Vec<f64>> = (0..rows)
@@ -151,6 +164,31 @@ fn bench_mlp_train_step(c: &mut Harness) -> Vec<(String, Summary)> {
     group.finish()
 }
 
+/// A synthetic transition: uniform states, a random simplex action and
+/// `reward`; every ninth one is terminal.
+fn transition(rng: &mut DetRng, action_dim: usize, reward: f64, i: usize) -> Transition {
+    let state: Vec<f64> = (0..STATE_DIM)
+        .map(|_| rng.random_range(-1.0..1.0))
+        .collect();
+    let next_state: Vec<f64> = (0..STATE_DIM)
+        .map(|_| rng.random_range(-1.0..1.0))
+        .collect();
+    let mut action: Vec<f64> = (0..action_dim)
+        .map(|_| rng.random_range(0.0..1.0))
+        .collect();
+    let sum: f64 = action.iter().sum();
+    for a in action.iter_mut() {
+        *a /= sum;
+    }
+    Transition {
+        state,
+        action,
+        reward,
+        next_state,
+        done: i % 9 == 0,
+    }
+}
+
 fn agent_with(batch_size: usize) -> DdpgAgent {
     let mut agent = DdpgAgent::new(
         STATE_DIM,
@@ -167,28 +205,59 @@ fn agent_with(batch_size: usize) -> DdpgAgent {
     // 256 synthetic transitions: enough for any benched batch size.
     let mut rng = DetRng::seed_from_u64(99);
     for i in 0..256 {
-        let state: Vec<f64> = (0..STATE_DIM)
-            .map(|_| rng.random_range(-1.0..1.0))
-            .collect();
-        let next_state: Vec<f64> = (0..STATE_DIM)
-            .map(|_| rng.random_range(-1.0..1.0))
-            .collect();
-        let mut action: Vec<f64> = (0..ACTION_DIM)
-            .map(|_| rng.random_range(0.0..1.0))
-            .collect();
-        let sum: f64 = action.iter().sum();
-        for a in action.iter_mut() {
-            *a /= sum;
-        }
-        agent.observe(Transition {
-            state,
-            action,
-            reward: rng.random_range(-1.0..1.0),
-            next_state,
-            done: i % 9 == 0,
-        });
+        let reward = rng.random_range(-1.0..1.0);
+        agent.observe(transition(&mut rng, ACTION_DIM, reward, i));
     }
     agent
+}
+
+/// The paper-shape agent (EA-DRL's DDPG configuration at ω = 10 and a
+/// 43-member pool) with [`PAPER_PREFILL`] stored transitions, plus the
+/// [`UPDATES_PER_RUN`] transitions a timed run pushes, one before each
+/// update. Rewards are rank-valued (`k / 43`, the normalized Eq. 3
+/// reward), so the diversity median sits on ties.
+fn paper_agent() -> (DdpgAgent, Vec<Transition>) {
+    let mut agent = DdpgAgent::new(
+        STATE_DIM,
+        PAPER_ACTION_DIM,
+        DdpgConfig {
+            sampling: SamplingStrategy::Diversity,
+            batch_size: 32,
+            hidden: vec![32, 32],
+            squash: ActionSquash::Softmax,
+            noise_sigma: 0.3,
+            seed: 42,
+            ..Default::default()
+        },
+    );
+    let mut rng = DetRng::seed_from_u64(4343);
+    let mut rank_transition = |i: usize| {
+        let reward = rng.random_range(1..PAPER_ACTION_DIM + 1) as f64 / PAPER_ACTION_DIM as f64;
+        transition(&mut rng, PAPER_ACTION_DIM, reward, i)
+    };
+    for i in 0..PAPER_PREFILL {
+        agent.observe(rank_transition(i));
+    }
+    let pushes = (0..UPDATES_PER_RUN)
+        .map(|i| rank_transition(PAPER_PREFILL + i))
+        .collect();
+    (agent, pushes)
+}
+
+/// The `ddpg_update_batch32_paper` group: per run, [`UPDATES_PER_RUN`]
+/// pushes each followed by an update, from a fresh paper-shape agent.
+fn bench_ddpg_update_paper(c: &mut Harness) -> f64 {
+    let mut group = c.benchmark_group("ddpg_update_batch32_paper");
+    group.bench_function("batched", |b| {
+        b.iter_batched(paper_agent, |(mut agent, pushes)| {
+            for t in pushes {
+                agent.observe(t);
+                agent.update();
+            }
+            black_box(agent.updates())
+        });
+    });
+    median_ns(&group.finish(), "batched")
 }
 
 /// One `ddpg_update_batchN` group per batch size; returns
@@ -236,10 +305,19 @@ fn main() {
     let dense = bench_dense_forward(&mut h);
     let mlp = bench_mlp_train_step(&mut h);
     let ddpg = bench_ddpg_update(&mut h, &[32, 64]);
+    let paper = bench_ddpg_update_paper(&mut h);
 
     let mut fields: Vec<(String, JsonValue)> = vec![
+        (
+            "cores".to_string(),
+            std::thread::available_parallelism()
+                .map_or(0, |n| n.get())
+                .into(),
+        ),
+        ("simd".to_string(), kernels::simd_path().into()),
         ("state_dim".to_string(), STATE_DIM.into()),
         ("action_dim".to_string(), ACTION_DIM.into()),
+        ("paper_action_dim".to_string(), PAPER_ACTION_DIM.into()),
     ];
     let mut gate_failures = Vec::new();
     // The gate: one batched call must not be slower than 64 batch-of-one
@@ -280,6 +358,10 @@ fn main() {
             (median_ns / UPDATES_PER_RUN as f64).into(),
         ));
     }
+    fields.push((
+        "ddpg_update_batch32_paper_median_ns".to_string(),
+        (paper / UPDATES_PER_RUN as f64).into(),
+    ));
 
     emit_bench_report("kernels_bench", fields);
     exit_on_gate_failures(

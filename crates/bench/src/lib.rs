@@ -4,6 +4,7 @@
 //! this library holds the pieces they share: experiment scaling, the
 //! 20-dataset sweep, method construction (the 16 standalone + combination
 //! methods of Table II) and the online-runtime measurement of Table III.
+#![forbid(unsafe_code)]
 
 use eadrl_core::baselines::{all_baselines, Demsc};
 use eadrl_core::{Combiner, DatasetEvaluation, EaDrlConfig, EaDrlPolicy, EvaluationProtocol};

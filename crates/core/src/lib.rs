@@ -16,6 +16,7 @@
 //!   MLPOL, Stacking, Clus, Top.sel, DEMSC);
 //! * [`experiment`] — the evaluation protocol of §III: 75/25 split, pool
 //!   fitting, warm-up on a validation tail, online rolling evaluation.
+#![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod combiner;

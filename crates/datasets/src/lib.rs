@@ -12,6 +12,7 @@
 //!
 //! Every generator is fully deterministic given `(dataset id, length, seed)`,
 //! so experiments are reproducible bit-for-bit.
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod components;

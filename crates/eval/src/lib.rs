@@ -15,6 +15,7 @@
 //!   mean ± std rank distribution reported in Table II,
 //! * [`report`] — win/loss tabulation with 95 % significance counting and
 //!   ASCII table rendering of the paper's tables.
+#![forbid(unsafe_code)]
 
 pub mod bayes;
 pub mod friedman;

@@ -20,11 +20,70 @@
 //! non-zero terms yields `+0.0`, and `+0.0 + ±0.0 == +0.0`), so adding the
 //! skipped `±0.0` product would not change a single bit.
 //!
+//! # SIMD twins
+//!
+//! The three GEMM bodies — [`gemm_acc`] (with its `n == 1` micro-kernel),
+//! [`gemm_tn_acc`] and [`gates_gemm_acc`] — are `#[inline(always)]`
+//! functions compiled twice: once into a portable copy at the build's
+//! baseline target features (SSE2 on x86-64, two `f64` lanes) and once
+//! into a twin with `#[target_feature(enable = "avx2")]` (four lanes).
+//! Each call picks one with `is_x86_feature_detected!("avx2")`; other
+//! architectures build only the portable copy. [`simd_path`] names the
+//! copy this process runs. The twin compiles the same source and never
+//! enables `fma`, and rustc neither contracts `a * b + c` into a fused
+//! multiply-add nor reassociates floating-point sums. So every output
+//! element keeps its chain of separately rounded IEEE multiplies and adds
+//! in ascending `k` order, and both copies produce the same bits. Only
+//! the sign and payload of a NaN result may differ between them, because
+//! Rust leaves those unspecified. The wrappers keep their names and
+//! signatures, so `gemm`, `gates_gemm`, `Matrix::matmul` and the `nn`
+//! layers reach the twins without change. The twin call is the only
+//! `unsafe` code in the workspace's libraries, and a differential test
+//! pins both copies against each other over every tail shape.
+//!
 //! # Allocation contract
 //!
 //! No kernel allocates. Callers bring their own output buffers, typically
 //! leased from a [`Workspace`] so hot loops are allocation-free after the
 //! first iteration.
+
+/// Runs a GEMM body — an `#[inline(always)]` fn taking three dimensions
+/// and the `a`, `b`, `c` slices — through its `avx2` twin when the CPU
+/// has AVX2, and through the portable copy otherwise. It expands inside a
+/// wrapper returning `()`, so the twin call returns early.
+macro_rules! simd_dispatch {
+    ($body:ident($d0:expr, $d1:expr, $d2:expr, $a:expr, $b:expr, $c:expr)) => {{
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx2")]
+            fn avx2_twin(d0: usize, d1: usize, d2: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+                $body(d0, d1, d2, a, b, c)
+            }
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: `avx2_twin` requires only the `avx2` target
+                // feature, and `is_x86_feature_detected!("avx2")` has just
+                // confirmed that this CPU supports it.
+                #[allow(unsafe_code)]
+                unsafe {
+                    avx2_twin($d0, $d1, $d2, $a, $b, $c)
+                };
+                return;
+            }
+        }
+        $body($d0, $d1, $d2, $a, $b, $c)
+    }};
+}
+
+/// The compiled copy of the GEMM bodies this process runs: `"avx2"` when
+/// the CPU has AVX2 (x86-64 only), `"portable"` otherwise. Bench reports
+/// carry it so a run that fell back to the baseline copy is visible.
+pub fn simd_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
 
 /// Rows processed per i-block of the tiled GEMM. Together with [`KC`] this
 /// keeps one A-panel and one B-panel resident in L1/L2 while the j loop
@@ -106,6 +165,12 @@ pub fn gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
     debug_assert_eq!(a.len(), m * k, "gemm_acc: lhs shape");
     debug_assert_eq!(b.len(), k * n, "gemm_acc: rhs shape");
     debug_assert_eq!(c.len(), m * n, "gemm_acc: out shape");
+    simd_dispatch!(gemm_acc_body(m, k, n, a, b, c))
+}
+
+/// The body behind [`gemm_acc`], compiled into both SIMD copies.
+#[inline(always)]
+fn gemm_acc_body(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     if n == 1 {
         gemm_acc_n1(m, k, a, b, c);
         return;
@@ -178,6 +243,7 @@ pub fn gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
 /// results are bitwise identical to the generic path (no zero-skip is
 /// needed for parity: adding a skipped `±0.0` product never changes a
 /// partial sum — see the module determinism contract).
+#[inline(always)]
 fn gemm_acc_n1(m: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     let mut i = 0;
     while i + 4 <= m {
@@ -224,6 +290,12 @@ pub fn gemm_tn_acc(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], c: &mut [
     debug_assert_eq!(a.len(), k * m, "gemm_tn_acc: lhs shape");
     debug_assert_eq!(b.len(), k * n, "gemm_tn_acc: rhs shape");
     debug_assert_eq!(c.len(), m * n, "gemm_tn_acc: out shape");
+    simd_dispatch!(gemm_tn_acc_body(k, m, n, a, b, c))
+}
+
+/// The body behind [`gemm_tn_acc`], compiled into both SIMD copies.
+#[inline(always)]
+fn gemm_tn_acc_body(k: usize, m: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     let mut s = 0;
     // Register-blocked body: four samples share one load/store of each
     // output row. Every element still receives its per-sample additions
@@ -311,6 +383,12 @@ pub fn gates_gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mu
     debug_assert_eq!(a.len(), m * k, "gates_gemm_acc: lhs shape");
     debug_assert_eq!(b.len(), n * k, "gates_gemm_acc: rhs shape");
     debug_assert_eq!(c.len(), m * n, "gates_gemm_acc: out shape");
+    simd_dispatch!(gates_gemm_acc_body(m, k, n, a, b, c))
+}
+
+/// The body behind [`gates_gemm_acc`], compiled into both SIMD copies.
+#[inline(always)]
+fn gates_gemm_acc_body(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let crow = &mut c[i * n..(i + 1) * n];
@@ -750,6 +828,108 @@ mod tests {
                 assert_eq!(dz[s * g4 + 2 * hidden + kk], dc * iv * (1.0 - gv * gv));
                 assert_eq!(dz[s * g4 + 3 * hidden + kk], do_k * ov * (1.0 - ov));
             }
+        }
+    }
+
+    /// A `rows x cols` operand mixing exact zeros (some rows zero in
+    /// aligned four-column groups and some columns zero over aligned
+    /// four-row groups, so every sparsity skip fires), `-0.0`, subnormals
+    /// and normal values; with `specials`, also rare ±inf and NaN.
+    fn edge_values(rows: usize, cols: usize, seed: u64, specials: bool) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut out = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            for col in 0..cols {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let h = state >> 11;
+                let unit = (h >> 8) as f64 / (1u64 << 45) as f64; // [0, 1)
+                let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
+                let zero_group = (r.is_multiple_of(3) && (col / 4).is_multiple_of(2))
+                    || ((r / 4) % 3 == 1 && col.is_multiple_of(3));
+                let v = if zero_group {
+                    0.0
+                } else if specials && h % 113 < 2 {
+                    [sign * f64::INFINITY, f64::NAN][(h % 113) as usize]
+                } else {
+                    match h % 13 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => sign * f64::MIN_POSITIVE * unit, // subnormal
+                        3 => sign * f64::MIN_POSITIVE * (1.0 + unit),
+                        _ => sign * 4.0 * unit,
+                    }
+                };
+                out.push(v);
+            }
+        }
+        out
+    }
+
+    /// Bitwise equality, except that any NaN equals any NaN: Rust leaves
+    /// the sign and payload of a NaN result unspecified, so only its
+    /// position is part of the contract.
+    fn same_bits(x: &[f64], y: &[f64]) -> bool {
+        x.len() == y.len()
+            && x.iter()
+                .zip(y)
+                .all(|(p, q)| p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()))
+    }
+
+    /// Runs each GEMM body's portable copy (called directly) and its
+    /// public wrapper — which runs the AVX2 twin when the CPU has AVX2 —
+    /// on the same inputs and checks they give the same bits. Under Miri
+    /// (no AVX2 detected) both calls run the portable body over the
+    /// smaller shapes.
+    #[test]
+    fn simd_twins_match_the_portable_bodies_bitwise() {
+        let dims: &[usize] = if cfg!(miri) {
+            &[1, 3, 4, 5]
+        } else {
+            &[1, 3, 4, 5, 10, 32, 43, 53, 64, 65, 70]
+        };
+        let path = simd_path();
+        for &specials in &[false, true] {
+            for &m in dims {
+                for &k in dims {
+                    for &n in dims {
+                        let seed = (m * 10_000 + k * 100 + n) as u64 ^ u64::from(specials);
+                        let c0 = edge_values(m, n, seed ^ 0xc0, specials);
+
+                        let a = edge_values(m, k, seed, specials);
+                        let b = edge_values(k, n, seed ^ 0xb0, specials);
+                        let (mut body, mut twin) = (c0.clone(), c0.clone());
+                        gemm_acc_body(m, k, n, &a, &b, &mut body);
+                        gemm_acc(m, k, n, &a, &b, &mut twin);
+                        assert!(same_bits(&body, &twin), "gemm_acc {m}x{k}x{n} ({path})");
+
+                        let at = edge_values(k, m, seed ^ 0xa1, specials);
+                        let (mut body, mut twin) = (c0.clone(), c0.clone());
+                        gemm_tn_acc_body(k, m, n, &at, &b, &mut body);
+                        gemm_tn_acc(k, m, n, &at, &b, &mut twin);
+                        assert!(same_bits(&body, &twin), "gemm_tn_acc {k}x{m}x{n} ({path})");
+
+                        let bt = edge_values(n, k, seed ^ 0xb1, specials);
+                        let (mut body, mut twin) = (c0.clone(), c0);
+                        gates_gemm_acc_body(m, k, n, &a, &bt, &mut body);
+                        gates_gemm_acc(m, k, n, &a, &bt, &mut twin);
+                        assert!(
+                            same_bits(&body, &twin),
+                            "gates_gemm_acc {m}x{k}x{n} ({path})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_path_names_a_compiled_copy() {
+        let path = simd_path();
+        assert!(path == "avx2" || path == "portable", "{path}");
+        if !cfg!(target_arch = "x86_64") {
+            assert_eq!(path, "portable");
         }
     }
 

@@ -1,4 +1,5 @@
 #![allow(clippy::needless_range_loop)] // index loops over multiple parallel arrays read clearer in numeric kernels
+#![deny(unsafe_code)]
 
 //! Dense linear-algebra substrate for the EA-DRL reproduction.
 //!

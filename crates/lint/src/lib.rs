@@ -26,6 +26,7 @@
 //! Findings are suppressed line-by-line with
 //! `// eadrl-lint: allow(<rule>): <justification>`; a marker without a
 //! justification is itself a finding.
+#![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod callgraph;

@@ -15,6 +15,7 @@
 //! Regression-family models are adapted through [`tabular::Windowed`],
 //! which embeds the series with time-delay dimension k = 5 (the paper's
 //! embedding) and z-scores the windows.
+#![forbid(unsafe_code)]
 
 pub mod arima;
 pub mod ets;

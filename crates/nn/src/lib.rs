@@ -1,4 +1,5 @@
 #![allow(clippy::needless_range_loop)] // index loops over multiple parallel arrays read clearer in numeric kernels
+#![forbid(unsafe_code)]
 
 //! Minimal neural-network library with manual backpropagation.
 //!

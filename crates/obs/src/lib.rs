@@ -39,6 +39,7 @@
 //! | info  | fit/episode/refresh-grained progress |
 //! | debug | per-step weight vectors, `predict_next` spans |
 //! | trace | per-minibatch `ddpg.update` spans |
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod context;

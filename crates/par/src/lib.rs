@@ -66,6 +66,7 @@
 //! contiguous and ascending, the flushed trace is ordered exactly like
 //! the serial one, at every thread count. The serial fallback runs the
 //! identical context + buffer path inline.
+#![forbid(unsafe_code)]
 
 use eadrl_obs::Level;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -51,6 +51,7 @@
 //! }
 //! # sum_is_order_independent();
 //! ```
+#![forbid(unsafe_code)]
 
 use eadrl_rng::DetRng;
 

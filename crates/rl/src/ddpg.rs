@@ -1074,4 +1074,86 @@ mod tests {
     fn batched_updates_match_per_sample_bitwise_diversity() {
         assert_batched_matches_per_sample(SamplingStrategy::Diversity);
     }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn fnv_bits(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// One synthetic transition at the paper's shape: the state is ω
+    /// recent values, the action a softmax point over the pool, and the
+    /// reward is rank-valued (`k / m`, as the normalized Eq. 3 reward),
+    /// so the replay median sits on ties.
+    fn paper_transition(rng: &mut DetRng, sd: usize, ad: usize, i: usize) -> Transition {
+        let state: Vec<f64> = (0..sd).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let next_state: Vec<f64> = (0..sd).map(|_| rng.random_range(-1.0..1.0)).collect();
+        let mut action: Vec<f64> = (0..ad).map(|_| rng.random_range(0.0..1.0)).collect();
+        let sum: f64 = action.iter().sum();
+        for a in action.iter_mut() {
+            *a /= sum;
+        }
+        let rank = rng.random_range(1..ad + 1);
+        Transition {
+            state,
+            action,
+            reward: rank as f64 / ad as f64,
+            next_state,
+            done: i.is_multiple_of(11),
+        }
+    }
+
+    #[test]
+    fn paper_shape_updates_match_golden_digests() {
+        // State ω = 10, a 43-member pool, batch 32 and diversity
+        // sampling over a 200-slot buffer that wraps while it trains:
+        // 100 transitions up front, then one push before each of the
+        // 300 updates. The digests (actor, critic, both targets, and
+        // every update's critic loss and actor objective) were recorded
+        // in release and debug builds before the GEMM kernels gained
+        // their SIMD twins and the replay buffer its maintained median.
+        const SD: usize = 10;
+        const AD: usize = 43;
+        let mut agent = DdpgAgent::new(
+            SD,
+            AD,
+            DdpgConfig {
+                buffer_capacity: 200,
+                noise_sigma: 0.3,
+                hidden: vec![32, 32],
+                seed: 0x0e4d,
+                ..DdpgConfig::default()
+            },
+        );
+        let mut rng = DetRng::seed_from_u64(0x9a9e);
+        for i in 0..100 {
+            agent.observe(paper_transition(&mut rng, SD, AD, i));
+        }
+        let mut stats = Vec::with_capacity(600);
+        for i in 100..400 {
+            agent.observe(paper_transition(&mut rng, SD, AD, i));
+            let s = agent.update().expect("buffer holds a batch");
+            stats.push(s.critic_loss);
+            stats.push(s.actor_objective);
+        }
+        let got = (
+            fnv_bits(&agent.actor_params()),
+            fnv_bits(&agent.critic_params()),
+            fnv_bits(&agent.target_params()),
+            fnv_bits(&stats),
+        );
+        assert_eq!(
+            got,
+            (
+                0xc642_c1fa_4960_eef1,
+                0x024a_91be_d40f_a180,
+                0xd132_0e95_66cf_8053,
+                0x62c1_9ea3_06c7_0520,
+            ),
+            "got {got:#x?}"
+        );
+    }
 }

@@ -15,6 +15,7 @@
 //!   updates and the deterministic-policy-gradient actor update, plus the
 //!   [`ActionSquash`] output map (the paper squashes policy outputs onto
 //!   the probability simplex so the weights are positive and sum to one).
+#![forbid(unsafe_code)]
 
 pub mod ddpg;
 pub mod env;

@@ -30,6 +30,15 @@ pub enum SamplingStrategy {
 
 /// Fixed-capacity ring-buffer of transitions.
 ///
+/// The buffer maintains Eq. 4's reward median: the stored rewards are
+/// kept in ascending order, updated on every push and overwrite, so
+/// diversity sampling and the telemetry read the median off the middle.
+///
+/// **NaN rewards** take no part in the median: it is the median of the
+/// stored non-NaN rewards, and `NaN` when there are none. A NaN never
+/// compares at or above the median, so its transition always falls in
+/// the below-median half that diversity sampling draws from.
+///
 /// ```
 /// use eadrl_rl::{ReplayBuffer, SamplingStrategy, Transition};
 /// use eadrl_rng::DetRng;
@@ -41,6 +50,7 @@ pub enum SamplingStrategy {
 ///         reward, next_state: vec![0.0], done: false,
 ///     });
 /// }
+/// assert_eq!(buffer.reward_median(), 0.5);
 /// let mut rng = DetRng::seed_from_u64(0);
 /// let batch = buffer.sample(2, SamplingStrategy::Diversity, &mut rng);
 /// assert_eq!(batch.len(), 2);
@@ -50,13 +60,11 @@ pub struct ReplayBuffer {
     capacity: usize,
     storage: Vec<Transition>,
     next_slot: usize,
-    /// Cached reward median; `None` marks it stale. Every `push`
-    /// invalidates it, every diversity `sample` refreshes it at most
-    /// once — so an update step that samples without pushing in between
-    /// pays for one sort, not one per call.
-    median_cache: Option<f64>,
-    /// Reusable scratch for the median sort (cleared, capacity kept).
-    sort_scratch: Vec<f64>,
+    /// `storage[i].reward` for every slot, contiguous for the median
+    /// split's scan.
+    rewards: Vec<f64>,
+    /// The stored non-NaN rewards in ascending [`f64::total_cmp`] order.
+    sorted: Vec<f64>,
     /// Reusable index pools for the median split (cleared, capacity kept).
     high: Vec<usize>,
     low: Vec<usize>,
@@ -70,12 +78,13 @@ impl ReplayBuffer {
     /// Panics when `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay capacity must be positive");
+        let reserve = capacity.min(4096);
         ReplayBuffer {
             capacity,
-            storage: Vec::with_capacity(capacity.min(4096)),
+            storage: Vec::with_capacity(reserve),
             next_slot: 0,
-            median_cache: None,
-            sort_scratch: Vec::new(),
+            rewards: Vec::with_capacity(reserve),
+            sorted: Vec::with_capacity(reserve),
             high: Vec::new(),
             low: Vec::new(),
         }
@@ -96,25 +105,35 @@ impl ReplayBuffer {
         self.capacity
     }
 
-    /// Stores a transition, overwriting the oldest once at capacity.
+    /// Stores a transition, overwriting the oldest once at capacity, and
+    /// moves its reward into (and the overwritten one out of) the sorted
+    /// rewards.
     pub fn push(&mut self, t: Transition) {
-        self.median_cache = None;
+        let reward = t.reward;
         if self.storage.len() < self.capacity {
             self.storage.push(t);
+            self.rewards.push(reward);
         } else {
+            let old = std::mem::replace(&mut self.rewards[self.next_slot], reward);
             self.storage[self.next_slot] = t;
             self.next_slot = (self.next_slot + 1) % self.capacity;
+            if let Ok(at) = self.sorted.binary_search_by(|x| x.total_cmp(&old)) {
+                self.sorted.remove(at);
+            }
+        }
+        if !reward.is_nan() {
+            let at = self
+                .sorted
+                .partition_point(|x| x.total_cmp(&reward).is_lt());
+            self.sorted.insert(at, reward);
         }
     }
 
     /// Draws `n` transitions (with replacement) using `strategy`.
     ///
-    /// Takes `&mut self` so diversity sampling can use (and refresh) the
-    /// cached reward median instead of sorting the buffer on every call.
-    /// The minibatches are bitwise-identical to the uncached
-    /// implementation: the cached median is produced by the exact same
-    /// sort-and-pick as [`Self::reward_median`], and the RNG draw
-    /// sequence is unchanged.
+    /// Takes `&mut self` so diversity sampling can reuse the buffer's
+    /// index pools. It reads the maintained median and splits the slots
+    /// with one scan of the contiguous rewards.
     ///
     /// Diversity sampling degrades gracefully: when every reward equals the
     /// median (e.g. constant rewards) one of the halves would be empty, and
@@ -133,11 +152,11 @@ impl ReplayBuffer {
                 .map(|_| &self.storage[rng.random_range(0..self.storage.len())])
                 .collect(),
             SamplingStrategy::Diversity => {
-                let median = self.median_cached();
+                let median = self.reward_median();
                 self.high.clear();
                 self.low.clear();
-                for i in 0..self.storage.len() {
-                    if self.storage[i].reward >= median {
+                for (i, &reward) in self.rewards.iter().enumerate() {
+                    if reward >= median {
                         self.high.push(i);
                     } else {
                         self.low.push(i);
@@ -160,20 +179,6 @@ impl ReplayBuffer {
         }
     }
 
-    /// Cached reward median: recomputed (into reusable scratch) only when
-    /// a `push` since the last call invalidated it.
-    fn median_cached(&mut self) -> f64 {
-        if let Some(m) = self.median_cache {
-            return m;
-        }
-        self.sort_scratch.clear();
-        self.sort_scratch
-            .extend(self.storage.iter().map(|t| t.reward));
-        let m = median_of_unsorted(&mut self.sort_scratch);
-        self.median_cache = Some(m);
-        m
-    }
-
     /// Fraction of stored transitions whose reward is at or above the
     /// reward median (`NaN` when empty) — the occupancy of the "good"
     /// half that diversity sampling draws from. Near 1.0 it signals a
@@ -182,40 +187,30 @@ impl ReplayBuffer {
         if self.storage.is_empty() {
             return f64::NAN;
         }
+        // With no non-NaN reward the median is NaN and nothing is above it.
         let median = self.reward_median();
-        let above = self.storage.iter().filter(|t| t.reward >= median).count();
+        let above = self.sorted.len() - self.sorted.partition_point(|&x| x < median);
         above as f64 / self.storage.len() as f64
     }
 
-    /// Median of the stored rewards (`NaN` when empty).
-    ///
-    /// Always recomputes (it takes `&self`); the training loop goes
-    /// through the cached variant inside [`Self::sample`] instead.
+    /// Median of the stored non-NaN rewards (`NaN` when there are none),
+    /// read off the maintained order.
     pub fn reward_median(&self) -> f64 {
-        let mut rewards: Vec<f64> = self.storage.iter().map(|t| t.reward).collect();
-        median_of_unsorted(&mut rewards)
-    }
-}
-
-/// Sorts `rewards` in place and returns the median (`NaN` when empty).
-/// Single definition shared by the cached and uncached paths so they are
-/// bitwise-identical by construction.
-fn median_of_unsorted(rewards: &mut [f64]) -> f64 {
-    if rewards.is_empty() {
-        return f64::NAN;
-    }
-    rewards.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let n = rewards.len();
-    if n % 2 == 1 {
-        rewards[n / 2]
-    } else {
-        0.5 * (rewards[n / 2 - 1] + rewards[n / 2])
+        let n = self.sorted.len();
+        if n == 0 {
+            f64::NAN
+        } else if n % 2 == 1 {
+            self.sorted[n / 2]
+        } else {
+            0.5 * (self.sorted[n / 2 - 1] + self.sorted[n / 2])
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eadrl_ptest::prelude::*;
 
     fn t(reward: f64) -> Transition {
         Transition {
@@ -324,42 +319,147 @@ mod tests {
         assert_eq!(drawn, vec![6.0, 8.0, 9.0, 0.0, 2.0, 0.0]);
     }
 
-    #[test]
-    fn cached_median_matches_recompute_under_interleaved_push_sample() {
-        // Interleave pushes (which invalidate the cache) with samples
-        // (which refresh it) and check the cached value and the drawn
-        // minibatches stay bitwise-identical to a never-cached reference.
-        let mut cached = ReplayBuffer::new(8);
-        let mut reference = ReplayBuffer::new(8);
-        let mut rng_c = DetRng::seed_from_u64(7);
-        let mut rng_r = DetRng::seed_from_u64(7);
-        for step in 0..30 {
-            let r = ((step * 37) % 11) as f64 - 5.0;
-            cached.push(t(r));
-            reference.push(t(r));
-            if step % 3 == 0 {
-                continue; // some pushes without a sample in between
-            }
-            // Sample twice per step: the second call hits the warm cache.
-            for _ in 0..2 {
-                let a: Vec<f64> = cached
-                    .sample(4, SamplingStrategy::Diversity, &mut rng_c)
-                    .iter()
-                    .map(|x| x.reward)
-                    .collect();
-                // The reference recomputes from scratch every time: it is
-                // never sampled directly, so its own cache stays invalid
-                // (push clears it) and every clone starts cold.
-                let b: Vec<f64> = reference
-                    .clone()
-                    .sample(4, SamplingStrategy::Diversity, &mut rng_r)
-                    .iter()
-                    .map(|x| x.reward)
-                    .collect();
-                assert_eq!(a, b, "cached vs recomputed diverged at step {step}");
-            }
-            assert_eq!(cached.median_cached(), cached.reward_median());
+    /// The sort the maintained order replaced: sort a copy of the
+    /// rewards and take the middle (`NaN` when empty). NaN rewards are
+    /// dropped first, per the buffer's NaN rule.
+    fn median_of_unsorted(rewards: &mut Vec<f64>) -> f64 {
+        rewards.retain(|r| !r.is_nan());
+        if rewards.is_empty() {
+            return f64::NAN;
         }
+        rewards.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let n = rewards.len();
+        if n % 2 == 1 {
+            rewards[n / 2]
+        } else {
+            0.5 * (rewards[n / 2 - 1] + rewards[n / 2])
+        }
+    }
+
+    /// The sort-per-call diversity sampler the maintained median
+    /// replaced, returning slot indices: the same split and draws.
+    fn reference_diversity(storage: &[Transition], n: usize, rng: &mut DetRng) -> Vec<usize> {
+        let mut rewards: Vec<f64> = storage.iter().map(|t| t.reward).collect();
+        let median = median_of_unsorted(&mut rewards);
+        let (mut high, mut low) = (Vec::new(), Vec::new());
+        for (i, t) in storage.iter().enumerate() {
+            if t.reward >= median {
+                high.push(i);
+            } else {
+                low.push(i);
+            }
+        }
+        let half = n / 2;
+        let mut out = Vec::with_capacity(n);
+        for (pool, count) in [(&high, half), (&low, n - half)] {
+            for _ in 0..count {
+                out.push(if pool.is_empty() {
+                    rng.random_range(0..storage.len())
+                } else {
+                    pool[rng.random_range(0..pool.len())]
+                });
+            }
+        }
+        out
+    }
+
+    /// A reward drawn from `op`: mostly rank-valued (`k / 7`, the shape
+    /// of the normalized Eq. 3 reward) and small-integer ties, plus
+    /// `±0.0`, distinct values and the odd NaN.
+    fn reward_for(op: u64) -> f64 {
+        let v = op / 5;
+        match op % 5 {
+            0 | 1 => (1 + v % 7) as f64 / 7.0,
+            2 => (v % 3) as f64 - 1.0,
+            3 if v.is_multiple_of(2) => 0.0,
+            3 => -0.0,
+            _ if v.is_multiple_of(6) => f64::NAN,
+            _ => (op as f64 * 0.618).sin(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn maintained_median_and_diversity_batches_match_the_sort_reference(
+            capacity in 1usize..10,
+            ops in prop::collection::vec(0u64..1_000_000, 1..120),
+            seed in 0u64..1000,
+        ) {
+            // Pushes at a small capacity wrap the ring many times; one op
+            // in four draws a diversity batch instead of pushing.
+            let mut buf = ReplayBuffer::new(capacity);
+            let mut rng = DetRng::seed_from_u64(seed);
+            let mut rng_ref = DetRng::seed_from_u64(seed);
+            for &op in &ops {
+                if op % 4 == 3 && !buf.is_empty() {
+                    let n = 1 + (op / 4 % 9) as usize;
+                    let drawn: Vec<*const Transition> = buf
+                        .sample(n, SamplingStrategy::Diversity, &mut rng)
+                        .into_iter()
+                        .map(|t| t as *const Transition)
+                        .collect();
+                    let expect: Vec<*const Transition> =
+                        reference_diversity(&buf.storage, n, &mut rng_ref)
+                            .into_iter()
+                            .map(|i| &buf.storage[i] as *const Transition)
+                            .collect();
+                    prop_assert_eq!(drawn, expect);
+                } else {
+                    buf.push(t(reward_for(op)));
+                }
+                let mut rewards: Vec<f64> = buf.storage.iter().map(|x| x.reward).collect();
+                let mut in_order: Vec<f64> = rewards.iter().copied().filter(|r| !r.is_nan()).collect();
+                in_order.sort_by(f64::total_cmp);
+                prop_assert_eq!(
+                    buf.sorted.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    in_order.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                );
+                let (got, want) = (buf.reward_median(), median_of_unsorted(&mut rewards));
+                prop_assert!(got == want || (got.is_nan() && want.is_nan()), "{got} vs {want}");
+                let above = buf.storage.iter().filter(|x| x.reward >= want).count();
+                prop_assert_eq!(
+                    buf.above_median_fraction().to_bits(),
+                    (above as f64 / buf.len() as f64).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nan_rewards_sit_outside_the_median_and_below_it() {
+        let mut buf = ReplayBuffer::new(5);
+        for r in [1.0, f64::NAN, 3.0, f64::NAN, 2.0] {
+            buf.push(t(r));
+        }
+        // The median of {1, 2, 3}; the NaN transitions count toward the
+        // length but never at or above the median.
+        assert_eq!(buf.reward_median(), 2.0);
+        assert_eq!(buf.above_median_fraction(), 0.4);
+        let mut rng = DetRng::seed_from_u64(5);
+        let drawn: Vec<f64> = buf
+            .sample(40, SamplingStrategy::Diversity, &mut rng)
+            .iter()
+            .map(|x| x.reward)
+            .collect();
+        assert!(drawn[..20].iter().all(|&r| r >= 2.0));
+        assert!(drawn[20..].iter().all(|&r| r.is_nan() || r < 2.0));
+        assert!(drawn[20..].iter().any(|r| r.is_nan()));
+        // Overwriting a NaN slot or a numeric one keeps the order exact.
+        buf.push(t(7.0)); // replaces 1.0
+        buf.push(t(f64::NAN)); // replaces the first NaN
+        assert_eq!(buf.sorted, vec![2.0, 3.0, 7.0]);
+        assert_eq!(buf.reward_median(), 3.0);
+        // A buffer of NaNs has no median, and nothing is above it.
+        let mut nans = ReplayBuffer::new(3);
+        nans.push(t(f64::NAN));
+        assert!(nans.reward_median().is_nan());
+        assert_eq!(nans.above_median_fraction(), 0.0);
+        assert_eq!(
+            nans.sample(4, SamplingStrategy::Diversity, &mut rng).len(),
+            4
+        );
     }
 
     #[test]

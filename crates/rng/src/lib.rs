@@ -42,6 +42,7 @@
 //! assert!((-0.1..0.1).contains(&weight));
 //! assert!(idx < 10);
 //! ```
+#![forbid(unsafe_code)]
 
 /// Deterministic SplitMix64 generator.
 ///

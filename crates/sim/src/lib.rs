@@ -27,6 +27,7 @@
 //! Like `eadrl-ptest` and `eadrl-lint`, this is a tool crate: it is a
 //! dev-dependency of the workspace tests, never a dependency of the
 //! production crates.
+#![forbid(unsafe_code)]
 
 pub mod fault;
 pub mod invariants;

@@ -15,6 +15,7 @@
 //! * [`window`] — fixed-capacity sliding windows (`SlideWindow`,
 //!   `StepRing`) backing every serving-loop ring buffer with amortized
 //!   O(1), allocation-free slides.
+#![forbid(unsafe_code)]
 
 pub mod decompose;
 pub mod drift;

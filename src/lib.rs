@@ -52,6 +52,7 @@
 //! assert_eq!(forecast.len(), test.len());
 //! assert!(forecast.iter().all(|v| v.is_finite()));
 //! ```
+#![forbid(unsafe_code)]
 
 pub use eadrl_core as core;
 pub use eadrl_datasets as datasets;

@@ -2,35 +2,30 @@
 //! linalg kernels, the batched dense forward and MLP train step against
 //! 64 batch-of-one calls, and the minibatch-as-matrix DDPG update.
 //!
-//! Flags (combinable):
-//! - `--quick`   shrink the measurement budget for CI smoke runs;
-//! - `--json`    print a machine-readable `kernels_bench` report on stdout;
-//! - `--out <p>` also write that JSON document to the file `<p>`;
-//! - `--check`   exit non-zero if one batched call is slower than 64
-//!   batch-of-one calls on the kernels DDPG uses
-//!   (`dense_forward_32x32_batch64`, `mlp_fwd_bwd_12_32_32_1_batch64`) —
-//!   the perf regression gate wired into CI.
+//! Takes the harness flags (`--quick`, `--json`, `--out <p>`, `--check`;
+//! see [`eadrl_bench::harness`]). `--check` fails if one batched call is
+//! slower than 64 batch-of-one calls on the kernels DDPG uses
+//! (`dense_forward_32x32_batch64`, `mlp_fwd_bwd_12_32_32_1_batch64`) —
+//! the perf regression gate wired into CI.
 //!
 //! The DDPG benchmarks fill the replay buffer with synthetic transitions
 //! rather than a fitted forecaster pool: the update cost depends only on
 //! the state/action dimensions, batch size, network shape and replay
-//! sampling, and this keeps `--quick` runs in seconds. Each DDPG sample
+//! sampling, and this keeps `--quick` runs in seconds. Each DDPG case
 //! times [`UPDATES_PER_RUN`] consecutive updates from a freshly seeded
-//! agent (reported per update), so every sample traverses the same weight
-//! trajectory, sees the same activation sparsity, and is deterministic.
-//! The `ddpg_update_batch32_paper` row runs at the paper's shape: ω = 10,
-//! a 43-member pool, diversity sampling over 3,000 stored transitions
-//! with rank-valued rewards, and one push before each update, as in the
-//! training loop late in warm-up.
+//! agent, so every sample traverses the same weight trajectory, sees the
+//! same activation sparsity, and is deterministic; its row is the median
+//! of those runs, not of one update. The `ddpg_update_batch32_paper` row
+//! runs at the paper's shape: ω = 10, a 43-member pool, diversity
+//! sampling over 3,000 stored transitions with rank-valued rewards, and
+//! one push before each update, as in the training loop late in warm-up.
 //!
-//! The report records `cores` and `simd`, the compiled copy of the GEMM
-//! kernels the run used (`"avx2"` or `"portable"`).
+//! The report describes `simd`, the compiled copy of the GEMM kernels the
+//! run used (`"avx2"` or `"portable"`).
 
-use eadrl_bench::harness::{median_ns, Harness, Summary};
-use eadrl_bench::{emit_bench_report, exit_on_gate_failures};
+use eadrl_bench::harness::{Gate, Harness};
 use eadrl_linalg::{kernels, Matrix};
 use eadrl_nn::{Activation, Dense, Mlp, Network};
-use eadrl_obs::json::JsonValue;
 use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition};
 use eadrl_rng::DetRng;
 use std::hint::black_box;
@@ -44,6 +39,19 @@ const ACTION_DIM: usize = 10;
 /// Consecutive updates timed per DDPG benchmark sample (from a fresh
 /// seeded agent, so every sample does the identical deterministic work).
 const UPDATES_PER_RUN: usize = 100;
+
+/// One batched call must not be slower than 64 batch-of-one calls of the
+/// same kernels.
+const GATES: [Gate; 2] = [
+    Gate::at_most(
+        "dense_forward_32x32_batch64/forward_batch",
+        "dense_forward_32x32_batch64/per_sample_x64",
+    ),
+    Gate::at_most(
+        "mlp_fwd_bwd_12_32_32_1_batch64/batched",
+        "mlp_fwd_bwd_12_32_32_1_batch64/per_sample_x64",
+    ),
+];
 
 /// The paper's pool size: the action of the paper-shape update row.
 const PAPER_ACTION_DIM: usize = 43;
@@ -93,10 +101,9 @@ fn bench_gemm(c: &mut Harness) {
             black_box(out[0])
         })
     });
-    group.finish();
 }
 
-fn bench_dense_forward(c: &mut Harness) -> Vec<(String, Summary)> {
+fn bench_dense_forward(c: &mut Harness) {
     let mut rng = DetRng::seed_from_u64(11);
     let batch = 64;
     let rows: Vec<Vec<f64>> = (0..batch)
@@ -121,10 +128,9 @@ fn bench_dense_forward(c: &mut Harness) -> Vec<(String, Summary)> {
             black_box(out.row(0)[0])
         })
     });
-    group.finish()
 }
 
-fn bench_mlp_train_step(c: &mut Harness) -> Vec<(String, Summary)> {
+fn bench_mlp_train_step(c: &mut Harness) {
     let mut rng = DetRng::seed_from_u64(13);
     let batch = 64;
     let rows: Vec<Vec<f64>> = (0..batch)
@@ -161,7 +167,6 @@ fn bench_mlp_train_step(c: &mut Harness) -> Vec<(String, Summary)> {
             black_box(bat.grad_norm())
         })
     });
-    group.finish()
 }
 
 /// A synthetic transition: uniform states, a random simplex action and
@@ -246,7 +251,7 @@ fn paper_agent() -> (DdpgAgent, Vec<Transition>) {
 
 /// The `ddpg_update_batch32_paper` group: per run, [`UPDATES_PER_RUN`]
 /// pushes each followed by an update, from a fresh paper-shape agent.
-fn bench_ddpg_update_paper(c: &mut Harness) -> f64 {
+fn bench_ddpg_update_paper(c: &mut Harness) {
     let mut group = c.benchmark_group("ddpg_update_batch32_paper");
     group.bench_function("batched", |b| {
         b.iter_batched(paper_agent, |(mut agent, pushes)| {
@@ -257,13 +262,10 @@ fn bench_ddpg_update_paper(c: &mut Harness) -> f64 {
             black_box(agent.updates())
         });
     });
-    median_ns(&group.finish(), "batched")
 }
 
-/// One `ddpg_update_batchN` group per batch size; returns
-/// `(batch_size, median_ns)` rows for the report.
-fn bench_ddpg_update(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, f64)> {
-    let mut results = Vec::new();
+/// One `ddpg_update_batchN` group per batch size.
+fn bench_ddpg_update(c: &mut Harness, batch_sizes: &[usize]) {
     for &batch_size in batch_sizes {
         let mut group = c.benchmark_group(format!("ddpg_update_batch{batch_size}"));
         group.bench_function("batched", |b| {
@@ -281,91 +283,16 @@ fn bench_ddpg_update(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, f64)
                 },
             );
         });
-        results.push((batch_size, median_ns(&group.finish(), "batched")));
     }
-    results
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-
-    let mut h = if quick {
-        Harness::default()
-            .measurement_time(std::time::Duration::from_millis(300))
-            .warm_up_time(std::time::Duration::from_millis(100))
-            .sample_size(10)
-    } else {
-        Harness::default()
-            .measurement_time(std::time::Duration::from_secs(2))
-            .warm_up_time(std::time::Duration::from_millis(500))
-            .sample_size(20)
-    };
-
+    let mut h = Harness::new("kernels");
     bench_gemm(&mut h);
-    let dense = bench_dense_forward(&mut h);
-    let mlp = bench_mlp_train_step(&mut h);
-    let ddpg = bench_ddpg_update(&mut h, &[32, 64]);
-    let paper = bench_ddpg_update_paper(&mut h);
-
-    let mut fields: Vec<(String, JsonValue)> = vec![
-        (
-            "cores".to_string(),
-            std::thread::available_parallelism()
-                .map_or(0, |n| n.get())
-                .into(),
-        ),
-        ("simd".to_string(), kernels::simd_path().into()),
-        ("state_dim".to_string(), STATE_DIM.into()),
-        ("action_dim".to_string(), ACTION_DIM.into()),
-        ("paper_action_dim".to_string(), PAPER_ACTION_DIM.into()),
-    ];
-    let mut gate_failures = Vec::new();
-    // The gate: one batched call must not be slower than 64 batch-of-one
-    // calls of the same kernels. NaN (e.g. a zero-time fluke) must also
-    // trip it, hence the negated comparison rather than `speedup < 1.0`.
-    for (prefix, group, rows, per, bat) in [
-        (
-            "dense",
-            "dense_forward_32x32_batch64",
-            &dense,
-            "per_sample_x64",
-            "forward_batch",
-        ),
-        (
-            "mlp_fwd_bwd",
-            "mlp_fwd_bwd_12_32_32_1_batch64",
-            &mlp,
-            "per_sample_x64",
-            "batched",
-        ),
-    ] {
-        let (per_ns, bat_ns) = (median_ns(rows, per), median_ns(rows, bat));
-        let speedup = per_ns / bat_ns;
-        fields.push((format!("{prefix}_{per}_median_ns"), per_ns.into()));
-        fields.push((format!("{prefix}_{bat}_median_ns"), bat_ns.into()));
-        fields.push((format!("{prefix}_speedup_batched"), speedup.into()));
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(speedup >= 1.0) {
-            gate_failures.push(format!(
-                "{group}: batched slower than 64 batch-of-one calls (speedup {speedup:.3}x)"
-            ));
-        }
-    }
-    for (batch_size, median_ns) in &ddpg {
-        // Each sample timed UPDATES_PER_RUN updates; report per-update.
-        fields.push((
-            format!("ddpg_update_batch{batch_size}_batched_median_ns"),
-            (median_ns / UPDATES_PER_RUN as f64).into(),
-        ));
-    }
-    fields.push((
-        "ddpg_update_batch32_paper_median_ns".to_string(),
-        (paper / UPDATES_PER_RUN as f64).into(),
-    ));
-
-    emit_bench_report("kernels_bench", fields);
-    exit_on_gate_failures(
-        &gate_failures,
-        "batched dense forward and MLP train step at least match 64 batch-of-one calls",
-    );
+    bench_dense_forward(&mut h);
+    bench_mlp_train_step(&mut h);
+    bench_ddpg_update(&mut h, &[32, 64]);
+    bench_ddpg_update_paper(&mut h);
+    h.describe("simd", kernels::simd_path());
+    h.finish(&GATES);
 }

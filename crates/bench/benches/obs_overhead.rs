@@ -10,16 +10,16 @@
 //!   [`JsonlSink`] backed by `io::sink()` so the cost measured is
 //!   event construction + serialization, not disk.
 //!
-//! The interesting numbers are the ratios: `info_coarse / off` is the
-//! cost of leaving coarse telemetry on in production, `trace_full /
-//! off` is the price of a full profiling run. Committed as
-//! `BENCH_obs.json` and documented in EXPERIMENTS.md.
+//! Each row times [`UPDATES_PER_RUN`] updates. The interesting numbers
+//! are the ratios of the rows: `info_coarse / off` is the cost of leaving
+//! coarse telemetry on in production, `trace_full / off` is the price of
+//! a full profiling run. Committed as `BENCH_obs.json` and documented in
+//! EXPERIMENTS.md.
 //!
-//! Flags: `--quick` (CI smoke budget), `--json` (stdout report),
-//! `--out <path>` (write the JSON document, workspace-root-relative).
+//! Takes the harness flags (`--quick`, `--json`, `--out <p>`; see
+//! [`eadrl_bench::harness`]) and declares no gates.
 
-use eadrl_bench::emit_bench_report;
-use eadrl_bench::harness::{median_ns, Harness, Summary};
+use eadrl_bench::harness::Harness;
 use eadrl_obs::{JsonlSink, Level};
 use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, SamplingStrategy, Transition};
 use eadrl_rng::DetRng;
@@ -74,7 +74,7 @@ fn seeded_agent() -> DdpgAgent {
 /// Benches `UPDATES_PER_RUN` batched updates under one telemetry mode.
 /// The level (and, for enabled levels, a null-device JSONL sink) is
 /// installed before measuring and reset afterwards.
-fn bench_modes(c: &mut Harness) -> Vec<(String, Summary)> {
+fn bench_modes(c: &mut Harness) {
     let modes: [(&str, Option<Level>); 3] = [
         ("off", None),
         ("info_coarse", Some(Level::Info)),
@@ -99,46 +99,10 @@ fn bench_modes(c: &mut Harness) -> Vec<(String, Summary)> {
             eadrl_obs::set_level(None);
         });
     }
-    group.finish()
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut h = if quick {
-        Harness::default()
-            .measurement_time(std::time::Duration::from_millis(300))
-            .warm_up_time(std::time::Duration::from_millis(100))
-            .sample_size(10)
-    } else {
-        Harness::default()
-            .measurement_time(std::time::Duration::from_secs(2))
-            .warm_up_time(std::time::Duration::from_millis(500))
-            .sample_size(20)
-    };
-
-    let summaries = bench_modes(&mut h);
-    let off = median_ns(&summaries, "off");
-    let info = median_ns(&summaries, "info_coarse");
-    let trace = median_ns(&summaries, "trace_full");
-    let per_update = |total: f64| total / UPDATES_PER_RUN as f64;
-    let fields: Vec<(String, eadrl_obs::json::JsonValue)> = vec![
-        ("batch_size".to_string(), 64usize.into()),
-        ("updates_per_run".to_string(), UPDATES_PER_RUN.into()),
-        (
-            "off_median_ns_per_update".to_string(),
-            per_update(off).into(),
-        ),
-        (
-            "info_coarse_median_ns_per_update".to_string(),
-            per_update(info).into(),
-        ),
-        (
-            "trace_full_median_ns_per_update".to_string(),
-            per_update(trace).into(),
-        ),
-        ("info_over_off_ratio".to_string(), (info / off).into()),
-        ("trace_over_off_ratio".to_string(), (trace / off).into()),
-    ];
-
-    emit_bench_report("obs_overhead_bench", fields);
+    let mut h = Harness::new("obs_overhead");
+    bench_modes(&mut h);
+    h.finish(&[]);
 }

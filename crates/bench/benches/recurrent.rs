@@ -2,10 +2,8 @@
 //! windows-as-matrix LSTM/BiLSTM training epochs and the im2col Conv1d
 //! batch pass.
 //!
-//! Flags (combinable):
-//! - `--quick`   shrink the measurement budget for CI smoke runs;
-//! - `--json`    print a machine-readable `recurrent_bench` report on stdout;
-//! - `--out <p>` also write that JSON document to the file `<p>`.
+//! Takes the harness flags (`--quick`, `--json`, `--out <p>`; see
+//! [`eadrl_bench::harness`]) and declares no gates.
 //!
 //! Each epoch sample runs [`N_WINDOWS`] synthetic windows through
 //! `N_WINDOWS / batch` optimizer steps via `iter_batched` with freshly
@@ -13,14 +11,12 @@
 //! trajectory, sees the same activation sparsity, and is deterministic.
 //! The measurement protocol is documented in `EXPERIMENTS.md`.
 
-use eadrl_bench::emit_bench_report;
-use eadrl_bench::harness::{median_ns, Harness, Summary};
+use eadrl_bench::harness::Harness;
 use eadrl_linalg::Matrix;
 use eadrl_nn::{
     mse_loss_grad, Activation, Adam, BiLstm, BiRecurrentWorkspace, Conv1d, ConvWorkspace, Dense,
     Lstm, Network, Optimizer, RecurrentWorkspace,
 };
-use eadrl_obs::json::JsonValue;
 use eadrl_rng::DetRng;
 use std::hint::black_box;
 
@@ -79,12 +75,10 @@ fn fresh_bilstm() -> (BiLstm, Dense, Adam) {
     (bi, head, Adam::new(0.01))
 }
 
-/// One `lstm_epoch_batchN` group per batch size; returns
-/// `(batch, median_ns)` rows for the report.
-fn bench_lstm_epoch(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, f64)> {
+/// One `lstm_epoch_batchN` group per batch size.
+fn bench_lstm_epoch(c: &mut Harness, batch_sizes: &[usize]) {
     let (windows, targets) = dataset(0x5EED);
     let idx: Vec<usize> = (0..N_WINDOWS).collect();
-    let mut results = Vec::new();
     for &batch in batch_sizes {
         let mut group = c.benchmark_group(format!("lstm_epoch_batch{batch}"));
         group.bench_function("batched", |b| {
@@ -129,13 +123,11 @@ fn bench_lstm_epoch(c: &mut Harness, batch_sizes: &[usize]) -> Vec<(usize, f64)>
                 },
             );
         });
-        results.push((batch, median_ns(&group.finish(), "batched")));
     }
-    results
 }
 
 /// BiLSTM epoch at one representative batch size.
-fn bench_bilstm_epoch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
+fn bench_bilstm_epoch(c: &mut Harness, batch: usize) {
     let (windows, targets) = dataset(0xB15);
     let idx: Vec<usize> = (0..N_WINDOWS).collect();
     let mut group = c.benchmark_group(format!("bilstm_epoch_batch{batch}"));
@@ -181,13 +173,12 @@ fn bench_bilstm_epoch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
             },
         );
     });
-    group.finish()
 }
 
 /// Conv1d forward+backward over one staged batch through the im2col GEMM
 /// path (weights-only backward — the CNN-LSTM wiring discards conv input
 /// gradients).
-fn bench_conv_batch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
+fn bench_conv_batch(c: &mut Harness, batch: usize) {
     let (windows, _) = dataset(0xC0);
     let (oc, k, in_len) = (4, 3, STEPS);
     let t_out = in_len - k + 1;
@@ -218,46 +209,12 @@ fn bench_conv_batch(c: &mut Harness, batch: usize) -> Vec<(String, Summary)> {
             },
         );
     });
-    group.finish()
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-
-    let mut h = if quick {
-        Harness::default()
-            .measurement_time(std::time::Duration::from_millis(300))
-            .warm_up_time(std::time::Duration::from_millis(100))
-            .sample_size(10)
-    } else {
-        Harness::default()
-            .measurement_time(std::time::Duration::from_secs(2))
-            .warm_up_time(std::time::Duration::from_millis(500))
-            .sample_size(20)
-    };
-
-    let lstm = bench_lstm_epoch(&mut h, &[16, 32, 64]);
-    let bilstm = bench_bilstm_epoch(&mut h, 64);
-    let conv = bench_conv_batch(&mut h, 64);
-
-    let mut fields: Vec<(String, JsonValue)> = vec![
-        ("n_windows".to_string(), N_WINDOWS.into()),
-        ("steps".to_string(), STEPS.into()),
-        ("hidden".to_string(), HIDDEN.into()),
-    ];
-    for &(batch, median_ns) in &lstm {
-        fields.push((
-            format!("lstm_epoch_batch{batch}_batched_median_ns"),
-            median_ns.into(),
-        ));
-    }
-    fields.push((
-        "bilstm_epoch_batch64_batched_median_ns".to_string(),
-        median_ns(&bilstm, "batched").into(),
-    ));
-    fields.push((
-        "conv_fwd_bwd_batch64_batched_median_ns".to_string(),
-        median_ns(&conv, "batched").into(),
-    ));
-    emit_bench_report("recurrent_bench", fields);
+    let mut h = Harness::new("recurrent");
+    bench_lstm_epoch(&mut h, &[16, 32, 64]);
+    bench_bilstm_epoch(&mut h, 64);
+    bench_conv_batch(&mut h, 64);
+    h.finish(&[]);
 }

@@ -3,25 +3,24 @@
 //! `AdaptiveEaDrl` refresh latency, and the ring-buffered sliding windows
 //! against the `Vec::remove(0)` shifts they replaced.
 //!
-//! Flags (combinable):
-//! - `--quick`   shrink the measurement budget for CI smoke runs;
-//! - `--json`    print a machine-readable `refresh_bench` report on stdout;
-//! - `--out <p>` also write that JSON document to the file `<p>`;
-//! - `--check`   exit non-zero if a warm-start refresh is slower than a
-//!   cold refresh, or a ring-buffer slide is slower than the shifted-Vec
-//!   equivalent (the perf regression gates wired into CI).
+//! Takes the harness flags (`--quick`, `--json`, `--out <p>`, `--check`;
+//! see [`eadrl_bench::harness`]). `--check` fails if a warm-start refresh
+//! is slower than a cold refresh, or a ring buffer is slower than the
+//! shifted-Vec equivalent at w = 256 (the perf regression gates wired
+//! into CI).
 //!
 //! The restart-scaling group reports warm-up latency at
 //! `EADRL_PAR_THREADS` ∈ {1, 2, 4} and is *not* gated: on a single-core
 //! runner all thread counts collapse onto one worker and the honest
 //! number is ~1.0x (see `EXPERIMENTS.md` for the multi-core protocol).
+//! Nor is the 16-wide window: at serving-size windows both paths take
+//! tens of nanoseconds and the comparison is noise-bound. The 256-wide
+//! groups are where `remove(0)`'s O(n) shift must lose to the ring.
 
-use eadrl_bench::harness::{median_ns, Harness, Summary};
-use eadrl_bench::{emit_bench_report, exit_on_gate_failures};
+use eadrl_bench::harness::{Gate, Harness};
 use eadrl_core::{
     AdaptiveEaDrl, Combiner, EaDrlConfig, EaDrlPolicy, RefreshStrategy, RefreshTrigger,
 };
-use eadrl_obs::json::JsonValue;
 use eadrl_timeseries::window::{SlideWindow, StepRing};
 use std::hint::black_box;
 
@@ -33,6 +32,13 @@ const ONLINE_STEPS: usize = 80;
 const MODELS: usize = 5;
 /// Refinement episodes of the warm-start strategy under test.
 const WARM_EPISODES: usize = 2;
+
+/// Warm-start refresh at most cold latency; rings at least match shifts.
+const GATES: [Gate; 3] = [
+    Gate::at_most("refresh_latency/warm_start", "refresh_latency/cold"),
+    Gate::at_most("window_slide_w256/ring", "window_slide_w256/vec_shift"),
+    Gate::at_most("history_record_w256/ring", "history_record_w256/vec_shift"),
+];
 
 fn bench_config() -> EaDrlConfig {
     let mut config = EaDrlConfig::default();
@@ -64,7 +70,7 @@ fn stream(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
 
 /// Offline warm-up latency at several `EADRL_PAR_THREADS` settings, with
 /// `restarts = 4` so the sweep has work to fan out.
-fn bench_restart_scaling(c: &mut Harness) -> Vec<(usize, Summary)> {
+fn bench_restart_scaling(c: &mut Harness) {
     let (preds, actuals) = stream(WARM_STEPS);
     let mut config = bench_config();
     config.restarts = 4;
@@ -82,22 +88,6 @@ fn bench_restart_scaling(c: &mut Harness) -> Vec<(usize, Summary)> {
         });
     }
     std::env::remove_var(eadrl_par::THREADS_ENV);
-    let summaries = group.finish();
-    [1usize, 2, 4]
-        .iter()
-        .map(|&t| {
-            let s = summaries
-                .iter()
-                .find(|(name, _)| name == &format!("threads{t}"))
-                .map(|(_, s)| *s)
-                .unwrap_or(Summary {
-                    median_ns: f64::NAN,
-                    mean_ns: f64::NAN,
-                    min_ns: f64::NAN,
-                });
-            (t, s)
-        })
-        .collect()
 }
 
 /// An adaptive combiner with a trained policy and a saturated refresh
@@ -118,7 +108,7 @@ fn primed_adaptive(strategy: RefreshStrategy) -> AdaptiveEaDrl {
 /// Cold vs warm-start refresh latency on the same buffer. Each sample
 /// times one `refresh_now` (retrain + deploy) on a persistent combiner —
 /// exactly the pause a serving loop takes when a trigger fires.
-fn bench_refresh_latency(c: &mut Harness) -> Vec<(String, Summary)> {
+fn bench_refresh_latency(c: &mut Harness) {
     let mut group = c.benchmark_group("refresh_latency");
     let mut cold = primed_adaptive(RefreshStrategy::Cold);
     group.bench_function("cold", |b| {
@@ -136,12 +126,11 @@ fn bench_refresh_latency(c: &mut Harness) -> Vec<(String, Summary)> {
             black_box(warm.refreshes())
         });
     });
-    group.finish()
 }
 
 /// Ring-buffered sliding windows against the shifted-Vec equivalents
 /// they replaced, at serving-representative and stress window sizes.
-fn bench_window_slide(c: &mut Harness, window: usize, steps: usize) -> Vec<(String, Summary)> {
+fn bench_window_slide(c: &mut Harness, window: usize, steps: usize) {
     let mut group = c.benchmark_group(format!("window_slide_w{window}"));
     group.bench_function("vec_shift", |b| {
         let mut buf: Vec<f64> = (0..window).map(|i| i as f64).collect();
@@ -165,12 +154,11 @@ fn bench_window_slide(c: &mut Harness, window: usize, steps: usize) -> Vec<(Stri
             black_box(ring[0])
         });
     });
-    group.finish()
 }
 
 /// `(preds, actual)` history recording: the old `to_vec` + shift against
 /// `StepRing::record`'s slot reuse.
-fn bench_history_record(c: &mut Harness, window: usize, steps: usize) -> Vec<(String, Summary)> {
+fn bench_history_record(c: &mut Harness, window: usize, steps: usize) {
     let preds: Vec<f64> = (0..MODELS).map(|i| i as f64).collect();
     let mut group = c.benchmark_group(format!("history_record_w{window}"));
     group.bench_function("vec_shift", |b| {
@@ -194,102 +182,14 @@ fn bench_history_record(c: &mut Harness, window: usize, steps: usize) -> Vec<(St
             black_box(ring.len())
         });
     });
-    group.finish()
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-
-    let mut h = if quick {
-        Harness::default()
-            .measurement_time(std::time::Duration::from_millis(300))
-            .warm_up_time(std::time::Duration::from_millis(100))
-            .sample_size(10)
-    } else {
-        Harness::default()
-            .measurement_time(std::time::Duration::from_secs(2))
-            .warm_up_time(std::time::Duration::from_millis(500))
-            .sample_size(20)
-    };
-
-    let scaling = bench_restart_scaling(&mut h);
-    let refresh = bench_refresh_latency(&mut h);
-    let slide_small = bench_window_slide(&mut h, 16, 512);
-    let slide_large = bench_window_slide(&mut h, 256, 512);
-    let record = bench_history_record(&mut h, 256, 512);
-
-    let mut fields: Vec<(String, JsonValue)> = vec![
-        ("warm_steps".to_string(), WARM_STEPS.into()),
-        ("online_steps".to_string(), ONLINE_STEPS.into()),
-        ("models".to_string(), MODELS.into()),
-        ("warm_episodes".to_string(), WARM_EPISODES.into()),
-        (
-            "cores".to_string(),
-            std::thread::available_parallelism()
-                .map_or(0, |n| n.get())
-                .into(),
-        ),
-    ];
-    let serial = scaling
-        .iter()
-        .find(|(t, _)| *t == 1)
-        .map_or(f64::NAN, |(_, s)| s.median_ns);
-    for (threads, s) in &scaling {
-        fields.push((
-            format!("warm_up_restarts4_threads{threads}_median_ns"),
-            s.median_ns.into(),
-        ));
-        fields.push((
-            format!("warm_up_restarts4_threads{threads}_speedup"),
-            (serial / s.median_ns).into(),
-        ));
-    }
-    let mut gate_failures: Vec<String> = Vec::new();
-
-    let cold = median_ns(&refresh, "cold");
-    let warm = median_ns(&refresh, "warm_start");
-    let refresh_speedup = cold / warm;
-    fields.push(("refresh_cold_median_ns".to_string(), cold.into()));
-    fields.push(("refresh_warm_start_median_ns".to_string(), warm.into()));
-    fields.push((
-        "refresh_speedup_warm_start".to_string(),
-        refresh_speedup.into(),
-    ));
-    // NaN (e.g. a zero-time fluke) must also trip the gate, hence the
-    // negated comparison rather than `speedup < 1.0`.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(refresh_speedup >= 1.0) {
-        gate_failures.push(format!(
-            "warm-start refresh slower than cold (speedup {refresh_speedup:.3}x)"
-        ));
-    }
-
-    for (label, rows) in [
-        ("window_slide_w16", &slide_small),
-        ("window_slide_w256", &slide_large),
-        ("history_record_w256", &record),
-    ] {
-        let shift = median_ns(rows, "vec_shift");
-        let ring = median_ns(rows, "ring");
-        let speedup = shift / ring;
-        fields.push((format!("{label}_vec_shift_median_ns"), shift.into()));
-        fields.push((format!("{label}_ring_median_ns"), ring.into()));
-        fields.push((format!("{label}_speedup_ring"), speedup.into()));
-        // The 16-wide window is reported but not gated: at serving-size
-        // windows both paths are tens of nanoseconds and the comparison
-        // is noise-bound. The 256-wide groups are where `remove(0)`'s
-        // O(n) shift must lose to the ring.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if label != "window_slide_w16" && !(speedup >= 1.0) {
-            gate_failures.push(format!(
-                "{label}: ring slower than shift (speedup {speedup:.3}x)"
-            ));
-        }
-    }
-
-    emit_bench_report("refresh_bench", fields);
-    exit_on_gate_failures(
-        &gate_failures,
-        "warm-start refresh at most cold latency; rings at least match shifts",
-    );
+    let mut h = Harness::new("refresh");
+    bench_restart_scaling(&mut h);
+    bench_refresh_latency(&mut h);
+    bench_window_slide(&mut h, 16, 512);
+    bench_window_slide(&mut h, 256, 512);
+    bench_history_record(&mut h, 256, 512);
+    h.finish(&GATES);
 }

@@ -1,171 +1,313 @@
 //! Repo-owned micro-benchmark harness behind `cargo bench`.
 //!
-//! The bench targets in `benches/` measure the quantities discussed in
-//! the paper's runtime sections (Table III latencies, training cost).
-//! This module is the engine: it calibrates an iteration count per
-//! benchmark, collects timed samples, and prints a per-benchmark
-//! summary — real measurements with `std::time` alone, no external
-//! benchmarking framework (`std::time` is fair game here: `crates/bench`
-//! is one of the two crates where the `determinism` lint permits
-//! wall-clock reads, because runtime *is* the measured quantity).
+//! A bench target in `benches/` declares its cases and its gates; this
+//! module does the rest. It picks the measurement budget, calibrates an
+//! iteration count per case, collects timed samples, prints a summary
+//! line per case, writes the row report and checks the gates — real
+//! measurements with `std::time` alone, no external benchmarking
+//! framework (`std::time` is fair game here: `crates/bench` is one of the
+//! two crates where the `determinism` lint permits wall-clock reads,
+//! because runtime *is* the measured quantity).
+//!
+//! Every bench target takes the same flags (combinable), read by
+//! [`Harness::new`]:
+//! - `--quick`   the CI smoke budget: 300 ms of measurement, 100 ms of
+//!   warm-up and 10 samples per case, instead of 2 s, 500 ms and 20;
+//! - `--json`    print the row report on stdout after the summary lines;
+//! - `--out <p>` write the row report to the file `<p>` (a relative path
+//!   resolves against the workspace root, because cargo runs bench
+//!   binaries from the package directory);
+//! - `--check`   evaluate the declared [`Gate`]s and exit 1 if one fails.
+//!
+//! The row report is one JSON document with one row per finished case,
+//! in run order:
+//!
+//! ```text
+//! {"bench":"refresh","cores":2,"rows":[{"case":"refresh_latency/cold","median_ns":83596364.5},…]}
+//! ```
+//!
+//! `median_ns` is the median time of one call of the routine the case
+//! times, whatever that routine does (an epoch, 100 DDPG updates, one
+//! cold lint run). Descriptive scalars such as the kernels' `simd` may sit
+//! beside `rows`; derived ratios may not — a report carries measurements,
+//! and a reader divides two rows.
 //!
 //! Scope is deliberately small compared to a statistical benchmarking
-//! suite: no outlier classification, no regression tracking against
-//! saved baselines — median/mean/min over a fixed sample count, printed
-//! to stdout. The numbers feed the relative comparisons in
-//! `EXPERIMENTS.md` (EA-DRL forward pass vs. baseline weight updates),
-//! which depend on ratios between benchmarks run on the same machine,
-//! not on absolute wall-clock claims.
+//! suite: no outlier classification and no regression tracking against
+//! saved baselines, just median/mean/min over a fixed sample count.
 //!
 //! ```no_run
-//! use eadrl_bench::harness::Harness;
+//! use eadrl_bench::harness::{Gate, Harness};
 //! use std::hint::black_box;
 //!
-//! let mut h = Harness::default().sample_size(20);
-//! let mut group = h.benchmark_group("example");
-//! group.bench_function("sum", |b| {
+//! let mut h = Harness::new("example");
+//! let mut group = h.benchmark_group("sum");
+//! group.bench_function("iter", |b| {
 //!     b.iter(|| black_box((0..1000u64).sum::<u64>()))
 //! });
-//! group.finish();
+//! group.bench_function("formula", |b| {
+//!     b.iter(|| black_box(999 * 1000 / 2u64))
+//! });
+//! h.finish(&[Gate::at_most("sum/formula", "sum/iter")]);
 //! ```
 
+use eadrl_obs::json::JsonValue;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Top-level bench configuration and entry point (one per bench
-/// binary). Construct with [`Harness::default`], adjust via the
-/// builder methods, then open [`benchmark_group`](Self::benchmark_group)s.
-#[derive(Debug, Clone)]
-pub struct Harness {
-    measurement_time: Duration,
-    warm_up_time: Duration,
-    sample_size: usize,
+/// How long each case is measured.
+#[derive(Debug, Clone, Copy)]
+struct Budget {
+    /// Total measured time per case, split across the samples.
+    measurement: Duration,
+    /// Time spent running the routine before measuring, which also
+    /// calibrates the per-sample iteration count.
+    warm_up: Duration,
+    /// Timed samples per case.
+    samples: usize,
 }
 
-impl Default for Harness {
-    /// 2 s of measurement and 0.5 s of warm-up per benchmark, 20
-    /// samples — the budget every bench target in this workspace uses.
-    fn default() -> Self {
-        Harness {
-            measurement_time: Duration::from_secs(2),
-            warm_up_time: Duration::from_millis(500),
-            sample_size: 20,
-        }
-    }
+/// The budget of a full run, which the committed reports use.
+const FULL: Budget = Budget {
+    measurement: Duration::from_secs(2),
+    warm_up: Duration::from_millis(500),
+    samples: 20,
+};
+
+/// The `--quick` budget of CI smoke runs.
+const QUICK: Budget = Budget {
+    measurement: Duration::from_millis(300),
+    warm_up: Duration::from_millis(100),
+    samples: 10,
+};
+
+/// One bench binary's measurements, report and gates. Construct with
+/// [`Harness::new`], open [`benchmark_group`](Self::benchmark_group)s,
+/// then [`finish`](Self::finish).
+#[derive(Debug)]
+pub struct Harness {
+    bench: &'static str,
+    budget: Budget,
+    json: bool,
+    check: bool,
+    out: Option<PathBuf>,
+    scalars: Vec<(String, JsonValue)>,
+    /// `(group/function, median_ns)` per finished case, in run order.
+    rows: Vec<(String, f64)>,
 }
 
 impl Harness {
-    /// Total measured time budget per benchmark (split across samples).
-    #[must_use]
-    pub fn measurement_time(mut self, d: Duration) -> Self {
-        self.measurement_time = d;
-        self
+    /// The harness of the bench target `bench` (the report's `"bench"`
+    /// field), configured from the command line: `--quick`, `--json`,
+    /// `--out <p>` and `--check` (see the module docs).
+    pub fn new(bench: &'static str) -> Harness {
+        let args: Vec<String> = std::env::args().collect();
+        let has = |flag: &str| args.iter().any(|a| a == flag);
+        let out = args
+            .iter()
+            .position(|a| a == "--out")
+            .and_then(|i| args.get(i + 1))
+            .map(|raw| workspace_path(raw));
+        Harness {
+            bench,
+            budget: if has("--quick") { QUICK } else { FULL },
+            json: has("--json"),
+            check: has("--check"),
+            out,
+            scalars: Vec::new(),
+            rows: Vec::new(),
+        }
     }
 
-    /// Time spent running the routine before measurement starts, which
-    /// also calibrates the per-sample iteration count.
-    #[must_use]
-    pub fn warm_up_time(mut self, d: Duration) -> Self {
-        self.warm_up_time = d;
-        self
+    /// A flagless harness whose cases finish in milliseconds, for tests.
+    #[cfg(test)]
+    fn tiny() -> Harness {
+        Harness {
+            bench: "selftest",
+            budget: Budget {
+                measurement: Duration::from_millis(10),
+                warm_up: Duration::from_millis(1),
+                samples: 4,
+            },
+            json: false,
+            check: false,
+            out: None,
+            scalars: Vec::new(),
+            rows: Vec::new(),
+        }
     }
 
-    /// Number of timed samples per benchmark.
-    #[must_use]
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Opens a named group of related benchmarks; results print as
-    /// `group/benchmark` lines.
+    /// Opens a named group of related cases; each case's row is
+    /// `group/function`.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> Group<'_> {
         let name = name.into();
         println!("\n## {name}");
         Group {
             harness: self,
             name,
-            sample_size: None,
-            completed: Vec::new(),
+        }
+    }
+
+    /// Adds a descriptive scalar beside the report's rows, such as which
+    /// compiled kernel copy ran. Never a ratio of two rows.
+    pub fn describe(&mut self, key: &str, value: impl Into<JsonValue>) {
+        self.scalars.push((key.to_string(), value.into()));
+    }
+
+    /// Ends the run: writes the row report to `--out`, prints it under
+    /// `--json` and, under `--check`, prints every gate's verdict and
+    /// exits 1 if one failed. Exits 1 as well when `--out` cannot be
+    /// written.
+    pub fn finish(self, gates: &[Gate]) {
+        let doc = self.report();
+        if let Some(path) = &self.out {
+            if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
+                eprintln!("failed to write {}: {e}", path.display());
+                std::process::exit(1);
+            }
+            eprintln!("wrote {}", path.display());
+        }
+        if self.json {
+            println!("{doc}");
+        }
+        if !self.check {
+            return;
+        }
+        let mut failed = false;
+        for verdict in gates.iter().map(|g| g.verdict(&self.rows)) {
+            match verdict {
+                Ok(text) => eprintln!("check passed: {text}"),
+                Err(text) => {
+                    eprintln!("check FAILED: {text}");
+                    failed = true;
+                }
+            }
+        }
+        if failed {
+            std::process::exit(1);
+        }
+    }
+
+    /// The row report: `{"bench","cores",<scalars>,"rows":[{"case","median_ns"}]}`.
+    fn report(&self) -> String {
+        let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+        let rows = self
+            .rows
+            .iter()
+            .map(|(case, ns)| {
+                JsonValue::Obj(vec![
+                    ("case".to_string(), case.as_str().into()),
+                    ("median_ns".to_string(), (*ns).into()),
+                ])
+            })
+            .collect();
+        let mut doc = vec![
+            ("bench".to_string(), self.bench.into()),
+            ("cores".to_string(), cores.into()),
+        ];
+        doc.extend(self.scalars.iter().cloned());
+        doc.push(("rows".to_string(), JsonValue::Arr(rows)));
+        JsonValue::Obj(doc).to_json()
+    }
+}
+
+/// `raw` as given when absolute, else under the workspace root.
+fn workspace_path(raw: &str) -> PathBuf {
+    let path = PathBuf::from(raw);
+    if path.is_absolute() {
+        return path;
+    }
+    match std::env::var("CARGO_MANIFEST_DIR") {
+        Ok(dir) => PathBuf::from(dir).join("../..").join(path),
+        Err(_) => path,
+    }
+}
+
+/// A `--check` gate over the finished rows: a case's median must not
+/// exceed another case's median, or a fixed budget. A tie passes; a
+/// missing case or a NaN median fails.
+#[derive(Debug, Clone, Copy)]
+pub struct Gate {
+    case: &'static str,
+    limit: Limit,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Limit {
+    Case(&'static str),
+    Budget(Duration),
+}
+
+impl Gate {
+    /// `case` ≤ `other`: `case`'s median must not exceed `other`'s.
+    pub const fn at_most(case: &'static str, other: &'static str) -> Gate {
+        Gate {
+            case,
+            limit: Limit::Case(other),
+        }
+    }
+
+    /// `case` ≤ `budget`: `case`'s median must not exceed `budget`.
+    pub const fn within(case: &'static str, budget: Duration) -> Gate {
+        Gate {
+            case,
+            limit: Limit::Budget(budget),
+        }
+    }
+
+    /// `Ok` with the comparison when the gate holds over `rows`, `Err`
+    /// with it when not.
+    fn verdict(&self, rows: &[(String, f64)]) -> Result<String, String> {
+        let median = |case: &str| rows.iter().find(|(c, _)| c == case).map(|&(_, ns)| ns);
+        let value = median(self.case);
+        let (limit_name, limit) = match self.limit {
+            Limit::Case(other) => (other, median(other)),
+            Limit::Budget(budget) => ("budget", Some(budget.as_nanos() as f64)),
+        };
+        let show = |ns: Option<f64>| ns.map_or_else(|| "missing".to_string(), fmt_ns);
+        let text = format!(
+            "{} ({}) <= {limit_name} ({})",
+            self.case,
+            show(value),
+            show(limit),
+        );
+        match (value, limit) {
+            (Some(v), Some(l)) if v <= l => Ok(text),
+            _ => Err(text),
         }
     }
 }
 
-/// A named set of benchmarks sharing the harness budget.
+/// A named set of cases sharing the harness budget.
 #[derive(Debug)]
 pub struct Group<'a> {
     harness: &'a mut Harness,
     name: String,
-    sample_size: Option<usize>,
-    completed: Vec<(String, Summary)>,
 }
 
 impl Group<'_> {
-    /// Overrides the harness sample count for this group (used by the
-    /// slow whole-episode benchmarks).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = Some(n.max(1));
-        self
-    }
-
-    /// Measures `f`'s routine and prints one summary line.
+    /// Measures `f`'s routine, prints one summary line and records the
+    /// `group/id` row.
     pub fn bench_function(
         &mut self,
         id: impl Into<String>,
         mut f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let mut bencher = Bencher {
-            measurement_time: self.harness.measurement_time,
-            warm_up_time: self.harness.warm_up_time,
-            sample_size: self.sample_size.unwrap_or(self.harness.sample_size),
+            budget: self.harness.budget,
             result: None,
         };
         f(&mut bencher);
-        let id = id.into();
+        let case = format!("{}/{}", self.name, id.into());
         match bencher.result {
             Some(m) => {
-                println!("{}/{}  {}", self.name, id, m.render());
-                self.completed.push((id, m.summary()));
+                println!("{case}  {}", m.render());
+                self.harness.rows.push((case, m.median_ns));
             }
-            None => println!(
-                "{}/{}  (no measurement: bencher closure never called iter)",
-                self.name, id,
-            ),
+            None => println!("{case}  (no measurement: bencher closure never called iter)"),
         }
         self
     }
-
-    /// Summaries of the benchmarks completed so far, in run order —
-    /// for bench binaries that also emit a machine-readable report.
-    pub fn measurements(&self) -> &[(String, Summary)] {
-        &self.completed
-    }
-
-    /// Marks the group complete, returning every benchmark's summary in
-    /// run order (call sites that only want the printed table may drop
-    /// the return value).
-    pub fn finish(self) -> Vec<(String, Summary)> {
-        self.completed
-    }
-}
-
-/// Median of the benchmark named `id` among a finished group's rows; NaN
-/// when it is missing, so a gate comparing it fails.
-pub fn median_ns(rows: &[(String, Summary)], id: &str) -> f64 {
-    rows.iter()
-        .find(|(name, _)| name == id)
-        .map_or(f64::NAN, |(_, s)| s.median_ns)
-}
-
-/// Public per-iteration timing summary of one benchmark, in
-/// nanoseconds — what [`Group::finish`] hands back for JSON reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Median per-iteration time.
-    pub median_ns: f64,
-    /// Mean per-iteration time.
-    pub mean_ns: f64,
-    /// Fastest sample's per-iteration time.
-    pub min_ns: f64,
 }
 
 /// Per-iteration timing summary, in nanoseconds.
@@ -179,14 +321,6 @@ struct Measurement {
 }
 
 impl Measurement {
-    fn summary(&self) -> Summary {
-        Summary {
-            median_ns: self.median_ns,
-            mean_ns: self.mean_ns,
-            min_ns: self.min_ns,
-        }
-    }
-
     fn render(&self) -> String {
         format!(
             "median {:>10}  mean {:>10}  min {:>10}  ({} samples x {} iters)",
@@ -211,14 +345,12 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Handed to each benchmark closure; call [`iter`](Self::iter) or
-/// [`iter_batched`](Self::iter_batched) exactly once with the routine
-/// to measure.
+/// Handed to each case's closure; call [`iter`](Self::iter),
+/// [`iter_batched`](Self::iter_batched) or [`once`](Self::once) exactly
+/// once with the routine to measure.
 #[derive(Debug)]
 pub struct Bencher {
-    measurement_time: Duration,
-    warm_up_time: Duration,
-    sample_size: usize,
+    budget: Budget,
     result: Option<Measurement>,
 }
 
@@ -233,18 +365,19 @@ impl Bencher {
         loop {
             std::hint::black_box(routine());
             warm_calls += 1;
-            if warm_start.elapsed() >= self.warm_up_time {
+            if warm_start.elapsed() >= self.budget.warm_up {
                 break;
             }
         }
         let est_ns = warm_start.elapsed().as_nanos() as f64 / warm_calls as f64;
 
         // Split the measurement budget evenly across samples.
-        let target_sample_ns = self.measurement_time.as_nanos() as f64 / self.sample_size as f64;
+        let samples = self.budget.samples;
+        let target_sample_ns = self.budget.measurement.as_nanos() as f64 / samples as f64;
         let iters = ((target_sample_ns / est_ns.max(1.0)).round() as u64).max(1);
 
-        let mut per_iter_ns = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
+        let mut per_iter_ns = Vec::with_capacity(samples);
+        for _ in 0..samples {
             let start = Instant::now();
             for _ in 0..iters {
                 std::hint::black_box(routine());
@@ -266,14 +399,28 @@ impl Bencher {
         // One warm-up invocation to populate caches and page in code.
         std::hint::black_box(routine(setup()));
 
-        let mut per_iter_ns = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
+        let samples = self.budget.samples;
+        let mut per_iter_ns = Vec::with_capacity(samples);
+        for _ in 0..samples {
             let input = setup();
             let start = Instant::now();
             std::hint::black_box(routine(input));
             per_iter_ns.push(start.elapsed().as_nanos() as f64);
         }
         self.result = Some(summarize(&mut per_iter_ns, 1));
+    }
+
+    /// Times a single call of `routine` with no warm-up: a cold-start
+    /// cost, which warm-up and repeated samples would hide. Run such a
+    /// case first, while the process's caches are as cold as a fresh
+    /// invocation's. The routine's output is dropped after the clock
+    /// stops, so tearing it down is not part of the time.
+    pub fn once<O>(&mut self, routine: impl FnOnce() -> O) {
+        let start = Instant::now();
+        let out = std::hint::black_box(routine());
+        let ns = start.elapsed().as_nanos() as f64;
+        drop(out);
+        self.result = Some(summarize(&mut [ns], 1));
     }
 }
 
@@ -297,64 +444,131 @@ fn summarize(per_iter_ns: &mut [f64], iters: u64) -> Measurement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eadrl_obs::json::parse;
+
+    /// Whether `gate` holds over rows made of `cases`.
+    fn holds(gate: Gate, cases: &[(&str, f64)]) -> bool {
+        let rows: Vec<(String, f64)> = cases.iter().map(|&(c, ns)| (c.to_string(), ns)).collect();
+        gate.verdict(&rows).is_ok()
+    }
 
     #[test]
     fn iter_measures_and_reports() {
-        let mut h = Harness::default()
-            .measurement_time(Duration::from_millis(50))
-            .warm_up_time(Duration::from_millis(5))
-            .sample_size(5);
-        let mut group = h.benchmark_group("harness_selftest");
+        let mut h = Harness::tiny();
+        let mut b = Bencher {
+            budget: h.budget,
+            result: None,
+        };
         let mut calls = 0u64;
-        group.bench_function("counting", |b| {
-            b.iter(|| {
-                calls += 1;
-                std::hint::black_box(calls)
-            })
+        b.iter(|| {
+            calls += 1;
+            std::hint::black_box(calls)
         });
-        assert_eq!(group.measurements().len(), 1);
-        let summaries = group.finish();
         assert!(calls > 5, "routine should run many times, ran {calls}");
-        assert_eq!(summaries[0].0, "counting");
-        assert!(summaries[0].1.min_ns <= summaries[0].1.median_ns);
-        assert!(summaries[0].1.median_ns > 0.0);
+        let m = b.result.expect("iter records a measurement");
+        assert!(m.min_ns <= m.median_ns);
+        assert!(m.median_ns > 0.0);
+
+        h.benchmark_group("harness_selftest")
+            .bench_function("counting", |b| b.iter(|| std::hint::black_box(1u64)));
+        assert_eq!(h.rows.len(), 1);
+        assert_eq!(h.rows[0].0, "harness_selftest/counting");
+        assert!(h.rows[0].1 > 0.0);
     }
 
     #[test]
     fn iter_batched_runs_setup_per_sample() {
-        let mut h = Harness::default()
-            .measurement_time(Duration::from_millis(10))
-            .warm_up_time(Duration::from_millis(1))
-            .sample_size(4);
-        let mut group = h.benchmark_group("harness_selftest_batched");
+        let mut h = Harness::tiny();
         let mut setups = 0u64;
-        group.bench_function("batched", |b| {
-            b.iter_batched(
-                || {
-                    setups += 1;
-                    vec![1u64; 16]
-                },
-                |v| v.iter().sum::<u64>(),
-            )
-        });
-        group.finish();
+        h.benchmark_group("harness_selftest_batched")
+            .bench_function("batched", |b| {
+                b.iter_batched(
+                    || {
+                        setups += 1;
+                        vec![1u64; 16]
+                    },
+                    |v| v.iter().sum::<u64>(),
+                )
+            });
         // One warm-up setup + one per sample.
         assert_eq!(setups, 5);
+        assert_eq!(h.rows.len(), 1);
     }
 
     #[test]
-    fn group_sample_size_override_wins() {
-        let mut h = Harness::default()
-            .measurement_time(Duration::from_millis(10))
-            .warm_up_time(Duration::from_millis(1))
-            .sample_size(7);
-        let mut group = h.benchmark_group("override");
-        group.sample_size(3);
-        let mut setups = 0u64;
-        group.bench_function("x", |b| {
-            b.iter_batched(|| setups += 1, |()| std::hint::black_box(0u64))
+    fn once_runs_the_routine_exactly_once() {
+        let mut h = Harness::tiny();
+        let mut calls = 0u64;
+        h.benchmark_group("cold").bench_function("run", |b| {
+            b.once(|| {
+                calls += 1;
+                std::thread::sleep(Duration::from_millis(1));
+            })
         });
-        assert_eq!(setups, 4); // warm-up + 3 samples
+        assert_eq!(calls, 1);
+        assert!(h.rows[0].1 >= 1e6, "one 1 ms call, got {} ns", h.rows[0].1);
+    }
+
+    #[test]
+    fn report_holds_bench_cores_and_one_row_per_case_in_run_order() {
+        let mut h = Harness::tiny();
+        let mut group = h.benchmark_group("g1");
+        group.bench_function("b", |b| b.iter(|| std::hint::black_box(1u64)));
+        group.bench_function("a", |b| b.iter(|| std::hint::black_box(2u64)));
+        h.benchmark_group("g0")
+            .bench_function("skipped", |_| {})
+            .bench_function("c", |b| b.iter_batched(|| 3u64, |x| x + 1));
+        h.describe("simd", "portable");
+
+        let doc = parse(&h.report()).expect("the report is valid JSON");
+        assert_eq!(
+            doc.get("bench").and_then(JsonValue::as_str),
+            Some("selftest")
+        );
+        let cores = doc.get("cores").and_then(JsonValue::as_f64).expect("cores");
+        assert_eq!(cores.fract(), 0.0, "cores is an integer");
+        assert_eq!(
+            doc.get("simd").and_then(JsonValue::as_str),
+            Some("portable")
+        );
+        let rows = doc.get("rows").and_then(JsonValue::as_arr).expect("rows");
+        let cases: Vec<&str> = rows
+            .iter()
+            .filter_map(|r| r.get("case").and_then(JsonValue::as_str))
+            .collect();
+        // A case whose closure never timed anything has no row.
+        assert_eq!(cases, ["g1/b", "g1/a", "g0/c"]);
+        for row in rows {
+            let ns = row.get("median_ns").and_then(JsonValue::as_f64);
+            assert!(ns.is_some_and(|ns| ns > 0.0), "{row}");
+        }
+    }
+
+    #[test]
+    fn case_gate_fails_on_a_slower_case_nan_or_a_missing_case_and_passes_a_tie() {
+        let gate = Gate::at_most("g/new", "g/old");
+        assert!(holds(gate, &[("g/new", 5.0), ("g/old", 9.0)]));
+        assert!(holds(gate, &[("g/new", 9.0), ("g/old", 9.0)]));
+        assert!(!holds(gate, &[("g/new", 9.5), ("g/old", 9.0)]));
+        assert!(!holds(gate, &[("g/new", f64::NAN), ("g/old", 9.0)]));
+        assert!(!holds(gate, &[("g/new", 5.0), ("g/old", f64::NAN)]));
+        assert!(!holds(gate, &[("g/old", 9.0)]));
+        assert!(!holds(gate, &[("g/new", 5.0)]));
+        let verdict = gate.verdict(&[]);
+        assert!(
+            verdict.as_ref().is_err_and(|t| t.contains("missing")),
+            "{verdict:?}"
+        );
+    }
+
+    #[test]
+    fn budget_gate_fails_over_budget() {
+        let gate = Gate::within("lint/cold", Duration::from_millis(5));
+        assert!(holds(gate, &[("lint/cold", 4.9e6)]));
+        assert!(holds(gate, &[("lint/cold", 5e6)]));
+        assert!(!holds(gate, &[("lint/cold", 5.1e6)]));
+        assert!(!holds(gate, &[("lint/cold", f64::NAN)]));
+        assert!(!holds(gate, &[]));
     }
 
     #[test]

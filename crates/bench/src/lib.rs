@@ -78,72 +78,14 @@ pub fn json_output() -> bool {
     std::env::args().any(|a| a == "--json")
 }
 
-/// The one-document JSON report `{"report": <kind>, <fields>...}`. The
-/// schema rides on the same zero-dependency JSON writer the telemetry
-/// layer uses, so reports and traces stay mutually parseable.
-fn json_report(kind: &str, mut fields: Vec<(String, JsonValue)>) -> String {
+/// Prints a one-document JSON report to stdout: `{"report": <kind>,
+/// <fields>...}`. The schema rides on the same zero-dependency JSON
+/// writer the telemetry layer uses, so reports and traces stay mutually
+/// parseable.
+pub fn print_json_report(kind: &str, mut fields: Vec<(String, JsonValue)>) {
     let mut obj: Vec<(String, JsonValue)> = vec![("report".to_string(), kind.into())];
     obj.append(&mut fields);
-    JsonValue::Obj(obj).to_json()
-}
-
-/// Prints a one-document JSON report to stdout: `{"report": <kind>,
-/// <fields>...}`.
-pub fn print_json_report(kind: &str, fields: Vec<(String, JsonValue)>) {
-    println!("{}", json_report(kind, fields));
-}
-
-/// Emits a micro-benchmark's report: written to the file named by
-/// `--out <path>` and printed on stdout under `--json` (either, both or
-/// neither). A relative `--out` path resolves against the workspace root,
-/// because cargo runs bench binaries from the package directory. Exits
-/// non-zero when the file cannot be written.
-pub fn emit_bench_report(kind: &str, fields: Vec<(String, JsonValue)>) {
-    let doc = json_report(kind, fields);
-    if let Some(path) = out_path() {
-        if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-    if json_output() {
-        println!("{doc}");
-    }
-}
-
-/// The `--out <path>` value, when present (see [`emit_bench_report`]).
-fn out_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let raw = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))?;
-    let path = std::path::PathBuf::from(raw);
-    if path.is_absolute() {
-        return Some(path);
-    }
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(dir) => Some(std::path::Path::new(&dir).join("../..").join(path)),
-        Err(_) => Some(path),
-    }
-}
-
-/// Ends a micro-benchmark's `--check` run: prints each gate failure and
-/// exits non-zero, or prints `passed` when every gate held. Does nothing
-/// without `--check`.
-pub fn exit_on_gate_failures(failures: &[String], passed: &str) {
-    if !std::env::args().any(|a| a == "--check") {
-        return;
-    }
-    if failures.is_empty() {
-        eprintln!("check passed: {passed}");
-        return;
-    }
-    for failure in failures {
-        eprintln!("check FAILED: {failure}");
-    }
-    std::process::exit(1);
+    println!("{}", JsonValue::Obj(obj).to_json());
 }
 
 /// Generates all 20 series of Table I at the given scale.

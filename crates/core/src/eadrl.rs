@@ -60,30 +60,14 @@ pub struct EaDrlConfig {
     pub restarts: usize,
     /// Informed actor initialization: start the policy at the
     /// performance-based weighting `softmax(-T · e_i / min_j e_j)` over the
-    /// validation errors `e_i` (T = `init_temperature`), by setting the
+    /// validation errors `e_i` (T = 8, `INIT_TEMPERATURE`), by setting the
     /// actor's output bias. DDPG then refines the weighting and adds the
     /// state dependence. Cold starts must otherwise discover a 43-way
     /// concentrated weight vector from undirected noise — a needle-in-a-
     /// haystack exploration problem on short validation segments.
     pub informed_init: bool,
-    /// Sharpness of the informed initialization (higher = more mass on the
-    /// validation-best models).
-    pub init_temperature: f64,
     /// Online state-window semantics.
     pub online_state: OnlineState,
-    /// Greedy-rollout evaluation cadence (episodes) for checkpointing.
-    pub eval_every: usize,
-    /// Fraction of the validation segment held out from the training
-    /// environment and used *only* to score checkpoints. Selecting on data
-    /// the policy trained on promotes overfit checkpoints; this tail
-    /// measures generalization.
-    pub selection_holdout: f64,
-    /// Relative holdout-RMSE improvement a *trained* checkpoint must show
-    /// over the best static candidate to be deployed. Trained checkpoints
-    /// get many more selection attempts than the handful of static
-    /// candidates, so without a margin the winner's curse lets noisy
-    /// checkpoints displace robust static weightings.
-    pub selection_margin: f64,
     /// Graceful-degradation policy for the online serving path (per-model
     /// `catch_unwind`, non-finite masking, quarantine/re-entry) — see
     /// [`crate::guard`].
@@ -101,11 +85,7 @@ impl Default for EaDrlConfig {
             reward: RewardKind::Rank { normalize: true },
             val_fraction: 0.25,
             restarts: 2,
-            eval_every: 5,
-            selection_holdout: 0.4,
-            selection_margin: 0.08,
             informed_init: true,
-            init_temperature: 8.0,
             online_state: OnlineState::EnsembleOutputs,
             guard: GuardConfig::default(),
             ddpg: DdpgConfig {
@@ -125,6 +105,26 @@ impl Default for EaDrlConfig {
         }
     }
 }
+
+/// Sharpness of the informed initialization (higher = more mass on the
+/// validation-best models).
+const INIT_TEMPERATURE: f64 = 8.0;
+
+/// Greedy-rollout evaluation cadence (episodes) for checkpointing.
+const EVAL_EVERY: usize = 5;
+
+/// Fraction of the validation segment held out from the training
+/// environment and used *only* to score checkpoints. Selecting on data
+/// the policy trained on promotes overfit checkpoints; this tail measures
+/// generalization.
+const SELECTION_HOLDOUT: f64 = 0.4;
+
+/// Relative holdout-RMSE improvement a *trained* checkpoint must show over
+/// the best static candidate to be deployed. Trained checkpoints get many
+/// more selection attempts than the handful of static candidates, so
+/// without a margin the winner's curse lets noisy checkpoints displace
+/// robust static weightings.
+const SELECTION_MARGIN: f64 = 0.08;
 
 /// The learned combination policy, usable as a [`Combiner`].
 ///
@@ -263,8 +263,7 @@ impl EaDrlPolicy {
             self.agent = Some(agent);
             return false;
         }
-        let holdout = self.config.selection_holdout.clamp(0.0, 0.6);
-        let head_len = ((preds.len() as f64) * (1.0 - holdout)).round() as usize;
+        let head_len = ((preds.len() as f64) * (1.0 - SELECTION_HOLDOUT)).round() as usize;
         let head_len = head_len.clamp(omega + 2, preds.len());
         let mut env = EnsembleEnv::new(
             preds[..head_len].to_vec(),
@@ -273,7 +272,6 @@ impl EaDrlPolicy {
             self.config.reward,
             self.config.max_iter,
         );
-        let cadence = self.config.eval_every.max(1);
         let init_score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
         let mut best = (init_score, agent.actor_params());
         let mut best_source = String::from("snapshot");
@@ -305,7 +303,7 @@ impl EaDrlPolicy {
         let mut curve = Vec::with_capacity(episodes);
         for episode in 0..episodes {
             curve.push(agent.run_episode(&mut env, true));
-            if (episode + 1) % cadence == 0 || episode + 1 == episodes {
+            if (episode + 1) % EVAL_EVERY == 0 || episode + 1 == episodes {
                 let score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
                 if score < best.0 {
                     best = (score, agent.actor_params());
@@ -348,8 +346,7 @@ impl Combiner for EaDrlPolicy {
         let m = preds[0].len();
         // Split the validation segment: the head trains the policy, the
         // tail scores checkpoints (generalization-based model selection).
-        let holdout = self.config.selection_holdout.clamp(0.0, 0.6);
-        let head_len = ((preds.len() as f64) * (1.0 - holdout)).round() as usize;
+        let head_len = ((preds.len() as f64) * (1.0 - SELECTION_HOLDOUT)).round() as usize;
         let head_len = head_len.clamp(omega + 2, preds.len());
         // Model selection: several independent DDPG trainings, with the
         // actor checkpointed at its best greedy RMSE on the held-out tail.
@@ -408,18 +405,17 @@ impl Combiner for EaDrlPolicy {
                 let squash = ddpg.squash;
                 let mut agent = DdpgAgent::new(omega, m, ddpg);
                 if config.informed_init {
-                    let bias = informed_logits(preds, actuals, config.init_temperature, squash);
+                    let bias = informed_logits(preds, actuals, INIT_TEMPERATURE, squash);
                     agent.init_actor_output_bias(&bias);
                 }
                 let mut curve = Vec::with_capacity(config.episodes);
-                let cadence = config.eval_every.max(1);
                 // Episode-0 checkpoint: the informed initialization itself
                 // competes in the selection.
                 let init_score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
                 let mut restart_best = (init_score, agent.actor_params());
                 for episode in 0..config.episodes {
                     curve.push(agent.run_episode(&mut env, true));
-                    if (episode + 1) % cadence == 0 || episode + 1 == config.episodes {
+                    if (episode + 1) % EVAL_EVERY == 0 || episode + 1 == config.episodes {
                         let score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
                         if score < restart_best.0 {
                             restart_best = (score, agent.actor_params());
@@ -456,8 +452,10 @@ impl Combiner for EaDrlPolicy {
             if self.learning_curve.is_empty() {
                 self.learning_curve = curve;
             }
-            let margin = 1.0 - self.config.selection_margin.clamp(0.0, 0.5);
-            if best.as_ref().is_none_or(|(b, _)| score < *b * margin) {
+            if best
+                .as_ref()
+                .is_none_or(|(b, _)| score < *b * (1.0 - SELECTION_MARGIN))
+            {
                 agent.load_actor_params(&params);
                 best = Some((score, params));
                 best_source = format!("restart({restart})");

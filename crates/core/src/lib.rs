@@ -27,7 +27,6 @@ pub mod guard;
 pub mod online;
 pub mod parallel;
 pub mod persist;
-pub mod tuning;
 
 pub use combiner::{run_combiner, run_combiner_traced, weight_churn, Combiner};
 pub use eadrl::{weight_entropy, EaDrl, EaDrlConfig, EaDrlPolicy, OnlineState};
@@ -41,4 +40,3 @@ pub use guard::{
 pub use online::{AdaptiveEaDrl, RefreshStrategy, RefreshTrigger};
 pub use parallel::{fit_pool, prediction_matrix};
 pub use persist::{PersistError, PolicySnapshot};
-pub use tuning::{tune, TuningGrid, TuningResult};

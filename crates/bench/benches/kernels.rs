@@ -190,7 +190,7 @@ fn transition(rng: &mut DetRng, action_dim: usize, reward: f64, i: usize) -> Tra
         action,
         reward,
         next_state,
-        done: i % 9 == 0,
+        done: i.is_multiple_of(9),
     }
 }
 

@@ -1,5 +1,5 @@
 //! Benchmarks the deep lint analysis end-to-end over the real
-//! workspace: parse + call-graph construction, the three
+//! workspace: parse + call-graph construction, the four
 //! interprocedural passes on a prebuilt analysis, and one cold
 //! everything-included run.
 //!
@@ -16,7 +16,6 @@
 
 use eadrl_bench::harness::{Gate, Harness};
 use eadrl_lint::deep::{self, Analysis, HotPathConfig};
-use eadrl_lint::source::SourceFile;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -35,26 +34,10 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Reads and lexes every workspace source file with workspace-relative
-/// paths (the path-scoped rules key off `crates/…/src/` prefixes).
-fn parse_workspace(root: &Path) -> Vec<SourceFile> {
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "examples"] {
-        let p = root.join(dir);
-        if !p.exists() {
-            continue;
-        }
-        for path in eadrl_lint::collect_rs_files(&p).expect("walk workspace") {
-            let rel = path
-                .strip_prefix(root)
-                .expect("under root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            let text = std::fs::read_to_string(&path).expect("read source");
-            files.push(SourceFile::parse(&rel, &text));
-        }
-    }
-    files
+/// Reads, lexes and parses every workspace source file and builds the
+/// call graph, as the CLI does from the repo root.
+fn load_workspace(root: &Path) -> Analysis {
+    Analysis::load(&eadrl_lint::workspace_dirs(root), root).expect("workspace loads")
 }
 
 fn hot_config(root: &Path) -> HotPathConfig {
@@ -68,21 +51,21 @@ fn main() {
     let mut h = Harness::new("lint_deep");
     let mut group = h.benchmark_group("lint_deep");
     // One cold run, everything included: I/O, lexing, parsing, call-graph
-    // construction, all three passes. This is what a CI invocation costs,
+    // construction, all four passes. This is what a CI invocation costs,
     // so it runs first, while caches are coldest this process will ever
     // have them.
     group.bench_function("cold_end_to_end", |b| {
         b.once(|| {
-            let analysis = Analysis::from_files(parse_workspace(&root), &root);
+            let analysis = load_workspace(&root);
             let report = deep::run_deep(&analysis, Some(&hot));
             (analysis, report)
         })
     });
     // Phase split: construction (lex + parse + graph) vs the passes.
     group.bench_function("parse_and_graph", |b| {
-        b.iter(|| black_box(Analysis::from_files(parse_workspace(&root), &root)))
+        b.iter(|| black_box(load_workspace(&root)))
     });
-    let analysis = Analysis::from_files(parse_workspace(&root), &root);
+    let analysis = load_workspace(&root);
     group.bench_function("deep_passes", |b| {
         b.iter(|| black_box(deep::run_deep(&analysis, Some(&hot))))
     });

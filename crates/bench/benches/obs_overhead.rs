@@ -87,15 +87,12 @@ fn bench_modes(c: &mut Harness) {
                 std::io::sink(),
             ))));
             eadrl_obs::set_level(level);
-            b.iter_batched(
-                || seeded_agent(),
-                |mut agent| {
-                    for _ in 0..UPDATES_PER_RUN {
-                        agent.update();
-                    }
-                    black_box(agent.updates())
-                },
-            );
+            b.iter_batched(seeded_agent, |mut agent| {
+                for _ in 0..UPDATES_PER_RUN {
+                    agent.update();
+                }
+                black_box(agent.updates())
+            });
             eadrl_obs::set_level(None);
         });
     }

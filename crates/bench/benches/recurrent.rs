@@ -15,7 +15,7 @@ use eadrl_bench::harness::Harness;
 use eadrl_linalg::Matrix;
 use eadrl_nn::{
     mse_loss_grad, Activation, Adam, BiLstm, BiRecurrentWorkspace, Conv1d, ConvWorkspace, Dense,
-    Lstm, Network, Optimizer, RecurrentWorkspace,
+    Lstm, Network, RecurrentWorkspace,
 };
 use eadrl_rng::DetRng;
 use std::hint::black_box;

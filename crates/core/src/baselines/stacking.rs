@@ -27,11 +27,6 @@ impl Stacking {
             forest: None,
         }
     }
-
-    /// True once the meta-learner has been fitted.
-    pub fn is_fitted(&self) -> bool {
-        self.forest.is_some()
-    }
 }
 
 impl Combiner for Stacking {
@@ -80,7 +75,7 @@ mod tests {
         let actuals: Vec<f64> = (0..80).map(|t| (t as f64 / 7.0).sin() * 5.0).collect();
         let mut st = Stacking::new(25, 8, 1);
         st.warm_up(&preds, &actuals);
-        assert!(st.is_fitted());
+        assert!(st.forest.is_some());
         // On fresh inputs where the models disagree, output should track
         // model 0 much more closely than the mean would.
         let out = st.combine(&[2.0, 6.0]);
@@ -90,7 +85,7 @@ mod tests {
     #[test]
     fn without_warm_up_falls_back_to_mean() {
         let mut st = Stacking::new(10, 4, 0);
-        assert!(!st.is_fitted());
+        assert!(st.forest.is_none());
         assert_eq!(st.combine(&[1.0, 3.0]), 2.0);
     }
 
@@ -98,7 +93,7 @@ mod tests {
     fn tiny_warm_up_is_ignored() {
         let mut st = Stacking::new(10, 4, 0);
         st.warm_up(&[vec![1.0]], &[1.0]);
-        assert!(!st.is_fitted());
+        assert!(st.forest.is_none());
     }
 
     #[test]

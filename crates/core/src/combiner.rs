@@ -179,11 +179,6 @@ impl SlidingErrorWindow {
     pub fn model_track(&self, i: usize) -> Vec<f64> {
         self.history.iter().map(|(p, _)| p[i]).collect()
     }
-
-    /// The stored actuals.
-    pub fn actuals(&self) -> Vec<f64> {
-        self.history.iter().map(|(_, a)| *a).collect()
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +255,8 @@ mod tests {
         assert!((rmse[0] - ((1.0 + 4.0) / 2.0_f64).sqrt()).abs() < 1e-12);
         assert_eq!(rmse[1], 0.0);
         assert_eq!(w.model_track(0), vec![2.0, 3.0]);
-        assert_eq!(w.actuals(), vec![1.0, 1.0]);
+        let actuals: Vec<f64> = w.history.iter().map(|(_, a)| *a).collect();
+        assert_eq!(actuals, vec![1.0, 1.0]);
     }
 
     #[test]

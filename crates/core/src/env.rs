@@ -142,11 +142,6 @@ impl EnsembleEnv {
         self.m
     }
 
-    /// Length of the replayed validation segment.
-    pub fn segment_len(&self) -> usize {
-        self.actuals.len()
-    }
-
     fn scaled_window(&self) -> Vec<f64> {
         normalize_window(&self.window)
     }
@@ -252,7 +247,7 @@ mod tests {
         assert_eq!(env.state_dim(), 4);
         assert_eq!(env.action_dim(), 2);
         assert_eq!(env.n_models(), 2);
-        assert_eq!(env.segment_len(), 20);
+        assert_eq!(env.actuals.len(), 20);
     }
 
     #[test]

@@ -362,10 +362,12 @@ mod tests {
         use crate::eadrl::{EaDrl, EaDrlConfig};
         let s = series();
         let (train, test) = s.split_at(240);
-        let mut config = EaDrlConfig::default();
-        config.omega = 6;
-        config.episodes = 8;
-        config.restarts = 1;
+        let config = EaDrlConfig {
+            omega: 6,
+            episodes: 8,
+            restarts: 1,
+            ..Default::default()
+        };
         let mut model = EaDrl::new(pool(), config);
         model.fit(train).unwrap();
         let horizons = multi_horizon_rmse(&mut model, train, test, 6, 4);

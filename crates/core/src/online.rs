@@ -125,11 +125,6 @@ impl AdaptiveEaDrl {
         self
     }
 
-    /// The configured refresh strategy.
-    pub fn strategy(&self) -> RefreshStrategy {
-        self.strategy
-    }
-
     /// Number of online policy refreshes performed so far.
     pub fn refreshes(&self) -> usize {
         self.refreshes
@@ -392,12 +387,13 @@ mod tests {
     use eadrl_timeseries::metrics::rmse;
 
     fn quick_config() -> EaDrlConfig {
-        let mut config = EaDrlConfig::default();
-        config.omega = 6;
-        config.episodes = 8;
-        config.max_iter = 40;
-        config.restarts = 1;
-        config
+        EaDrlConfig {
+            omega: 6,
+            episodes: 8,
+            max_iter: 40,
+            restarts: 1,
+            ..Default::default()
+        }
     }
 
     /// Model 0 accurate before the flip, model 1 after, model 2 never.

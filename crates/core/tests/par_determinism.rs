@@ -26,10 +26,12 @@ fn run_pipeline(seed: u64) -> (Vec<u64>, Vec<Vec<u64>>) {
 
     let series = generate(DatasetId::TaxiDemand2, 360, seed);
     let (train, test) = series.split(0.75);
-    let mut config = EaDrlConfig::default();
-    config.omega = 8;
-    config.episodes = 6;
-    config.restarts = 1;
+    let mut config = EaDrlConfig {
+        omega: 8,
+        episodes: 6,
+        restarts: 1,
+        ..Default::default()
+    };
     config.ddpg.seed = seed;
     let mut model = EaDrl::new(quick_pool(5, 48, seed), config);
     model.fit(train).expect("fit");

@@ -23,12 +23,13 @@ use eadrl_timeseries::metrics::rmse;
 use std::sync::Arc;
 
 fn quick_config(restarts: usize) -> EaDrlConfig {
-    let mut config = EaDrlConfig::default();
-    config.omega = 6;
-    config.episodes = 8;
-    config.max_iter = 40;
-    config.restarts = restarts;
-    config
+    EaDrlConfig {
+        omega: 6,
+        episodes: 8,
+        max_iter: 40,
+        restarts,
+        ..Default::default()
+    }
 }
 
 /// Model 0 accurate before the flip, model 1 after, model 2 never.

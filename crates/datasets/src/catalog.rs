@@ -81,22 +81,6 @@ impl DatasetId {
         // eadrl-lint: allow(panic-reachable): all() enumerates every variant, so position() always finds self
         DatasetId::all().iter().position(|&d| d == self).unwrap() + 1
     }
-
-    /// Looks up a dataset by its Table I number (1–20).
-    pub fn from_number(number: usize) -> Option<DatasetId> {
-        (1..=20)
-            .contains(&number)
-            .then(|| DatasetId::all()[number - 1])
-    }
-
-    /// Looks up a dataset by its Table I display name (case-insensitive).
-    pub fn from_name(name: &str) -> Option<DatasetId> {
-        let wanted = name.trim().to_lowercase();
-        catalog()
-            .into_iter()
-            .find(|spec| spec.name.to_lowercase() == wanted)
-            .map(|spec| spec.id)
-    }
 }
 
 /// Metadata row of the catalogue (one per Table I entry).
@@ -411,24 +395,6 @@ mod tests {
         }
         assert_eq!(cat[0].name, "Water consumption");
         assert_eq!(cat[19].name, "Switzerland SMI");
-    }
-
-    #[test]
-    fn numeric_and_name_lookups_roundtrip() {
-        for id in DatasetId::all() {
-            assert_eq!(DatasetId::from_number(id.number()), Some(id));
-        }
-        assert_eq!(DatasetId::from_number(0), None);
-        assert_eq!(DatasetId::from_number(21), None);
-        assert_eq!(
-            DatasetId::from_name("taxi demand 1"),
-            Some(DatasetId::TaxiDemand1)
-        );
-        assert_eq!(
-            DatasetId::from_name("France CAC"),
-            Some(DatasetId::StockCac)
-        );
-        assert_eq!(DatasetId::from_name("nope"), None);
     }
 
     #[test]

@@ -11,8 +11,6 @@ use crate::{LinalgError, Result};
 pub struct Lu {
     lu: Matrix,
     perm: Vec<usize>,
-    /// Sign of the permutation, used for the determinant.
-    perm_sign: f64,
 }
 
 impl Lu {
@@ -27,7 +25,6 @@ impl Lu {
         }
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
         for k in 0..n {
             // Partial pivot: pick the largest |entry| in column k at or below row k.
             let mut pivot_row = k;
@@ -44,7 +41,6 @@ impl Lu {
             }
             if pivot_row != k {
                 perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
                 for j in 0..n {
                     let tmp = lu[(k, j)];
                     lu[(k, j)] = lu[(pivot_row, j)];
@@ -61,11 +57,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(Lu { lu, perm })
     }
 
     /// Solves `A x = b`.
@@ -95,12 +87,6 @@ impl Lu {
             x[i] = s / self.lu[(i, i)];
         }
         Ok(x)
-    }
-
-    /// Determinant of the factorized matrix.
-    pub fn det(&self) -> f64 {
-        let n = self.lu.rows();
-        (0..n).fold(self.perm_sign, |acc, i| acc * self.lu[(i, i)])
     }
 
     /// Inverse of the factorized matrix (column-by-column solve).
@@ -163,11 +149,6 @@ impl Cholesky {
         Ok(Cholesky { l })
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
-    }
-
     /// Solves `A x = b` via two triangular solves.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         let n = self.l.rows();
@@ -195,11 +176,6 @@ impl Cholesky {
             x[i] = s / self.l[(i, i)];
         }
         Ok(x)
-    }
-
-    /// Log-determinant of `A` (= 2 Σ log L_ii), cheap and overflow-free.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 }
 
@@ -310,7 +286,6 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]).unwrap();
         let lu = Lu::new(&a).unwrap();
         approx(&lu.solve(&[5.0, 10.0]).unwrap(), &[1.0, 3.0], 1e-12);
-        assert!((lu.det() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -319,7 +294,6 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
         let lu = Lu::new(&a).unwrap();
         approx(&lu.solve(&[2.0, 3.0]).unwrap(), &[3.0, 2.0], 1e-12);
-        assert!((lu.det() + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -341,7 +315,7 @@ mod tests {
     fn cholesky_reconstructs_spd_matrix() {
         let a = Matrix::from_vec(3, 3, vec![4.0, 2.0, 1.0, 2.0, 5.0, 3.0, 1.0, 3.0, 6.0]).unwrap();
         let ch = Cholesky::new(&a).unwrap();
-        let l = ch.l();
+        let l = &ch.l;
         let rec = l.matmul(&l.transpose()).unwrap();
         assert!(rec.sub(&a).unwrap().max_abs() < 1e-10);
     }
@@ -362,14 +336,6 @@ mod tests {
             Cholesky::new(&a),
             Err(LinalgError::NotPositiveDefinite)
         ));
-    }
-
-    #[test]
-    fn cholesky_log_det_matches_lu_det() {
-        let a = Matrix::from_vec(2, 2, vec![4.0, 1.0, 1.0, 3.0]).unwrap();
-        let ld = Cholesky::new(&a).unwrap().log_det();
-        let det = Lu::new(&a).unwrap().det();
-        assert!((ld - det.ln()).abs() < 1e-10);
     }
 
     #[test]

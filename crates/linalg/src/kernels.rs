@@ -44,7 +44,7 @@
 //! # Allocation contract
 //!
 //! No kernel allocates. Callers bring their own output buffers, typically
-//! leased from a [`Workspace`] so hot loops are allocation-free after the
+//! kept in a layer's workspace so hot loops are allocation-free after the
 //! first iteration.
 
 /// Runs a GEMM body — an `#[inline(always)]` fn taking three dimensions
@@ -92,52 +92,6 @@ pub const MC: usize = 64;
 
 /// Depth (k dimension) processed per block of the tiled GEMM.
 pub const KC: usize = 64;
-
-/// A pool of reusable `f64` buffers for hot-loop scratch space.
-///
-/// `take` hands out a zero-filled buffer, `recycle` returns it. Leases are
-/// LIFO, so a loop that takes and recycles the same sequence of sizes every
-/// iteration reaches a steady state where no lease ever reallocates.
-///
-/// ```
-/// use eadrl_linalg::kernels::Workspace;
-/// let mut ws = Workspace::new();
-/// let buf = ws.take(16);
-/// assert_eq!(buf.len(), 16);
-/// ws.recycle(buf);
-/// let again = ws.take(16); // reuses the previous allocation
-/// assert_eq!(again.capacity(), 16);
-/// ```
-#[derive(Debug, Default)]
-pub struct Workspace {
-    pool: Vec<Vec<f64>>,
-}
-
-impl Workspace {
-    /// Creates an empty workspace.
-    pub fn new() -> Self {
-        Workspace::default()
-    }
-
-    /// Leases a zero-filled buffer of exactly `len` elements, reusing the
-    /// most recently recycled buffer when one is available.
-    pub fn take(&mut self, len: usize) -> Vec<f64> {
-        let mut buf = self.pool.pop().unwrap_or_default();
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Returns a leased buffer to the pool for reuse.
-    pub fn recycle(&mut self, buf: Vec<f64>) {
-        self.pool.push(buf);
-    }
-
-    /// Number of buffers currently parked in the pool.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-}
 
 /// `c = a · b` for row-major `a` (`m x k`), `b` (`k x n`), `c` (`m x n`).
 ///
@@ -931,17 +885,5 @@ mod tests {
         if !cfg!(target_arch = "x86_64") {
             assert_eq!(path, "portable");
         }
-    }
-
-    #[test]
-    fn workspace_reuses_buffers_lifo() {
-        let mut ws = Workspace::new();
-        let a = ws.take(8);
-        let ptr = a.as_ptr();
-        ws.recycle(a);
-        assert_eq!(ws.pooled(), 1);
-        let b = ws.take(8);
-        assert_eq!(b.as_ptr(), ptr, "steady-state lease must not reallocate");
-        assert!(b.iter().all(|&v| v == 0.0));
     }
 }

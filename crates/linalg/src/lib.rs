@@ -10,9 +10,8 @@
 //! they need:
 //!
 //! * [`Matrix`] — a row-major `f64` matrix with the usual arithmetic,
-//! * [`kernels`] — cache-blocked GEMM/transpose kernels plus the
-//!   [`Workspace`] scratch arena behind the allocation-free batched
-//!   training path,
+//! * [`kernels`] — cache-blocked GEMM/transpose kernels behind the
+//!   allocation-free batched training path,
 //! * [`decompose`] — LU (with partial pivoting), Cholesky and Householder-QR
 //!   factorizations with solvers,
 //! * [`eigen`] — cyclic-Jacobi eigendecomposition of symmetric matrices,
@@ -35,7 +34,6 @@ pub mod vector;
 
 pub use decompose::{Cholesky, Lu, Qr};
 pub use eigen::SymmetricEigen;
-pub use kernels::Workspace;
 pub use lstsq::{lstsq, ridge};
 pub use matrix::Matrix;
 pub use pca::Pca;

@@ -33,15 +33,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows x cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -91,15 +82,6 @@ impl Matrix {
             cols,
             data,
         })
-    }
-
-    /// Builds a column vector (`n x 1`) from a slice.
-    pub fn column(values: &[f64]) -> Self {
-        Matrix {
-            rows: values.len(),
-            cols: 1,
-            data: values.to_vec(),
-        }
     }
 
     /// Number of rows.
@@ -280,24 +262,9 @@ impl Matrix {
         g
     }
 
-    /// Element-wise sum `self + other`.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "add", |a, b| a + b)
-    }
-
     /// Element-wise difference `self - other`.
     pub fn sub(&self, other: &Matrix) -> Result<Matrix> {
         self.zip_with(other, "sub", |a, b| a - b)
-    }
-
-    /// Returns `self` scaled by `s`.
-    ///
-    /// Allocates; prefer [`scale_in_place`](Self::scale_in_place) (or
-    /// `*= s`) when the original is no longer needed.
-    pub fn scale(&self, s: f64) -> Matrix {
-        let mut out = self.clone();
-        out.scale_in_place(s);
-        out
     }
 
     /// Scales every entry by `s` in place, allocation-free.
@@ -436,7 +403,7 @@ mod tests {
         let a = m(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let v = [1.0, 0.5, -1.0];
         let got = a.matvec(&v).unwrap();
-        let expect = a.matmul(&Matrix::column(&v)).unwrap();
+        let expect = a.matmul(&m(3, 1, &v)).unwrap();
         assert_eq!(got, expect.col(0));
     }
 
@@ -460,12 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn add_sub_scale_diagonal() {
+    fn sub_and_add_diagonal() {
         let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = m(2, 2, &[4.0, 3.0, 2.0, 1.0]);
-        assert_eq!(a.add(&b).unwrap(), Matrix::filled(2, 2, 5.0));
         assert_eq!(a.sub(&a).unwrap(), Matrix::zeros(2, 2));
-        assert_eq!(a.scale(2.0)[(1, 1)], 8.0);
         let mut c = a.clone();
         c.add_diagonal(10.0);
         assert_eq!(c[(0, 0)], 11.0);
@@ -510,11 +474,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_in_place_and_mul_assign_match_scale() {
+    fn scale_in_place_and_mul_assign_agree() {
         let a = m(2, 2, &[1.0, -2.0, 3.0, 4.0]);
         let mut b = a.clone();
         b.scale_in_place(2.5);
-        assert_eq!(b, a.scale(2.5));
+        assert_eq!(b, m(2, 2, &[2.5, -5.0, 7.5, 10.0]));
         let mut c = a.clone();
         c *= 2.5;
         assert_eq!(c, b);

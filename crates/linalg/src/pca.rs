@@ -14,7 +14,6 @@ pub struct Pca {
     mean: Vec<f64>,
     /// Columns are the principal axes (descending explained variance).
     components: Matrix,
-    explained_variance: Vec<f64>,
 }
 
 impl Pca {
@@ -51,12 +50,7 @@ impl Pca {
         cov.scale_in_place(1.0 / (n as f64 - 1.0));
         let eig = SymmetricEigen::new(&cov)?;
         let components = eig.eigenvectors.submatrix(0..d, 0..k);
-        let explained_variance = eig.eigenvalues[..k].to_vec();
-        Ok(Pca {
-            mean,
-            components,
-            explained_variance,
-        })
+        Ok(Pca { mean, components })
     }
 
     /// Projects rows of `x` onto the principal axes.
@@ -102,11 +96,6 @@ impl Pca {
     pub fn n_components(&self) -> usize {
         self.components.cols()
     }
-
-    /// Variance explained by each retained component (descending).
-    pub fn explained_variance(&self) -> &[f64] {
-        &self.explained_variance
-    }
 }
 
 #[cfg(test)]
@@ -129,21 +118,6 @@ mod tests {
         // Axis should be ±(1,1)/√2.
         assert!((axis[0].abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.05);
         assert!((axis[0] - axis[1]).abs() < 0.1);
-    }
-
-    #[test]
-    fn explained_variance_is_descending() {
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| {
-                let t = i as f64;
-                vec![3.0 * t, t * 0.5, (i % 3) as f64 * 0.1]
-            })
-            .collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let pca = Pca::fit(&x, 3).unwrap();
-        let ev = pca.explained_variance();
-        assert!(ev[0] >= ev[1] && ev[1] >= ev[2]);
-        assert!(ev[0] > 0.0);
     }
 
     #[test]

@@ -39,72 +39,11 @@ pub fn scale_in_place(a: &mut [f64], s: f64) {
     }
 }
 
-/// Arithmetic mean; 0.0 for an empty slice.
-pub fn mean(a: &[f64]) -> f64 {
-    if a.is_empty() {
-        0.0
-    } else {
-        a.iter().sum::<f64>() / a.len() as f64
-    }
-}
-
-/// Population variance (divides by `n`); 0.0 for slices shorter than 2.
-pub fn variance(a: &[f64]) -> f64 {
-    if a.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(a);
-    a.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / a.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(a: &[f64]) -> f64 {
-    variance(a).sqrt()
-}
-
 /// Squared Euclidean distance between two equal-length slices.
 #[inline]
 pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "sq_dist: length mismatch");
     a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Median of a slice (averages the two central values for even lengths).
-/// Returns `f64::NAN` for an empty slice.
-pub fn median(a: &[f64]) -> f64 {
-    if a.is_empty() {
-        return f64::NAN;
-    }
-    let mut v = a.to_vec();
-    v.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
-    }
-}
-
-/// Index of the maximum element (first occurrence). `None` when empty.
-pub fn argmax(a: &[f64]) -> Option<usize> {
-    a.iter()
-        .enumerate()
-        .fold(None, |best: Option<(usize, f64)>, (i, &x)| match best {
-            Some((_, bx)) if bx >= x => best,
-            _ => Some((i, x)),
-        })
-        .map(|(i, _)| i)
-}
-
-/// Index of the minimum element (first occurrence). `None` when empty.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    a.iter()
-        .enumerate()
-        .fold(None, |best: Option<(usize, f64)>, (i, &x)| match best {
-            Some((_, bx)) if bx <= x => best,
-            _ => Some((i, x)),
-        })
-        .map(|(i, _)| i)
 }
 
 /// Normalizes a non-negative slice to sum to one in place.
@@ -162,29 +101,6 @@ mod tests {
         let mut y = [1.0, 1.0, 1.0];
         axpy(2.0, &a, &mut y);
         assert_eq!(y, [3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn stats_basics() {
-        let a = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((mean(&a) - 5.0).abs() < 1e-12);
-        assert!((variance(&a) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&a) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_even_and_odd() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-        assert!(median(&[]).is_nan());
-    }
-
-    #[test]
-    fn argmax_argmin() {
-        let a = [1.0, 5.0, 3.0, 5.0];
-        assert_eq!(argmax(&a), Some(1));
-        assert_eq!(argmin(&a), Some(0));
-        assert_eq!(argmax(&[]), None);
     }
 
     #[test]

@@ -140,7 +140,7 @@ proptest! {
                     let h = (i as u64)
                         .wrapping_mul(0x9E3779B97F4A7C15)
                         .wrapping_add(seed ^ salt);
-                    if h % 5 == 0 { 0.0 } else { (h >> 32) as f64 / 1e8 - 21.0 }
+                    if h.is_multiple_of(5) { 0.0 } else { (h >> 32) as f64 / 1e8 - 21.0 }
                 })
                 .collect()
         };

@@ -71,9 +71,14 @@ pub const ALLOC_MACROS: &[&str] = &["format", "vec"];
 /// What a call site refers to, before resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CallKind {
-    /// `.name(…)` — receiver type unknown; resolved to every workspace
-    /// method of that name the caller's crate can see.
-    Method { name: String },
+    /// `.name(…)`. `recv` is the field chain when the receiver is
+    /// `self` (empty) or `self.<a>.<b>…`, whose declared type narrows the
+    /// targets; otherwise the call resolves to every workspace method of
+    /// that name the caller's crate can see.
+    Method {
+        name: String,
+        recv: Option<Vec<String>>,
+    },
     /// `a::b::name(…)` or bare `name(…)` (one segment), or a
     /// multi-segment path used as a function value.
     Path { segments: Vec<String> },
@@ -118,7 +123,7 @@ pub struct Site {
 }
 
 /// One `fn` item (free fn, inherent/trait-impl method, trait default
-/// method, or nested fn).
+/// method, or nested fn), or an `init` pseudo-fn.
 #[derive(Debug, Clone)]
 pub struct FnDef {
     /// The fn's own name.
@@ -142,6 +147,10 @@ pub struct FnDef {
     pub end_line: usize,
     /// Inside `#[cfg(test)]` / `#[test]` code.
     pub is_test: bool,
+    /// Not a fn but a `const`/`static` initializer, a `macro_rules!`
+    /// body or an item-position macro invocation: its calls root the
+    /// reachability pass, and it is never a call target.
+    pub init: bool,
     /// Call sites in the body (closures included, nested fns excluded).
     pub calls: Vec<CallSite>,
     /// Panic/alloc/taint intrinsics in the body.
@@ -175,6 +184,10 @@ pub struct FileAst {
     pub uses: BTreeMap<String, Vec<String>>,
     /// Every fn item in the file.
     pub fns: Vec<FnDef>,
+    /// Struct name → named field → the field type's head (`Adam`,
+    /// `Vec`, `[]`; empty when unknown); drives `self.<a>.<b>….m()`
+    /// resolution.
+    pub fields: BTreeMap<String, BTreeMap<String, String>>,
 }
 
 /// Derives `(crate_name, is_lib)` from a workspace-relative path. The
@@ -193,7 +206,7 @@ pub fn crate_of(rel_path: &str) -> (String, bool) {
         }
         rest = &rest[at + "crates/".len()..];
     }
-    let is_lib = tail.starts_with("src/") && !tail.starts_with("src/bin/");
+    let is_lib = tail.starts_with("src/") && !tail.starts_with("src/bin/") && tail != "src/main.rs";
     (crate_name, is_lib)
 }
 
@@ -252,6 +265,29 @@ fn skip_angles(tokens: &[Token], i: usize) -> usize {
     j
 }
 
+/// The type a method call on a value of this type dispatches on: the
+/// last path segment before any generics (`eadrl_nn::Adam` → `Adam`,
+/// `Vec<Box<dyn F>>` → `Vec`), looking through references, `dyn`/`impl`
+/// and the smart pointers `Box`/`Rc`/`Arc`, which deref to their
+/// argument. Arrays and slices are `[]`, tuples `()`; empty when unknown.
+fn type_head(toks: &[Token]) -> String {
+    let mut head = String::new();
+    for t in toks {
+        match (t.kind, t.text.as_str()) {
+            (TokenKind::Punct, "&") | (TokenKind::Op, "&&" | "::") | (TokenKind::Lifetime, _) => {}
+            (TokenKind::Ident, "mut" | "dyn" | "impl") if !t.raw => {}
+            (TokenKind::Punct, "[") => return "[]".to_string(),
+            (TokenKind::Punct, "(") => return "()".to_string(),
+            (TokenKind::Punct, "<") if matches!(head.as_str(), "Box" | "Rc" | "Arc") => {
+                head.clear()
+            }
+            (TokenKind::Ident, _) => head = t.text.clone(),
+            _ => break,
+        }
+    }
+    head
+}
+
 /// Parses one file into its item tree. Never fails; unparseable stretches
 /// simply contribute no items.
 pub fn parse_file(file: &SourceFile) -> FileAst {
@@ -262,6 +298,7 @@ pub fn parse_file(file: &SourceFile) -> FileAst {
         crate_name: crate_name.clone(),
         uses: BTreeMap::new(),
         fns: Vec::new(),
+        fields: BTreeMap::new(),
     };
     let base = base_module(&file.rel_path);
     let end = p.toks.len();
@@ -272,6 +309,7 @@ pub fn parse_file(file: &SourceFile) -> FileAst {
         is_lib,
         uses: p.uses,
         fns: p.fns,
+        fields: p.fields,
     };
     // Sites/calls were collected per fn over its body span; nested fns
     // are separate items whose spans are inside the parent's — strip the
@@ -296,6 +334,12 @@ struct Parser<'a> {
     crate_name: String,
     uses: BTreeMap<String, Vec<String>>,
     fns: Vec<FnDef>,
+    fields: BTreeMap<String, BTreeMap<String, String>>,
+}
+
+/// True when `t` is the punctuation `p`.
+fn is_punct(t: &Token, p: &str) -> bool {
+    t.kind == TokenKind::Punct && t.text == p
 }
 
 impl<'a> Parser<'a> {
@@ -314,6 +358,14 @@ impl<'a> Parser<'a> {
                 i = self.trait_item(i, end, module);
             } else if t.is_kw("fn") {
                 i = self.fn_item(i, end, module, ctx);
+            } else if t.is_kw("struct") {
+                i = self.struct_item(i, end);
+            } else if t.is_kw("const") || t.is_kw("static") {
+                i = self.init_item(i, end, module, ctx);
+            } else if t.kind == TokenKind::Ident
+                && self.toks.get(i + 1).is_some_and(|n| is_punct(n, "!"))
+            {
+                i = self.macro_item(i, end, module, ctx);
             } else if t.kind == TokenKind::Punct && t.text == "{" {
                 // An expression / const / static block we don't model —
                 // recurse so nested items are still found.
@@ -533,6 +585,165 @@ impl<'a> Parser<'a> {
         close + 1
     }
 
+    /// `struct Name<…> { field: Type, … }`: records each named field's
+    /// `type_head`. Tuple and unit structs record nothing. `i` points
+    /// at `struct`.
+    fn struct_item(&mut self, i: usize, end: usize) -> usize {
+        let Some(name) = self.toks.get(i + 1).filter(|t| t.kind == TokenKind::Ident) else {
+            return i + 1;
+        };
+        let mut j = i + 2;
+        while j < end && !is_punct(&self.toks[j], "{") {
+            if is_punct(&self.toks[j], "(") || is_punct(&self.toks[j], ";") {
+                return j;
+            }
+            j = if is_punct(&self.toks[j], "<") {
+                skip_angles(self.toks, j)
+            } else {
+                j + 1
+            };
+        }
+        if j >= end {
+            return end;
+        }
+        let close = self.matching_brace(j, end);
+        let mut fields = BTreeMap::new();
+        let (mut part, mut depth) = (j + 1, 0isize);
+        for k in j + 1..=close {
+            let t = &self.toks[k];
+            match (t.kind, t.text.as_str()) {
+                (TokenKind::Punct, "(" | "[" | "{" | "<") => depth += 1,
+                (TokenKind::Punct, ")" | "]" | "}" | ">") => depth -= 1,
+                (TokenKind::Op, "<<") => depth += 2,
+                (TokenKind::Op, ">>") => depth -= 2,
+                _ => {}
+            }
+            if k == close || (depth == 0 && is_punct(t, ",")) {
+                // `[#[attr]] [pub(…)] name: Type` — the first `:` outside
+                // brackets follows the field name.
+                let colon = (part..k).find(|&c| is_punct(&self.toks[c], ":"));
+                if let Some(c) = colon.filter(|&c| c > part) {
+                    let ty = type_head(&self.toks[c + 1..k]);
+                    fields.insert(self.toks[c - 1].text.clone(), ty);
+                }
+                part = k + 1;
+            }
+        }
+        self.fields
+            .entry(name.text.clone())
+            .or_default()
+            .extend(fields);
+        close + 1
+    }
+
+    /// `const NAME: T = expr;` or `static [mut] NAME: T = expr;`: an
+    /// `init` pseudo-fn owning the initializer's calls. Anything else
+    /// (`const fn`, `const { … }`) is left to the item walk. `i` points
+    /// at the keyword.
+    fn init_item(&mut self, i: usize, end: usize, module: &[String], ctx: &ImplCtx) -> usize {
+        let mut j = i + 1;
+        if self.toks.get(j).is_some_and(|t| t.is_kw("mut")) {
+            j += 1;
+        }
+        let named = self
+            .toks
+            .get(j)
+            .is_some_and(|t| t.kind == TokenKind::Ident && !t.is_kw("fn"))
+            && self.toks.get(j + 1).is_some_and(|t| is_punct(t, ":"));
+        if !named {
+            return i + 1;
+        }
+        // The item ends at the `;` outside brackets; the initializer
+        // starts after the first `=` there (none: a trait-associated const).
+        let (mut k, mut depth, mut eq) = (j + 2, 0usize, None);
+        while k < end {
+            match (self.toks[k].kind, self.toks[k].text.as_str()) {
+                (TokenKind::Punct, "<") if eq.is_none() => {
+                    k = skip_angles(self.toks, k);
+                    continue;
+                }
+                (TokenKind::Punct, "(" | "[" | "{") => depth += 1,
+                (TokenKind::Punct, ")" | "]" | "}") => depth = depth.saturating_sub(1),
+                (TokenKind::Punct, "=") if depth == 0 && eq.is_none() => eq = Some(k),
+                (TokenKind::Punct, ";") if depth == 0 => break,
+                _ => {}
+            }
+            k += 1;
+        }
+        if let Some(eq) = eq {
+            let name = self.toks[j].text.clone();
+            self.push_init(name, i, eq + 1, k, module, ctx);
+        }
+        k + 1
+    }
+
+    /// `macro_rules! name { … }`, or an invocation `name! { … }` in item
+    /// position: an `init` pseudo-fn owning every call spelled in the
+    /// braces. Workspace macros are not expanded where they are invoked,
+    /// and an invocation's tokens outside fns (`#![proptest_config(…)]`)
+    /// belong to no fn. Returns the `{`, so the item walk still visits
+    /// items spelled inside. `i` points at the name before the `!`.
+    fn macro_item(&mut self, i: usize, end: usize, module: &[String], ctx: &ImplCtx) -> usize {
+        let defines = self.toks[i].is_kw("macro_rules");
+        let (name, open) = if defines { (i + 2, i + 3) } else { (i, i + 2) };
+        let shaped = self.toks.get(open).is_some_and(|t| is_punct(t, "{"))
+            && self.toks[name].kind == TokenKind::Ident;
+        if !shaped {
+            return i + 1;
+        }
+        let close = self.matching_brace(open, end);
+        let name = format!("{}!", self.toks[name].text);
+        self.push_init(name, i, open + 1, close, module, ctx);
+        open
+    }
+
+    /// Records an `init` pseudo-fn over the token range `[start, stop)`,
+    /// declared by the keyword at `kw`.
+    fn push_init(
+        &mut self,
+        name: String,
+        kw: usize,
+        start: usize,
+        stop: usize,
+        module: &[String],
+        ctx: &ImplCtx,
+    ) {
+        let mut def = FnDef {
+            in_trait_decl: false,
+            init: true,
+            end_line: self.toks[stop.min(self.toks.len() - 1)].line,
+            ..self.new_def(name, kw, module, ctx)
+        };
+        extract_body(self.file, self.toks, start, stop, &mut def);
+        self.fns.push(def);
+    }
+
+    /// A bodied, private item named `name` whose keyword is token `kw`,
+    /// inside module `module` and impl context `ctx`.
+    fn new_def(&self, name: String, kw: usize, module: &[String], ctx: &ImplCtx) -> FnDef {
+        let (self_type, trait_impl, in_trait_decl) = match ctx {
+            ImplCtx::None => (None, None, false),
+            ImplCtx::Impl { ty, trait_name } => (ty.clone(), trait_name.clone(), false),
+            ImplCtx::Trait(t) => (Some(t.clone()), None, true),
+        };
+        let line = self.toks[kw].line;
+        FnDef {
+            name,
+            module: module.to_vec(),
+            self_type,
+            trait_impl,
+            in_trait_decl,
+            has_body: true,
+            is_pub: false,
+            line,
+            end_line: line,
+            is_test: self.file.in_test_code(line),
+            init: false,
+            calls: Vec::new(),
+            sites: Vec::new(),
+        }
+    }
+
     /// `fn name(…) -> T { … }` or `fn name(…);`. `i` points at `fn`.
     fn fn_item(&mut self, i: usize, end: usize, module: &[String], ctx: &ImplCtx) -> usize {
         let Some(name) = self.toks.get(i + 1) else {
@@ -565,26 +776,11 @@ impl<'a> Parser<'a> {
             }
             j += 1;
         }
-        let is_pub = self.fn_is_pub(i) || matches!(ctx, ImplCtx::Trait(_));
-        let (self_type, trait_impl, in_trait_decl) = match ctx {
-            ImplCtx::None => (None, None, false),
-            ImplCtx::Impl { ty, trait_name } => (ty.clone(), trait_name.clone(), false),
-            ImplCtx::Trait(t) => (Some(t.clone()), None, true),
-        };
         let line = self.toks[i].line;
         let mut def = FnDef {
-            name: name.text.clone(),
-            module: module.to_vec(),
-            self_type,
-            trait_impl,
-            in_trait_decl,
             has_body: body_open.is_some(),
-            is_pub,
-            line,
-            end_line: line,
-            is_test: self.file.in_test_code(line),
-            calls: Vec::new(),
-            sites: Vec::new(),
+            is_pub: self.fn_is_pub(i) || matches!(ctx, ImplCtx::Trait(_)),
+            ..self.new_def(name.text.clone(), i, module, ctx)
         };
         let next = match body_open {
             Some(open) => {
@@ -639,11 +835,12 @@ impl<'a> Parser<'a> {
 
 /// Removes, from each fn, the calls/sites whose lines fall inside a
 /// *nested* fn's span (they belong to the nested fn, which collected
-/// them itself).
+/// them itself). An `init` inside a fn shares its calls with the fn.
 fn strip_nested(fns: &mut [FnDef]) {
     let spans: Vec<(usize, usize, usize)> = fns
         .iter()
         .enumerate()
+        .filter(|(_, f)| !f.init)
         .map(|(i, f)| (i, f.line, f.end_line))
         .collect();
     for (i, f) in fns.iter_mut().enumerate() {
@@ -758,9 +955,29 @@ fn extract_body(file: &SourceFile, toks: &[Token], start: usize, end: usize, def
                         allowed: alloc_allowed(file, line),
                     });
                 }
+                // The receiver `self.<a>.<b>…`, walked back from the `.`
+                // before `name` to a `self` that starts the expression.
+                let (mut chain, mut dot) = (Vec::new(), i - 1);
+                let recv = loop {
+                    let Some(t) = dot.checked_sub(1).map(|k| &toks[k]) else {
+                        break None;
+                    };
+                    if t.is_kw("self") {
+                        let starts = dot < 2
+                            || !(is_punct(&toks[dot - 2], ".") || toks[dot - 2].text == "::");
+                        chain.reverse();
+                        break starts.then_some(chain);
+                    }
+                    if t.kind != TokenKind::Ident || dot < 2 || !is_punct(&toks[dot - 2], ".") {
+                        break None;
+                    }
+                    chain.push(t.text.clone());
+                    dot -= 2;
+                };
                 def.calls.push(CallSite {
                     kind: CallKind::Method {
                         name: name.to_string(),
+                        recv,
                     },
                     line,
                 });
@@ -829,26 +1046,6 @@ fn alloc_allowed(file: &SourceFile, line: usize) -> bool {
 
 fn taint_allowed(file: &SourceFile, line: usize) -> bool {
     file.allows(line, "determinism") || file.allows(line, "determinism-taint")
-}
-
-/// Function-level suppression: a marker whose target line is the fn
-/// header itself or any attribute/doc line directly above it.
-pub fn fn_level_allowed(file: &SourceFile, header_line: usize, rule: &str) -> bool {
-    let mut l = header_line;
-    loop {
-        if file.allows(l, rule) {
-            return true;
-        }
-        if l <= 1 {
-            return false;
-        }
-        let prev = l - 1;
-        if file.doc_lines.contains(&prev) || file.attr_lines.contains(&prev) {
-            l = prev;
-            continue;
-        }
-        return false;
-    }
 }
 
 #[cfg(test)]
@@ -936,15 +1133,96 @@ mod tests {
         assert!(has_path(&["helper"]));
         assert!(has_path(&["kernels", "gemm"]));
         assert!(has_path(&["Matrix", "zeros"]));
-        assert!(f
-            .calls
-            .iter()
-            .any(|c| matches!(&c.kind, CallKind::Method { name } if name == "predict")));
+        assert!(f.calls.iter().any(
+            |c| matches!(&c.kind, CallKind::Method { name, recv: None } if name == "predict")
+        ));
         // `.collect::<Vec<_>>()` is an alloc site *and* a method call.
         assert!(f
             .sites
             .iter()
             .any(|s| s.kind == SiteKind::Alloc && s.what == ".collect()"));
+    }
+
+    #[test]
+    fn method_calls_on_self_carry_the_field_chain() {
+        let src = "impl A { fn f(&mut self) {\n\
+                   \x20   self.step(); self.opt.step(); self.a.b.step();\n\
+                   \x20   other.step(); other.self_.step(); x.a.step();\n} }\n";
+        let ast = parse("crates/core/src/x.rs", src);
+        let chains: Vec<Option<Vec<String>>> = ast.fns[0]
+            .calls
+            .iter()
+            .filter_map(|c| match &c.kind {
+                CallKind::Method { recv, .. } => Some(recv.clone()),
+                _ => None,
+            })
+            .collect();
+        let chain = |c: &[&str]| Some(c.iter().map(|s| s.to_string()).collect());
+        assert_eq!(
+            chains,
+            vec![
+                chain(&[]),
+                chain(&["opt"]),
+                chain(&["a", "b"]),
+                None,
+                None,
+                None
+            ]
+        );
+    }
+
+    #[test]
+    fn struct_fields_record_type_heads() {
+        let src = "pub struct A<'a, F> {\n    pub opt: eadrl_nn::Adam,\n    pool: Vec<Box<dyn Forecaster>>,\n\
+                   \x20   model: Box<dyn Forecaster + Send>,\n    xs: &'a [f64],\n\
+                   \x20   #[allow(dead_code)]\n    pub(crate) inner: F,\n}\npub struct T(u8);\n";
+        let ast = parse("crates/core/src/x.rs", src);
+        let f = &ast.fields["A"];
+        let heads: Vec<(&str, &str)> = f.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
+        assert_eq!(
+            heads,
+            [
+                ("inner", "F"),
+                ("model", "Forecaster"),
+                ("opt", "Adam"),
+                ("pool", "Vec"),
+                ("xs", "[]")
+            ]
+        );
+        assert!(!ast.fields.contains_key("T"));
+    }
+
+    #[test]
+    fn const_static_and_macro_bodies_become_init_roots() {
+        let src = "const GATES: [Gate; 2] = [Gate::at_most(1), Gate::within(2)];\n\
+                   const fn limit() -> u32 { 3 }\n\
+                   macro_rules! run { () => { $crate::runner::go() }; }\n\
+                   proptest! {\n    #![proptest_config(Config::with_cases(8))]\n\
+                   \x20   fn law(x in 0..1) { check(x); }\n}\n";
+        let ast = parse("crates/bench/benches/x.rs", src);
+        let init = |name: &str| {
+            ast.fns
+                .iter()
+                .find(|f| f.init && f.name == name)
+                .unwrap_or_else(|| panic!("no init {name}"))
+        };
+        let calls = |name: &str| -> Vec<Vec<String>> {
+            init(name)
+                .calls
+                .iter()
+                .filter_map(|c| match &c.kind {
+                    CallKind::Path { segments } => Some(segments.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert!(calls("GATES").contains(&vec!["Gate".into(), "within".into()]));
+        assert!(calls("run!").contains(&vec!["crate".into(), "runner".into(), "go".into()]));
+        assert!(calls("proptest!").contains(&vec!["Config".into(), "with_cases".into()]));
+        // The fn spelled inside the invocation owns its own calls, and a
+        // `const fn` is a fn.
+        assert!(!calls("proptest!").contains(&vec!["check".into()]));
+        assert!(ast.fns.iter().any(|f| f.name == "limit" && !f.init));
     }
 
     #[test]
@@ -1050,15 +1328,9 @@ mod tests {
             ("nn".to_string(), false)
         );
         assert_eq!(crate_of("src/lib.rs"), ("eadrl".to_string(), true));
-    }
-
-    #[test]
-    fn fn_level_markers_skip_attr_and_doc_lines() {
-        let src = "// eadrl-lint: allow(panic-reachable): poisoning needs a prior panic\n#[inline]\n/// Docs.\npub fn locked() {}\n";
-        let file = SourceFile::parse("crates/obs/src/x.rs", src);
-        let ast = parse_file(&file);
-        let f = &ast.fns[0];
-        assert!(fn_level_allowed(&file, f.line, "panic-reachable"));
-        assert!(!fn_level_allowed(&file, f.line, "hot-path-alloc"));
+        assert_eq!(
+            crate_of("crates/lint/src/main.rs"),
+            ("lint".to_string(), false)
+        );
     }
 }

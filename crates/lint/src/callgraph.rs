@@ -5,10 +5,17 @@
 //! site lists in `ast`), and an ambiguous call produces an edge to
 //! **every** plausible target — a method call `.predict(…)` edges to
 //! every visible workspace method named `predict`, and a call through a
-//! trait edges to every implementor. Over-approximation keeps the
-//! panic/allocation/taint passes sound (no missed chain); the dependency
-//! map parsed from the crates' `Cargo.toml`s keeps it from drowning in
-//! false edges (a crate's calls can only land in crates it can actually
+//! trait edges to every implementor. The receiver types the graph knows
+//! are `self`'s and its declared fields': `self.m()` and
+//! `self.<a>.<b>.m()` land on that type's own `m`, or on nothing when
+//! the type is a std one ([`STD_TYPES`]). Over-approximation keeps the
+//! panic/allocation/taint passes sound (no missed chain) with one known
+//! gap: a call on a std-typed receiver does not follow std's own dispatch
+//! back into workspace trait impls (`self.pool.clone()` on a
+//! `Vec<Box<dyn Forecaster>>` runs every `box_clone`, and `Drop`/`Display`
+//! impls run the same way), so such a chain goes unchecked. The dependency
+//! map parsed from the crates' `Cargo.toml`s keeps the graph from drowning
+//! in false edges (a crate's calls can only land in crates it can actually
 //! see).
 //!
 //! Resolution rules, in order:
@@ -39,6 +46,46 @@ use std::path::Path;
 /// decl fan-out (library code cannot dispatch to them at runtime), and
 /// the deep passes exclude their pub fns from the verdict table.
 pub const TOOL_CRATES: &[&str] = &["bench", "lint", "prof", "ptest", "sim"];
+
+/// Field type heads whose methods are std's own: `self.pool.len()` on a
+/// `Vec` field calls no workspace fn, unless the workspace implements
+/// the method for that type itself. Such a call gets no edge even when
+/// std dispatches from it into a workspace trait impl (`Clone`, `Drop`,
+/// `Display`, …): a `self.<vec_field>.clone()` over workspace elements
+/// leaves their `clone` bodies out of the caller's chains.
+pub const STD_TYPES: &[&str] = &[
+    "Vec",
+    "VecDeque",
+    "String",
+    "BTreeMap",
+    "BTreeSet",
+    "BinaryHeap",
+    "Option",
+    "Result",
+    "Cell",
+    "RefCell",
+    "Mutex",
+    "RwLock",
+    "OnceLock",
+    "AtomicBool",
+    "AtomicU64",
+    "AtomicUsize",
+    "Instant",
+    "Duration",
+    "PathBuf",
+    "[]",
+    "()",
+    "bool",
+    "char",
+    "f32",
+    "f64",
+    "i32",
+    "i64",
+    "u8",
+    "u32",
+    "u64",
+    "usize",
+];
 
 /// One fn node in the graph. Metadata is copied out of the [`FileAst`]s
 /// so passes can work off the graph alone; `file`/`fn_idx` point back at
@@ -121,8 +168,23 @@ impl CallGraph {
         // Candidate index: fn name → target node ids (library, non-test).
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (id, n) in nodes.iter().enumerate() {
-            if n.is_lib && !n.is_test {
+            if n.is_lib && !n.is_test && !asts[n.file].fns[n.fn_idx].init {
                 by_name.entry(n.name.as_str()).or_default().push(id);
+            }
+        }
+        // (crate, struct) → field → type head. A field two same-named
+        // structs of one crate type differently is unknown ("").
+        let mut fields: BTreeMap<(&str, &str), BTreeMap<&str, &str>> = BTreeMap::new();
+        for ast in asts {
+            for (name, own) in &ast.fields {
+                let known = fields.entry((&ast.crate_name, name)).or_default();
+                for (field, ty) in own {
+                    let ty = match known.get(field.as_str()) {
+                        Some(prev) if prev != ty => "",
+                        _ => ty,
+                    };
+                    known.insert(field, ty);
+                }
             }
         }
 
@@ -130,6 +192,7 @@ impl CallGraph {
             asts,
             nodes: &nodes,
             by_name,
+            fields,
             closure,
             all_crates,
         };
@@ -291,6 +354,7 @@ struct Resolver<'a> {
     asts: &'a [FileAst],
     nodes: &'a [Node],
     by_name: BTreeMap<&'a str, Vec<usize>>,
+    fields: BTreeMap<(&'a str, &'a str), BTreeMap<&'a str, &'a str>>,
     closure: BTreeMap<String, BTreeSet<String>>,
     all_crates: BTreeSet<String>,
 }
@@ -313,21 +377,72 @@ impl<'a> Resolver<'a> {
     fn resolve(&self, caller: &Node, call: &crate::ast::CallSite) -> Vec<usize> {
         match &call.kind {
             CallKind::Macro { .. } => Vec::new(), // macro bodies are not expanded
-            CallKind::Method { name } => {
+            CallKind::Method { name, recv } => {
                 let visible = self.visible(&caller.crate_name);
-                self.by_name
+                let self_type = |id: usize| {
+                    let n = &self.nodes[id];
+                    self.asts[n.file].fns[n.fn_idx].self_type.as_deref()
+                };
+                let methods: Vec<usize> = self
+                    .by_name
                     .get(name.as_str())
                     .into_iter()
                     .flatten()
                     .copied()
                     .filter(|&id| {
-                        let n = &self.nodes[id];
-                        let def = &self.asts[n.file].fns[n.fn_idx];
-                        def.self_type.is_some() && visible.contains(&n.crate_name)
+                        self_type(id).is_some() && visible.contains(&self.nodes[id].crate_name)
                     })
-                    .collect()
+                    .collect();
+                if let Some(ty) = recv.as_deref().and_then(|c| self.receiver_type(caller, c)) {
+                    let typed: Vec<usize> = methods
+                        .iter()
+                        .copied()
+                        .filter(|&id| self_type(id) == Some(ty))
+                        .collect();
+                    if !typed.is_empty() || STD_TYPES.contains(&ty) {
+                        return typed;
+                    }
+                }
+                methods
             }
             CallKind::Path { segments } => self.resolve_path(caller, segments),
+        }
+    }
+
+    /// The type head of the receiver `self.<a>.<b>…` (of `self` for an
+    /// empty `chain`) inside a method of `caller`'s type, following each
+    /// declared field's type in turn.
+    fn receiver_type<'c>(&'c self, caller: &'c Node, chain: &[String]) -> Option<&'c str> {
+        let mut ty = self.asts[caller.file].fns[caller.fn_idx]
+            .self_type
+            .as_deref()?;
+        let mut krate = caller.crate_name.as_str();
+        for field in chain {
+            let (owner_crate, fields) = self.struct_fields(krate, ty)?;
+            ty = match *fields.get(field.as_str())? {
+                "" => return None,
+                "Self" => ty,
+                next => next,
+            };
+            krate = owner_crate;
+        }
+        Some(ty)
+    }
+
+    /// The declared fields of struct `ty`: `krate`'s own, else those of
+    /// the one other crate declaring a struct of that name.
+    fn struct_fields<'c>(
+        &'c self,
+        krate: &'c str,
+        ty: &'c str,
+    ) -> Option<(&'c str, &'c BTreeMap<&'a str, &'a str>)> {
+        if let Some(fields) = self.fields.get(&(krate, ty)) {
+            return Some((krate, fields));
+        }
+        let mut named = self.fields.iter().filter(|((_, s), _)| *s == ty);
+        match (named.next(), named.next()) {
+            (Some(((k, _), fields)), None) => Some((k, fields)),
+            _ => None,
         }
     }
 
@@ -345,6 +460,12 @@ impl<'a> Resolver<'a> {
             segs = new;
         }
         match segs[0].as_str() {
+            // The umbrella crate defines no fns: `eadrl::core::f` is
+            // `eadrl_core::f` through its `pub use eadrl_core as core`.
+            "eadrl" if segs.len() >= 3 => {
+                let krate = format!("eadrl_{}", segs[1]);
+                segs.splice(0..2, [krate]);
+            }
             "crate" => segs[0] = format!("eadrl_{}", ast.crate_name),
             "self" => {
                 let mut new = vec![format!("eadrl_{}", ast.crate_name)];
@@ -512,11 +633,17 @@ fn manifest_deps(text: &str) -> BTreeSet<String> {
         if !in_deps {
             continue;
         }
-        if let Some(eq) = line.find('=') {
-            let key = line[..eq].trim().trim_matches('"');
-            if let Some(short) = key.strip_prefix("eadrl-") {
-                deps.insert(short.replace('-', "_"));
-            }
+        // The dependency name is the key's first dotted segment, quoted
+        // or bare: `eadrl-x = {…}`, `eadrl-x.workspace = true`,
+        // `"eadrl-x".workspace = true`.
+        let Some(eq) = line.find('=') else { continue };
+        let key = line[..eq].trim();
+        let name = match key.strip_prefix('"') {
+            Some(quoted) => quoted.split('"').next(),
+            None => key.split('.').next(),
+        };
+        if let Some(short) = name.and_then(|n| n.trim().strip_prefix("eadrl-")) {
+            deps.insert(short.replace('-', "_"));
         }
     }
     deps
@@ -679,13 +806,61 @@ mod tests {
     }
 
     #[test]
-    fn manifest_deps_parse_path_dependencies() {
-        let toml = "[package]\nname = \"eadrl-core\"\n\n[dependencies]\neadrl-linalg = { path = \"../linalg\" }\neadrl-obs = { path = \"../obs\" }\n\n[dev-dependencies]\neadrl-ptest = { path = \"../ptest\" }\n";
-        let deps = manifest_deps(toml);
-        assert!(deps.contains("linalg"));
-        assert!(deps.contains("obs"));
-        assert!(deps.contains("ptest"));
-        assert_eq!(deps.len(), 3);
+    fn manifest_deps_parse_every_key_form() {
+        let toml = "[package]\nname = \"eadrl-core\"\n\n[dependencies]\n\
+                    eadrl-linalg = { path = \"../linalg\" }\neadrl-rl.workspace = true\n\
+                    \"eadrl-obs\" = { path = \"../obs\" }\n\"eadrl-par\".workspace = true\n\n\
+                    [dev-dependencies]\neadrl-ptest.workspace = true\n";
+        let want: BTreeSet<String> = ["linalg", "obs", "par", "ptest", "rl"]
+            .map(String::from)
+            .into();
+        assert_eq!(manifest_deps(toml), want);
+    }
+
+    #[test]
+    fn umbrella_paths_resolve_into_the_reexported_crate() {
+        let (_, g) = build(&[
+            (
+                "crates/core/src/lib.rs",
+                "pub struct EaDrl;\nimpl EaDrl { pub fn new() -> EaDrl { EaDrl } }\npub fn run() {}\n",
+            ),
+            (
+                "examples/demo.rs",
+                "use eadrl::core::EaDrl;\nfn main() { EaDrl::new(); eadrl::core::run(); }\n",
+            ),
+        ]);
+        assert!(has_edge(&g, "eadrl::main", "core::EaDrl::new"));
+        assert!(has_edge(&g, "eadrl::main", "core::run"));
+    }
+
+    #[test]
+    fn self_field_calls_resolve_through_the_field_type() {
+        let (_, g) = build(&[(
+            "crates/core/src/f.rs",
+            "pub struct Adam;\nimpl Adam { pub fn step(&mut self) {} }\n\
+             pub struct Env;\nimpl Env { pub fn step(&mut self) {} pub fn len(&self) -> usize { 0 } }\n\
+             pub struct Bufs { env: Env, sizes: Vec<usize> }\n\
+             pub struct Agent { opt: Adam, pool: Vec<Env>, bufs: Bufs }\n\
+             impl Agent {\n    pub fn update(&mut self) { self.opt.step(); }\n\
+             \x20   pub fn size(&self) -> usize { self.pool.len() }\n\
+             \x20   pub fn nested(&mut self) { self.bufs.env.step(); self.bufs.sizes.len(); }\n\
+             \x20   pub fn step(&mut self) {}\n\
+             \x20   pub fn own(&mut self) { self.step(); }\n}\n\
+             pub fn loose(a: &mut Adam) { a.step(); }\n",
+        )]);
+        assert!(has_edge(&g, "core::Agent::update", "core::Adam::step"));
+        assert!(!has_edge(&g, "core::Agent::update", "core::Env::step"));
+        // Field chains and `self` itself narrow the same way.
+        let nested = node(&g, "core::Agent::nested");
+        let env_step = node(&g, "core::Env::step");
+        let targets: Vec<usize> = g.edges[nested].iter().map(|e| e.to).collect();
+        assert_eq!(targets, [env_step]);
+        assert!(has_edge(&g, "core::Agent::own", "core::Agent::step"));
+        assert!(!has_edge(&g, "core::Agent::own", "core::Adam::step"));
+        // A std container's `len` is std's, not the workspace `Env::len`.
+        assert!(g.edges[node(&g, "core::Agent::size")].is_empty());
+        // Without a known receiver, name-only resolution stays.
+        assert!(has_edge(&g, "core::loose", "core::Env::step"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The interprocedural (`--deep`) passes over the workspace call graph.
 //!
 //! Three dataflow arguments, each a static proof of a contract the test
-//! suite only samples:
+//! suite only samples, and one reachability report:
 //!
 //! * **panic-reachability** (`panic-reachable`) — every `pub` fn in a
 //!   library crate gets a verdict: `safe` (no panic escape hatch is
@@ -13,12 +13,19 @@
 //! * **hot-path allocation** (`hot-path-alloc`) — fns named `hot` in
 //!   `DESIGN.md`'s "Hot-path functions" table must not transitively
 //!   reach an allocating call. Traversal stops at rows classed
-//!   `exempt`, at `Workspace`-owned constructors, at `crates/obs`
-//!   (telemetry is trace-gated), and at fn-level allows.
+//!   `exempt`, at `crates/obs` (telemetry is trace-gated), and at
+//!   fn-level allows.
 //! * **determinism taint** (`determinism-taint`) — nondeterminism
 //!   sources (clock reads, hash-ordered collections, thread-id
 //!   observation) must not be reachable from `fit`/`predict` paths
 //!   except through `crates/obs` (the trace gate) or a justified allow.
+//! * **unreachable pub fns** (`unreachable-pub`) — every library pub fn,
+//!   tool crates included, must be reached from a root: a fn outside the
+//!   library units (bins, examples, benches, integration tests), a
+//!   `const`/`static` initializer or a macro body, an impl of a
+//!   trait the workspace does not declare (`Display`, `Drop`, … run
+//!   implicitly), or another file's unit test (an oracle is live). A fn
+//!   only its own file's tests reach is dead code.
 //!
 //! Suppression markers are lifted to **function granularity** for these
 //! rules: a marker on (or in the doc/attribute stack directly above) a
@@ -29,8 +36,8 @@
 use crate::ast::{self, FileAst, SiteKind};
 pub use crate::callgraph::TOOL_CRATES;
 use crate::callgraph::{workspace_deps, CallGraph};
-use crate::rules::{Finding, HOT_RULE, PANIC_RULE, STALE_RULE, TAINT_RULE};
-use crate::source::{SourceFile, Suppression};
+use crate::rules::{Finding, HOT_RULE, PANIC_RULE, STALE_RULE, TAINT_RULE, UNREACHABLE_RULE};
+use crate::source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs;
 use std::io;
@@ -43,26 +50,30 @@ pub const TAINT_ROOTS: &[&str] = &["fit", "predict", "predict_next"];
 /// A `(rel_path, marker_line)` pair identifying one suppression marker.
 pub type MarkerId = (String, usize);
 
-/// `--list-rules` help line for the panic-reachability pass.
-pub const PANIC_RULE_HELP: (&str, &str) = (
-    PANIC_RULE,
-    "(deep) no pub library fn may transitively reach an unallowed panic escape hatch",
-);
-/// `--list-rules` help line for the hot-path allocation pass.
-pub const HOT_RULE_HELP: (&str, &str) = (
-    HOT_RULE,
-    "(deep) DESIGN.md hot-path fns must not transitively reach allocating calls",
-);
-/// `--list-rules` help line for the determinism-taint pass.
-pub const TAINT_RULE_HELP: (&str, &str) = (
-    TAINT_RULE,
-    "(deep) clocks/hash-order/thread-id must not be reachable from fit/predict paths",
-);
-/// `--list-rules` help line for the stale-allow check.
-pub const STALE_RULE_HELP: (&str, &str) = (
-    STALE_RULE,
-    "(deep) allow(...) markers that no longer suppress any finding are errors",
-);
+/// `--list-rules` help lines for the deep passes and the stale-allow
+/// check.
+pub const RULE_HELP: [(&str, &str); 5] = [
+    (
+        PANIC_RULE,
+        "(deep) no pub library fn may transitively reach an unallowed panic escape hatch",
+    ),
+    (
+        HOT_RULE,
+        "(deep) DESIGN.md hot-path fns must not transitively reach allocating calls",
+    ),
+    (
+        TAINT_RULE,
+        "(deep) clocks/hash-order/thread-id must not be reachable from fit/predict paths",
+    ),
+    (
+        UNREACHABLE_RULE,
+        "(deep) every library pub fn needs a caller outside its own file's unit tests",
+    ),
+    (
+        STALE_RULE,
+        "(deep) allow(...) markers that no longer suppress any finding are errors",
+    ),
+];
 
 /// Parsed workspace: sources, item trees, call graph.
 pub struct Analysis {
@@ -77,14 +88,15 @@ pub struct Analysis {
 impl Analysis {
     /// Collects, lexes and parses every `.rs` file under `roots`, then
     /// builds the call graph with the dependency map read from
-    /// `workspace_root`'s manifests.
+    /// `workspace_root`'s manifests. Paths under `workspace_root` are
+    /// kept relative to it, as the path-scoped rules expect.
     pub fn load(roots: &[PathBuf], workspace_root: &Path) -> io::Result<Analysis> {
         let mut files = Vec::new();
         for root in roots {
             for path in crate::collect_rs_files(root)? {
                 let text = fs::read_to_string(&path)?;
-                let rel = path.to_string_lossy().replace('\\', "/");
-                files.push(SourceFile::parse(&rel, &text));
+                let rel = path.strip_prefix(workspace_root).unwrap_or(&path);
+                files.push(SourceFile::parse(&rel.to_string_lossy(), &text));
             }
         }
         Ok(Analysis::from_files(files, workspace_root))
@@ -127,7 +139,7 @@ pub struct VerdictEntry {
 /// Everything a deep run produces.
 #[derive(Debug, Default)]
 pub struct DeepReport {
-    /// Blocking findings across all three passes.
+    /// Blocking findings across all four passes.
     pub findings: Vec<Finding>,
     /// Panic verdicts for every pub fn in library (non-tool) crates.
     pub verdicts: Vec<VerdictEntry>,
@@ -196,7 +208,7 @@ impl HotPathConfig {
     }
 }
 
-/// Runs all three deep passes.
+/// Runs all four deep passes.
 pub fn run_deep(analysis: &Analysis, hot: Option<&HotPathConfig>) -> DeepReport {
     let mut report = DeepReport::default();
     panic_pass(analysis, &mut report);
@@ -204,6 +216,7 @@ pub fn run_deep(analysis: &Analysis, hot: Option<&HotPathConfig>) -> DeepReport 
         hot_path_pass(analysis, cfg, &mut report);
     }
     taint_pass(analysis, &mut report);
+    unreachable_pass(analysis, &mut report);
     report.findings.sort_by(|a, b| {
         (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
     });
@@ -223,7 +236,7 @@ fn marker_at(file: &SourceFile, line: usize, rules: &[&str]) -> Option<usize> {
 }
 
 /// A fn-level marker: on the header line or in the contiguous
-/// doc/attribute stack directly above it.
+/// doc/attribute/marker stack directly above it.
 fn fn_marker(file: &SourceFile, header_line: usize, rules: &[&str]) -> Option<usize> {
     let mut l = header_line;
     loop {
@@ -234,7 +247,8 @@ fn fn_marker(file: &SourceFile, header_line: usize, rules: &[&str]) -> Option<us
             return None;
         }
         let prev = l - 1;
-        if file.doc_lines.contains(&prev) || file.attr_lines.contains(&prev) {
+        let marker = file.suppressions.iter().any(|s| s.marker_line == prev);
+        if marker || file.doc_lines.contains(&prev) || file.attr_lines.contains(&prev) {
             l = prev;
             continue;
         }
@@ -463,18 +477,15 @@ fn hot_path_pass(analysis: &Analysis, cfg: &HotPathConfig, report: &mut DeepRepo
         }
     }
 
-    // Traversal stops: exempt rows, Workspace-owned constructors, the
-    // obs crate (trace-gated), fn-level allows.
+    // Traversal stops: exempt rows, the obs crate (trace-gated), fn-level
+    // allows.
     let mut stop = vec![false; n];
     let mut fn_allow: Vec<Option<usize>> = vec![None; n];
     for id in 0..n {
         let node = &g.nodes[id];
         let def = analysis.def(id);
         fn_allow[id] = fn_marker(analysis.file(id), def.line, &[HOT_RULE]);
-        stop[id] = exempt[id]
-            || node.crate_name == "obs"
-            || def.self_type.as_deref() == Some("Workspace")
-            || fn_allow[id].is_some();
+        stop[id] = exempt[id] || node.crate_name == "obs" || fn_allow[id].is_some();
     }
 
     let mut reported: BTreeSet<(usize, usize)> = BTreeSet::new();
@@ -643,11 +654,72 @@ fn taint_pass(analysis: &Analysis, report: &mut DeepReport) {
 }
 
 // ---------------------------------------------------------------------
+// Pass 4: unreachable pub fns
+// ---------------------------------------------------------------------
+
+fn unreachable_pass(analysis: &Analysis, report: &mut DeepReport) {
+    let g = &analysis.graph;
+    let workspace_traits: BTreeSet<&str> = (0..g.nodes.len())
+        .filter(|&id| analysis.def(id).in_trait_decl)
+        .filter_map(|id| analysis.def(id).self_type.as_deref())
+        .collect();
+    let mut live = vec![false; g.nodes.len()];
+    let mut queue = VecDeque::new();
+    for (id, node) in g.nodes.iter().enumerate() {
+        let def = analysis.def(id);
+        let unit_test = node.is_lib && def.is_test;
+        let implicit = def
+            .trait_impl
+            .as_deref()
+            .is_some_and(|t| !workspace_traits.contains(t));
+        if !(unit_test || !node.is_lib || def.init || implicit) {
+            continue;
+        }
+        for e in &g.edges[id] {
+            // A unit test keeps alive only what lives in other files.
+            let own_file = unit_test && g.nodes[e.to].file == node.file;
+            if !own_file && !live[e.to] {
+                live[e.to] = true;
+                queue.push_back(e.to);
+            }
+        }
+    }
+    while let Some(u) = queue.pop_front() {
+        for e in &g.edges[u] {
+            if !live[e.to] {
+                live[e.to] = true;
+                queue.push_back(e.to);
+            }
+        }
+    }
+    for (id, node) in g.nodes.iter().enumerate() {
+        let def = analysis.def(id);
+        if live[id] || !node.is_lib || node.is_test || !node.is_pub || !def.has_body || def.init {
+            continue;
+        }
+        let file = analysis.file(id);
+        if let Some(m) = fn_marker(file, def.line, &[UNREACHABLE_RULE]) {
+            report.used_markers.insert((file.rel_path.clone(), m));
+            continue;
+        }
+        report.findings.push(Finding {
+            rule: UNREACHABLE_RULE,
+            path: node.rel_path.clone(),
+            line: node.line,
+            message: format!(
+                "pub fn `{}` is reached only by its own file's unit tests, if at all",
+                node.qualified()
+            ),
+        });
+    }
+}
+
+// ---------------------------------------------------------------------
 // Stale-allow detection
 // ---------------------------------------------------------------------
 
 /// Rules whose usage only the deep passes can decide.
-const DEEP_ONLY: &[&str] = &[PANIC_RULE, HOT_RULE, TAINT_RULE];
+const DEEP_ONLY: &[&str] = &[PANIC_RULE, HOT_RULE, TAINT_RULE, UNREACHABLE_RULE];
 
 /// Flags suppression markers that suppressed nothing: neither the
 /// line-level engine (`line_used`) nor the deep passes (`deep_used`)
@@ -706,13 +778,6 @@ pub fn line_used_markers(files: &[SourceFile], suppressed: &[Finding]) -> BTreeS
         }
     }
     used
-}
-
-/// True when `s` could ever apply to test-only code (markers inside
-/// `#[cfg(test)]` spans are exempt from staleness — the line rules skip
-/// test code wholesale, so usage cannot be observed).
-pub fn marker_in_test_code(file: &SourceFile, s: &Suppression) -> bool {
-    file.in_test_code(s.marker_line)
 }
 
 // ---------------------------------------------------------------------
@@ -822,12 +887,15 @@ mod tests {
 
     #[test]
     fn fn_level_allow_absorbs_the_whole_subtree() {
-        let a = analyze(&[(
-            "crates/mini/src/lib.rs",
-            "pub fn entry(v: Option<u8>) { locked(v); }\n\
-             // eadrl-lint: allow(panic-reachable): poisoning needs a prior panic\n\
-             pub fn locked(v: Option<u8>) { v.unwrap(); }\n",
-        )]);
+        let a = analyze(&[
+            (
+                "crates/mini/src/lib.rs",
+                "pub fn entry(v: Option<u8>) { locked(v); }\n\
+                 // eadrl-lint: allow(panic-reachable): poisoning needs a prior panic\n\
+                 pub fn locked(v: Option<u8>) { v.unwrap(); }\n",
+            ),
+            ("crates/mini/src/main.rs", "fn main() { entry(None); }\n"),
+        ]);
         let r = run_deep(&a, None);
         let entry = r
             .verdicts
@@ -849,12 +917,15 @@ mod tests {
 
     #[test]
     fn line_level_allow_still_counts_as_allowed() {
-        let a = analyze(&[(
-            "crates/mini/src/lib.rs",
-            "pub fn entry(v: Option<u8>) {\n\
-             \x20   v.unwrap(); // eadrl-lint: allow(no-unwrap-in-lib): checked by caller\n\
-             }\n",
-        )]);
+        let a = analyze(&[
+            (
+                "crates/mini/src/lib.rs",
+                "pub fn entry(v: Option<u8>) {\n\
+                 \x20   v.unwrap(); // eadrl-lint: allow(no-unwrap-in-lib): checked by caller\n\
+                 }\n",
+            ),
+            ("crates/mini/src/main.rs", "fn main() { entry(None); }\n"),
+        ]);
         let r = run_deep(&a, None);
         let entry = r
             .verdicts
@@ -863,6 +934,18 @@ mod tests {
             .unwrap();
         assert_eq!(entry.verdict, "allowed");
         assert!(r.findings.is_empty());
+    }
+
+    #[test]
+    fn fn_markers_skip_attr_doc_and_marker_lines() {
+        let src = "// eadrl-lint: allow(panic-reachable): poisoning needs a prior panic\n\
+                   #[inline]\n/// Docs.\n\
+                   // eadrl-lint: allow(unreachable-pub): kept for a planned caller\n\
+                   pub fn locked() {}\n";
+        let file = SourceFile::parse("crates/obs/src/x.rs", src);
+        assert_eq!(fn_marker(&file, 5, &[PANIC_RULE]), Some(1));
+        assert_eq!(fn_marker(&file, 5, &[UNREACHABLE_RULE]), Some(4));
+        assert_eq!(fn_marker(&file, 5, &[HOT_RULE]), None);
     }
 
     #[test]
@@ -939,6 +1022,44 @@ mod tests {
         assert!(r
             .used_markers
             .contains(&("crates/mini/src/lib.rs".to_string(), 3)));
+    }
+
+    #[test]
+    fn unreachable_pub_fns_are_those_no_root_reaches() {
+        let a = analyze(&[
+            (
+                "crates/mini/src/lib.rs",
+                "pub mod other;\n\
+                 pub fn served() -> u8 { 1 }\n\
+                 pub fn own_tests_only() -> u8 { 2 }\n\
+                 pub fn oracle() -> u8 { 3 }\n\
+                 // eadrl-lint: allow(unreachable-pub): kept for a planned caller\n\
+                 pub fn planned() -> u8 { 4 }\n\
+                 pub fn shown() -> u8 { 5 }\n\
+                 pub struct S;\n\
+                 impl std::fmt::Display for S {\n\
+                 \x20   fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result { write!(f, \"{}\", shown()) }\n\
+                 }\n\
+                 #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { super::own_tests_only(); }\n}\n",
+            ),
+            (
+                "crates/mini/src/other.rs",
+                "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { crate::oracle(); }\n}\n",
+            ),
+            ("crates/mini/src/main.rs", "fn main() { served(); }\n"),
+        ]);
+        let r = run_deep(&a, None);
+        let hits: Vec<&str> = r
+            .findings
+            .iter()
+            .filter(|f| f.rule == UNREACHABLE_RULE)
+            .map(|f| f.message.as_str())
+            .collect();
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].contains("`mini::own_tests_only`"), "{}", hits[0]);
+        assert!(r
+            .used_markers
+            .contains(&("crates/mini/src/lib.rs".to_string(), 5)));
     }
 
     #[test]

@@ -43,6 +43,19 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+/// The directories a workspace-wide run analyses, joined onto `root`
+/// and kept when they exist: library and binary sources, examples and
+/// the umbrella crate's integration tests (each crate's own `tests/`
+/// sits under `crates`). An empty `root` gives them relative to the
+/// current directory.
+pub fn workspace_dirs(root: &Path) -> Vec<PathBuf> {
+    ["crates", "src", "examples", "tests"]
+        .iter()
+        .map(|d| root.join(d))
+        .filter(|p| p.exists())
+        .collect()
+}
+
 /// Recursively collects `.rs` files under `root`, sorted for
 /// deterministic output. Directories named `target`, `fixtures` or
 /// `.git` are skipped (fixtures contain *intentional* findings).

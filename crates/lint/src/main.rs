@@ -7,8 +7,8 @@
 //! ```
 //!
 //! `--deep` runs the call-graph passes (`panic-reachable`,
-//! `hot-path-alloc`, `determinism-taint`) and the `stale-allow` check on
-//! top of the line rules. `--report` writes the panic verdict table
+//! `hot-path-alloc`, `determinism-taint`, `unreachable-pub`) and the
+//! `stale-allow` check on top of the line rules. `--report` writes the panic verdict table
 //! (`lint-panic-report.json`); `--baseline` diffs fresh verdicts against
 //! a committed report and fails on any new panic-reachable pub fn;
 //! `--graph` writes the call graph as DOT; `--explain <fn>` prints a
@@ -42,7 +42,7 @@ fn usage() {
          \x20      eadrl-lint --deep [--report FILE] [--baseline FILE] [--graph FILE] [paths…]\n\
          \x20      eadrl-lint --explain <fn> [paths…]\n\
          \x20      eadrl-lint --stale-allows [paths…]\n\
-         default paths: crates src examples"
+         default paths: crates src examples tests"
     );
 }
 
@@ -112,12 +112,7 @@ fn parse_args() -> Result<Options, ExitCode> {
         }
     }
     if opts.paths.is_empty() {
-        opts.paths = vec![
-            PathBuf::from("crates"),
-            PathBuf::from("src"),
-            PathBuf::from("examples"),
-        ];
-        opts.paths.retain(|p| p.exists());
+        opts.paths = eadrl_lint::workspace_dirs(Path::new(""));
     }
     Ok(opts)
 }
@@ -131,22 +126,9 @@ fn main() -> ExitCode {
         for rule in default_rules() {
             println!("{:<18} {}", rule.name(), rule.description());
         }
-        println!(
-            "{:<18} {}",
-            deep::PANIC_RULE_HELP.0,
-            deep::PANIC_RULE_HELP.1
-        );
-        println!("{:<18} {}", deep::HOT_RULE_HELP.0, deep::HOT_RULE_HELP.1);
-        println!(
-            "{:<18} {}",
-            deep::TAINT_RULE_HELP.0,
-            deep::TAINT_RULE_HELP.1
-        );
-        println!(
-            "{:<18} {}",
-            deep::STALE_RULE_HELP.0,
-            deep::STALE_RULE_HELP.1
-        );
+        for (name, help) in deep::RULE_HELP {
+            println!("{name:<18} {help}");
+        }
         return ExitCode::SUCCESS;
     }
 

@@ -29,6 +29,9 @@ pub const HOT_RULE: &str = "hot-path-alloc";
 /// Deep-pass rule: a nondeterminism source is reachable from a
 /// `fit`/`predict` path without passing the obs trace gate.
 pub const TAINT_RULE: &str = "determinism-taint";
+/// Deep-pass rule: a library pub fn that no bin, example, bench,
+/// integration test or other module's test reaches.
+pub const UNREACHABLE_RULE: &str = "unreachable-pub";
 /// Deep-pass rule: a suppression marker that no longer suppresses any
 /// finding. Not itself suppressible.
 pub const STALE_RULE: &str = "stale-allow";
@@ -36,7 +39,7 @@ pub const STALE_RULE: &str = "stale-allow";
 /// Rules evaluated by the call-graph passes rather than per line —
 /// `allow(...)` may name them (at line or fn granularity), so the
 /// marker validator accepts them alongside the line rules.
-pub const DEEP_RULES: &[&str] = &[PANIC_RULE, HOT_RULE, TAINT_RULE];
+pub const DEEP_RULES: &[&str] = &[PANIC_RULE, HOT_RULE, TAINT_RULE, UNREACHABLE_RULE];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]

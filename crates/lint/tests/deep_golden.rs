@@ -5,21 +5,22 @@
 //! 1. **Golden chains** over `fixtures/deep_golden/` — a parse-only
 //!    mini-crate with hand-computed panic chains exercising trait
 //!    dispatch, closures inside a `par_map`-style combinator, a free fn
-//!    shadowing a trait-method name, and cross-module `use` resolution.
+//!    shadowing a trait-method name, and cross-module `use` resolution,
+//!    plus one pub fn per `unreachable-pub` root kind.
 //! 2. **Deliberately broken** `fixtures/deep_bad/` — one violation per
 //!    pass (panic chain, hot-path `Vec::push`, unguarded
-//!    `Instant::now`), each of which must fire. CI runs the binary over
-//!    the same tree with inverted exit-code checks.
+//!    `Instant::now`, an unreachable pub fn), each of which must fire.
+//!    CI runs the binary over the same tree with inverted exit-code
+//!    checks.
 //! 3. **Workspace acceptance** — the whole workspace is deep-clean
 //!    under the real `DESIGN.md`: zero findings across line rules and
-//!    all three deep passes, zero `panics-via` pub fns, zero stale
+//!    all four deep passes, zero `panics-via` pub fns, zero stale
 //!    suppression markers. The `cargo test` twin of the blocking CI
 //!    step.
 
 use eadrl_lint::deep::{self, Analysis, HotPathConfig};
-use eadrl_lint::rules::{HOT_RULE, PANIC_RULE, TAINT_RULE};
-use eadrl_lint::source::SourceFile;
-use eadrl_lint::{default_rules, lint_file, LintContext, ObsSchema};
+use eadrl_lint::rules::{HOT_RULE, PANIC_RULE, TAINT_RULE, UNREACHABLE_RULE};
+use eadrl_lint::{default_rules, lint_file, workspace_dirs, LintContext, ObsSchema};
 use std::path::{Path, PathBuf};
 
 fn fixture_root(name: &str) -> PathBuf {
@@ -32,7 +33,7 @@ fn fixture_root(name: &str) -> PathBuf {
 /// Cargo.toml` manifests are the dependency map).
 fn load_fixture(name: &str) -> Analysis {
     let root = fixture_root(name);
-    Analysis::load(&[root.clone()], &root).expect("fixture tree loads")
+    Analysis::load(std::slice::from_ref(&root), &root).expect("fixture tree loads")
 }
 
 fn verdict<'a>(report: &'a deep::DeepReport, qualified: &str) -> &'a deep::VerdictEntry {
@@ -79,7 +80,13 @@ fn golden_verdict_table_is_exactly_the_pub_fns() {
             "mini::call_free",
             "mini::evaluate",
             "mini::evaluate_all",
+            "mini::from_bin",
+            "mini::from_const",
+            "mini::from_example",
+            "mini::from_macro",
             "mini::helper",
+            "mini::only_own_tests",
+            "mini::oracle",
             "mini::score",
         ]
     );
@@ -146,20 +153,39 @@ fn golden_shadowed_free_fn_stays_safe() {
 fn golden_findings_are_one_per_panicking_pub_fn() {
     let a = load_fixture("deep_golden");
     let r = deep::run_deep(&a, None);
+    let panics = r.findings.iter().filter(|f| f.rule == PANIC_RULE).count();
     assert_eq!(
-        r.findings.len(),
-        3,
+        panics, 3,
         "evaluate, evaluate_all, helper: {:#?}",
         r.findings
     );
-    assert!(r.findings.iter().all(|f| f.rule == PANIC_RULE));
+    // The fourth is the one unreachable pub fn.
+    assert_eq!(r.findings.len(), 4, "{:#?}", r.findings);
+}
+
+#[test]
+fn golden_unreachable_pub_reports_only_the_own_test_fn() {
+    // Reached from a bin, an example through `eadrl::mini::…`, a `const`
+    // initializer, a `macro_rules!` body and another file's unit test:
+    // none reported. Only `only_own_tests`, which nothing but its own
+    // file's unit test calls, is.
+    let a = load_fixture("deep_golden");
+    let r = deep::run_deep(&a, None);
+    let hits: Vec<&str> = r
+        .findings
+        .iter()
+        .filter(|f| f.rule == UNREACHABLE_RULE)
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(hits.len(), 1, "{hits:#?}");
+    assert!(hits[0].contains("`mini::only_own_tests`"), "{}", hits[0]);
 }
 
 // -------------------------------------------------------------- deep_bad
 
 fn bad_report() -> deep::DeepReport {
     let root = fixture_root("deep_bad");
-    let a = Analysis::load(&[root.clone()], &root).expect("fixture tree loads");
+    let a = Analysis::load(std::slice::from_ref(&root), &root).expect("fixture tree loads");
     let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("fixture DESIGN.md");
     let hot = HotPathConfig::from_design_md(&design).expect("fixture hot-path table parses");
     deep::run_deep(&a, Some(&hot))
@@ -193,6 +219,19 @@ fn bad_fixture_hot_path_alloc_fires() {
 }
 
 #[test]
+fn bad_fixture_unreachable_pub_fires() {
+    let r = bad_report();
+    let hits: Vec<&str> = r
+        .findings
+        .iter()
+        .filter(|f| f.rule == UNREACHABLE_RULE)
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(hits.len(), 1, "{hits:#?}");
+    assert!(hits[0].contains("`bad::orphan`"), "{}", hits[0]);
+}
+
+#[test]
 fn bad_fixture_determinism_taint_fires() {
     let r = bad_report();
     let f = r
@@ -205,15 +244,54 @@ fn bad_fixture_determinism_taint_fires() {
 
 // ------------------------------------------------------------- workspace
 
-/// End-to-end acceptance: the workspace itself is deep-clean under the
-/// real `DESIGN.md` — line rules, panic reachability, hot-path
-/// allocations, determinism taint, and stale markers all at zero.
-#[test]
-fn workspace_is_deep_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("workspace root");
+        .expect("workspace root")
+}
+
+/// The real workspace, exactly as the CLI sees it when run from the repo
+/// root (the path-scoped rules key off `crates/…/src/` prefixes).
+fn load_workspace() -> Analysis {
+    let root = workspace_root();
+    Analysis::load(&workspace_dirs(root), root).expect("workspace loads")
+}
+
+/// Edges the graph could not see while it stopped at crate borders:
+/// every manifest spells `eadrl-x.workspace = true`, and examples reach
+/// the libraries through the umbrella's `eadrl::<crate>::` re-exports.
+#[test]
+fn workspace_graph_crosses_crate_borders() {
+    let a = load_workspace();
+    let g = &a.graph;
+    let edge = |from: &str, from_file: &str, to: &str| {
+        let f = g
+            .nodes
+            .iter()
+            .position(|n| n.qualified() == from && n.rel_path == from_file)
+            .unwrap_or_else(|| panic!("no node {from} in {from_file}"));
+        g.edges[f].iter().any(|e| g.nodes[e.to].qualified() == to)
+    };
+    assert!(edge(
+        "core::EaDrlPolicy::warm_up",
+        "crates/core/src/eadrl.rs",
+        "rl::DdpgAgent::run_episode"
+    ));
+    assert!(edge(
+        "eadrl::main",
+        "examples/quickstart.rs",
+        "core::EaDrl::fit"
+    ));
+}
+
+/// End-to-end acceptance: the workspace itself is deep-clean under the
+/// real `DESIGN.md` — line rules, panic reachability, hot-path
+/// allocations, determinism taint, unreachable pub fns and stale
+/// markers all at zero.
+#[test]
+fn workspace_is_deep_clean() {
+    let root = workspace_root();
     let md = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md readable");
     let schema = ObsSchema::from_design_md(&md);
     assert!(schema.is_some(), "telemetry schema table must parse");
@@ -223,26 +301,7 @@ fn workspace_is_deep_clean() {
         "hot-path table must name at least one checked fn"
     );
 
-    // Workspace-relative paths, exactly as the CLI sees them when run
-    // from the repo root (the path-scoped rules key off `crates/…/src/`
-    // prefixes).
-    let mut files = Vec::new();
-    for dir in ["crates", "src", "examples"] {
-        let p = root.join(dir);
-        if !p.exists() {
-            continue;
-        }
-        for path in eadrl_lint::collect_rs_files(&p).expect("walk workspace") {
-            let rel = path
-                .strip_prefix(root)
-                .expect("under root")
-                .to_string_lossy()
-                .replace('\\', "/");
-            let text = std::fs::read_to_string(&path).expect("read source");
-            files.push(SourceFile::parse(&rel, &text));
-        }
-    }
-    let analysis = Analysis::from_files(files, root);
+    let analysis = load_workspace();
 
     let rules = default_rules();
     let ctx = LintContext { schema };

@@ -1,6 +1,7 @@
 //! Deliberately broken fixture: one violation per deep pass. Never
 //! compiled — parsed by `tests/deep_golden.rs` and by the inverted CI
-//! step, both of which require every finding below to fire.
+//! step, both of which require every finding below to fire. `main.rs`
+//! calls every pub fn except `orphan`.
 
 /// Panic chain: pub fn -> private helper -> `.unwrap()`.
 pub fn entry(v: Option<u32>) -> u32 {
@@ -32,4 +33,9 @@ pub fn fit() -> u64 {
 fn stamp() -> u64 {
     let t = std::time::Instant::now();
     t.elapsed().as_nanos() as u64
+}
+
+/// Unreachable: no bin, example, bench or test calls it.
+pub fn orphan() -> u32 {
+    0
 }

@@ -17,3 +17,11 @@ fn normalized(x: f64) -> Option<f64> {
         None
     }
 }
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn helper_halves_like_the_oracle() {
+        assert_eq!(super::helper(4.0), crate::roots::oracle(4.0));
+    }
+}

@@ -72,53 +72,6 @@ impl Arima {
         self.innovation_cap
     }
 
-    /// Automatic order selection, the spirit of R's `auto.arima`:
-    ///
-    /// * `d ∈ {0, 1}` is chosen by a unit-root heuristic: difference once
-    ///   when the lag-1 autocorrelation exceeds 0.9 (trend / random-walk
-    ///   signature),
-    /// * `(p, q)` over `1..=max_p × 0..=max_q` by one-step SSE on the last
-    ///   25 % of `series` (fit on the first 75 %).
-    ///
-    /// Returns the *fitted* best model (refit on the full series).
-    pub fn auto(series: &[f64], max_p: usize, max_q: usize) -> Result<Arima, ModelError> {
-        let acf1 = eadrl_timeseries::stats::acf(series, 1)
-            .get(1)
-            .copied()
-            .unwrap_or(0.0);
-        let d = usize::from(acf1 > 0.9);
-        let cut = (series.len() as f64 * 0.75).round() as usize;
-        let (fit_part, val_part) = series.split_at(cut.min(series.len().saturating_sub(2)));
-
-        let mut best: Option<(f64, usize, usize)> = None;
-        for p in 1..=max_p.max(1) {
-            for q in 0..=max_q {
-                let mut candidate = Arima::new(p, d, q);
-                if candidate.fit(fit_part).is_err() {
-                    continue;
-                }
-                // Rolling one-step SSE over the validation tail.
-                let mut history = fit_part.to_vec();
-                let mut sse = 0.0;
-                for &actual in val_part {
-                    let e = candidate.predict_next(&history) - actual;
-                    sse += e * e;
-                    history.push(actual);
-                }
-                if best.is_none_or(|(b, _, _)| sse < b) {
-                    best = Some((sse, p, q));
-                }
-            }
-        }
-        let (_, p, q) = best.ok_or(ModelError::SeriesTooShort {
-            needed: 40,
-            got: series.len(),
-        })?;
-        let mut chosen = Arima::new(p, d, q);
-        chosen.fit(series)?;
-        Ok(chosen)
-    }
-
     fn diff_all(&self, series: &[f64]) -> Vec<f64> {
         let mut w = series.to_vec();
         for _ in 0..self.d {
@@ -514,35 +467,5 @@ mod tests {
         // Raw series is strongly autocorrelated; residuals should not be.
         let q_raw = ljung_box(&s[300..], 10).unwrap();
         assert!(q < 0.2 * q_raw, "residual Q {q} vs raw Q {q_raw}");
-    }
-
-    #[test]
-    fn auto_picks_no_differencing_for_stationary_data() {
-        let s = ar1(0.6, 1.0, 400, 21);
-        let m = Arima::auto(&s, 3, 1).unwrap();
-        let (p, d, _q) = m.orders();
-        assert_eq!(d, 0, "stationary AR(1) needs no differencing");
-        assert!(p >= 1);
-        assert!(m.predict_next(&s).is_finite());
-    }
-
-    #[test]
-    fn auto_differences_trending_data() {
-        let base = ar1(0.3, 0.0, 300, 5);
-        let s: Vec<f64> = base
-            .iter()
-            .enumerate()
-            .map(|(t, v)| 3.0 * t as f64 + v)
-            .collect();
-        let m = Arima::auto(&s, 2, 1).unwrap();
-        assert_eq!(m.orders().1, 1, "strong trend should be differenced");
-        // Forecast continues the trend.
-        let pred = m.predict_next(&s);
-        assert!((pred - (s[s.len() - 1] + 3.0)).abs() < 2.0, "pred {pred}");
-    }
-
-    #[test]
-    fn auto_on_tiny_series_errors() {
-        assert!(Arima::auto(&[1.0; 10], 2, 1).is_err());
     }
 }

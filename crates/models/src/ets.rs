@@ -77,33 +77,6 @@ impl Ets {
         state.fold(series);
         state.sse
     }
-
-    /// Automatic variant selection: fits SES, Holt, and (when the series
-    /// is long enough) additive Holt–Winters with `season`, and returns
-    /// the fitted model with the lowest one-step SSE over the training
-    /// pass — a miniature `ets()` from R's forecast package.
-    pub fn auto(series: &[f64], season: usize) -> Result<Ets, ModelError> {
-        let mut kinds = vec![EtsKind::Simple, EtsKind::Holt];
-        if season >= 2 && series.len() >= 2 * season {
-            kinds.push(EtsKind::HoltWinters { period: season });
-        }
-        let mut best: Option<(f64, Ets)> = None;
-        for kind in kinds {
-            let mut model = Ets::new(kind);
-            if model.fit(series).is_err() {
-                continue;
-            }
-            let (alpha, beta, gamma) = model.params();
-            let sse = model.sse(series, alpha, beta, gamma);
-            if best.as_ref().is_none_or(|(b, _)| sse < *b) {
-                best = Some((sse, model));
-            }
-        }
-        best.map(|(_, m)| m).ok_or(ModelError::SeriesTooShort {
-            needed: 10,
-            got: series.len(),
-        })
-    }
 }
 
 impl Forecaster for Ets {
@@ -450,33 +423,6 @@ mod tests {
         // Online: history shorter than 2 periods still forecasts.
         let pred = m.predict_next(&s[..20]);
         assert!(pred.is_finite());
-    }
-
-    #[test]
-    fn auto_selects_holt_winters_on_seasonal_data() {
-        let s: Vec<f64> = (0..96)
-            .map(|t| 10.0 + [0.0, 6.0, 9.0, 6.0, 0.0, -6.0, -9.0, -6.0][t % 8])
-            .collect();
-        let m = Ets::auto(&s, 8).unwrap();
-        assert!(m.name().starts_with("ETS(HW"), "selected {}", m.name());
-    }
-
-    #[test]
-    fn auto_selects_holt_on_trending_data() {
-        let s: Vec<f64> = (0..80).map(|t| 2.0 * t as f64).collect();
-        let m = Ets::auto(&s, 8).unwrap();
-        assert!(
-            m.name().contains("Holt") || m.name().contains("HW"),
-            "selected {}",
-            m.name()
-        );
-        // Either way it must extrapolate the trend.
-        assert!((m.predict_next(&s) - 160.0).abs() < 2.0);
-    }
-
-    #[test]
-    fn auto_on_too_short_series_errors() {
-        assert!(Ets::auto(&[1.0; 4], 8).is_err());
     }
 
     #[test]

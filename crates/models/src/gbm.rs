@@ -28,11 +28,6 @@ impl GbmRegressor {
             trees: Vec::new(),
         }
     }
-
-    /// Number of boosting rounds actually fitted.
-    pub fn n_fitted_rounds(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl TabularModel for GbmRegressor {
@@ -121,7 +116,7 @@ mod tests {
         let mut g = GbmRegressor::new(50, 3, 0.5);
         g.fit(&inputs, &targets).unwrap();
         // Early stopping on zero residuals.
-        assert!(g.n_fitted_rounds() <= 2);
+        assert!(g.trees.len() <= 2);
         assert!((g.predict(&[5.0]) - 7.5).abs() < 1e-9);
     }
 

@@ -40,11 +40,6 @@ impl GpRegressor {
     fn kernel(&self, a: &[f64], b: &[f64]) -> f64 {
         self.signal_var * (-sq_dist(a, b) / (2.0 * self.length_scale * self.length_scale)).exp()
     }
-
-    /// Number of retained training points.
-    pub fn n_points(&self) -> usize {
-        self.train_x.len()
-    }
 }
 
 impl TabularModel for GpRegressor {
@@ -163,7 +158,7 @@ mod tests {
         let targets: Vec<f64> = (0..500).map(|i| i as f64).collect();
         let mut gp = GpRegressor::new(10.0, 1e-2, 60);
         gp.fit(&inputs, &targets).unwrap();
-        assert!(gp.n_points() <= 64, "kept {}", gp.n_points());
+        assert!(gp.train_x.len() <= 64, "kept {}", gp.train_x.len());
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl MarsRegressor {
         }
     }
 
-    /// Number of selected hinge functions.
-    pub fn n_terms(&self) -> usize {
-        self.basis.len()
-    }
-
     fn design(&self, inputs: &[Vec<f64>]) -> Result<Matrix, ModelError> {
         let rows: Vec<Vec<f64>> = inputs
             .iter()
@@ -200,7 +195,7 @@ mod tests {
         let targets: Vec<f64> = inputs.iter().map(|x| x[0] * x[1]).collect();
         let mut m = MarsRegressor::new(4);
         m.fit(&inputs, &targets).unwrap();
-        assert!(m.n_terms() <= 4);
+        assert!(m.basis.len() <= 4);
     }
 
     #[test]
@@ -209,7 +204,7 @@ mod tests {
         let targets = vec![2.0; 30];
         let mut m = MarsRegressor::new(10);
         m.fit(&inputs, &targets).unwrap();
-        assert_eq!(m.n_terms(), 0);
+        assert_eq!(m.basis.len(), 0);
         assert!((m.predict(&[100.0]) - 2.0).abs() < 1e-6);
     }
 

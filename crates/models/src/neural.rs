@@ -44,7 +44,7 @@ use crate::tabular::{TabularModel, Windowed};
 use eadrl_linalg::Matrix;
 use eadrl_nn::{
     mse_loss_grad, Activation, Adam, BiLstm, BiLstmInferenceCache, BiRecurrentWorkspace, Conv1d,
-    ConvInferenceCache, ConvWorkspace, Dense, Lstm, LstmInferenceCache, Mlp, Network, Optimizer,
+    ConvInferenceCache, ConvWorkspace, Dense, Lstm, LstmInferenceCache, Mlp, Network,
     RecurrentWorkspace,
 };
 use eadrl_rng::DetRng;

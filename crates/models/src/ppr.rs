@@ -50,11 +50,6 @@ impl PprRegressor {
         }
     }
 
-    /// Number of fitted ridge terms.
-    pub fn n_fitted_terms(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Least-squares cubic fit of `res ~ poly(z)`; returns `(poly, sse)`.
     #[allow(clippy::needless_range_loop)] // parallel 4x4 Gaussian elimination
     fn fit_ridge(z: &[f64], res: &[f64]) -> ([f64; 4], f64) {

@@ -51,11 +51,6 @@ impl<M: TabularModel> Windowed<M> {
         }
     }
 
-    /// Embedding dimension.
-    pub fn embedding(&self) -> usize {
-        self.k
-    }
-
     /// Immutable access to the inner model (post-fit inspection in tests).
     pub fn inner(&self) -> &M {
         &self.model

@@ -53,17 +53,6 @@ impl TreeRegressor {
         }
     }
 
-    /// Tree depth (longest root-to-leaf path, 0 for a stump/unfitted tree).
-    pub fn depth(&self) -> usize {
-        fn d(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + d(left).max(d(right)),
-            }
-        }
-        self.root.as_ref().map_or(0, d)
-    }
-
     fn build(
         inputs: &[Vec<f64>],
         targets: &[f64],
@@ -224,11 +213,6 @@ impl RandomForestRegressor {
             trees: Vec::new(),
         }
     }
-
-    /// Number of fitted trees.
-    pub fn n_fitted_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 impl TabularModel for RandomForestRegressor {
@@ -306,6 +290,17 @@ mod tests {
     use super::*;
     use crate::forecaster::Forecaster;
 
+    /// Longest root-to-leaf path, 0 for a stump or an unfitted tree.
+    fn depth(tree: &TreeRegressor) -> usize {
+        fn d(n: &Node) -> usize {
+            match n {
+                Node::Leaf { .. } => 0,
+                Node::Split { left, right, .. } => 1 + d(left).max(d(right)),
+            }
+        }
+        tree.root.as_ref().map_or(0, d)
+    }
+
     fn step_data() -> (Vec<Vec<f64>>, Vec<f64>) {
         // y = 1 if x0 > 0.5 else 0; the second feature mirrors the first so
         // randomized trees (mtry = 1) always see an informative feature.
@@ -326,7 +321,7 @@ mod tests {
         tree.fit(&x, &y).unwrap();
         assert_eq!(tree.predict(&[0.1, 0.1]), 0.0);
         assert_eq!(tree.predict(&[0.9, 0.9]), 1.0);
-        assert!(tree.depth() >= 1);
+        assert!(depth(&tree) >= 1);
     }
 
     #[test]
@@ -335,7 +330,7 @@ mod tests {
         let targets: Vec<f64> = (0..64).map(|i| (i * i) as f64).collect();
         let mut tree = TreeRegressor::new(2, 1);
         tree.fit(&inputs, &targets).unwrap();
-        assert!(tree.depth() <= 2);
+        assert!(depth(&tree) <= 2);
     }
 
     #[test]
@@ -344,7 +339,7 @@ mod tests {
         let mut tree = TreeRegressor::new(10, 20);
         tree.fit(&x, &y).unwrap();
         // With min leaf 20 of 40 samples only the root split is possible.
-        assert!(tree.depth() <= 1);
+        assert!(depth(&tree) <= 1);
     }
 
     #[test]
@@ -353,7 +348,7 @@ mod tests {
         let y = vec![5.0; 20];
         let mut tree = TreeRegressor::new(5, 1);
         tree.fit(&x, &y).unwrap();
-        assert_eq!(tree.depth(), 0);
+        assert_eq!(depth(&tree), 0);
         assert_eq!(tree.predict(&[3.0]), 5.0);
     }
 
@@ -370,7 +365,7 @@ mod tests {
         let mut f2 = RandomForestRegressor::new(10, 4, 1, 42);
         f1.fit(&x, &y).unwrap();
         f2.fit(&x, &y).unwrap();
-        assert_eq!(f1.n_fitted_trees(), 10);
+        assert_eq!(f1.trees.len(), 10);
         assert_eq!(f1.predict(&[0.2, 0.2]), f2.predict(&[0.2, 0.2]));
         assert!(f1.predict(&[0.9, 0.9]) > 0.7);
         assert!(f1.predict(&[0.1, 0.1]) < 0.3);

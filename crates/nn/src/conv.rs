@@ -129,11 +129,6 @@ impl Conv1d {
         }
     }
 
-    /// Kernel width.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
     /// Output channel count.
     pub fn out_channels(&self) -> usize {
         self.out_channels
@@ -365,6 +360,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradcheck::check_gradients;
 
     #[test]
     fn output_length_is_valid_conv() {
@@ -414,26 +410,9 @@ mod tests {
         };
         let h = 1e-6;
         // Weight gradients.
-        let flat = conv.flat_params();
-        let mut grads = Vec::new();
-        conv.visit_params(&mut |_p, g| grads.extend_from_slice(g));
-        for &idx in &[0usize, 3, 7, flat.len() - 1] {
-            let mut up = flat.clone();
-            up[idx] += h;
-            let mut dn = flat.clone();
-            dn[idx] -= h;
-            conv.load_flat_params(&up);
-            let lu = loss(&conv, &input);
-            conv.load_flat_params(&dn);
-            let ld = loss(&conv, &input);
-            conv.load_flat_params(&flat);
-            let numeric = (lu - ld) / (2.0 * h);
-            assert!(
-                (numeric - grads[idx]).abs() < 1e-5,
-                "w[{idx}]: {numeric} vs {}",
-                grads[idx]
-            );
-        }
+        let n = conv.param_count();
+        let report = check_gradients(&mut conv, |c| loss(c, &input), &[0, 3, 7, n - 1], h);
+        assert!(report.max_abs_error < 1e-5, "{report:?}");
         // Input gradients.
         for ic in 0..2 {
             for t in 0..4 {

@@ -18,13 +18,6 @@ pub struct GradCheckReport {
     pub worst_index: usize,
 }
 
-impl GradCheckReport {
-    /// True when every checked gradient matched within `tol`.
-    pub fn passes(&self, tol: f64) -> bool {
-        self.max_abs_error <= tol
-    }
-}
-
 /// Checks the analytic gradients currently stored in `network` against
 /// central finite differences of `loss`.
 ///
@@ -34,6 +27,10 @@ impl GradCheckReport {
 /// and targets). `indices` selects which flat-parameter entries to probe;
 /// probing all of them is O(2·|θ|) loss evaluations, so tests usually
 /// sample a handful.
+///
+/// A probe whose analytic or numeric gradient is NaN counts as the worst
+/// error: the report then carries `max_abs_error = NaN`, which fails any
+/// `max_abs_error < tol` check.
 ///
 /// # Panics
 /// Panics when an index is out of range.
@@ -62,7 +59,8 @@ pub fn check_gradients<N: Network>(
         let ld = loss(network);
         let numeric = (lu - ld) / (2.0 * step);
         let err = (numeric - grads[idx]).abs();
-        if err > max_abs_error {
+        // `err > NaN` is false, so the first NaN is kept once recorded.
+        if err > max_abs_error || (err.is_nan() && !max_abs_error.is_nan()) {
             max_abs_error = err;
             worst_index = idx;
         }
@@ -75,46 +73,6 @@ pub fn check_gradients<N: Network>(
     }
 }
 
-/// Runs the forward/backward pair through the **batched** path
-/// ([`crate::network::BatchNetwork::forward_batch`] /
-/// [`crate::network::BatchNetwork::backward_batch`]) to
-/// populate the gradients, then checks them against central finite
-/// differences of `loss` exactly like [`check_gradients`].
-///
-/// `loss` must recompute, from scratch, the same scalar the batch
-/// implicitly optimizes — i.e. the loss whose per-row gradients are
-/// `grad_output` (typically a sum of per-row losses over `input`). Since
-/// the batched path accumulates gradients bitwise-identically to per-sample
-/// passes in row order, this check passing for one path proves it for both;
-/// tests still run both paths to enforce that equivalence end to end.
-///
-/// # Panics
-/// Panics when an index is out of range.
-pub fn check_gradients_batched<N: crate::network::BatchNetwork>(
-    network: &mut N,
-    input: &eadrl_linalg::Matrix,
-    grad_output: &eadrl_linalg::Matrix,
-    loss: impl Fn(&mut N) -> f64,
-    indices: &[usize],
-    step: f64,
-) -> GradCheckReport {
-    network.zero_grad();
-    network.forward_batch(input);
-    network.backward_batch(grad_output);
-    check_gradients(network, loss, indices, step)
-}
-
-/// Convenience: evenly spaced probe indices covering a parameter vector.
-pub fn probe_indices(param_count: usize, probes: usize) -> Vec<usize> {
-    if param_count == 0 || probes == 0 {
-        return Vec::new();
-    }
-    let probes = probes.min(param_count);
-    (0..probes)
-        .map(|i| i * (param_count - 1) / probes.max(1))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +80,14 @@ mod tests {
     use crate::loss::{mse_loss, mse_loss_grad};
     use crate::mlp::Mlp;
     use eadrl_rng::DetRng;
+
+    /// Evenly spaced probe indices covering a parameter vector.
+    fn probe_indices(param_count: usize, probes: usize) -> Vec<usize> {
+        let probes = probes.min(param_count);
+        (0..probes)
+            .map(|i| i * (param_count - 1) / probes.max(1))
+            .collect()
+    }
 
     #[test]
     fn mlp_gradients_pass_the_check() {
@@ -143,7 +109,7 @@ mod tests {
             &indices,
             1e-6,
         );
-        assert!(report.passes(1e-5), "{report:?}");
+        assert!(report.max_abs_error <= 1e-5, "{report:?}");
         assert_eq!(report.checked, 12);
     }
 
@@ -169,8 +135,42 @@ mod tests {
             &probe_indices(n, 6),
             1e-6,
         );
-        assert!(!report.passes(1e-5));
+        assert!(report.max_abs_error > 1e-5);
         assert!(report.max_abs_error > 0.5);
+    }
+
+    #[test]
+    fn nan_gradients_fail_the_check() {
+        let mut rng = DetRng::seed_from_u64(5);
+        let mut mlp = Mlp::new(&mut rng, &[2, 3, 1], Activation::Tanh, Activation::Identity);
+        let x = [0.5, -0.5];
+        let target = [2.0];
+        let y = mlp.forward(&x);
+        let g = mse_loss_grad(&y, &target);
+        mlp.backward(&g);
+        let loss = |net: &mut Mlp| mse_loss(&net.forward_inference(&x), &target);
+        let n = mlp.param_count();
+        let indices = probe_indices(n, 6);
+        assert!(check_gradients(&mut mlp, loss, &indices, 1e-6).max_abs_error < 1e-5);
+
+        // A NaN numeric gradient (the loss itself is NaN) fails.
+        let report = check_gradients(&mut mlp, |_| f64::NAN, &indices, 1e-6);
+        assert!(report.max_abs_error.is_nan(), "{report:?}");
+        assert_eq!(report.worst_index, indices[0]);
+
+        // A NaN analytic gradient at one probe fails, even though the
+        // probes after it are accurate.
+        let bad = indices[2];
+        let mut offset = 0;
+        mlp.visit_params(&mut |_p, grads| {
+            if (offset..offset + grads.len()).contains(&bad) {
+                grads[bad - offset] = f64::NAN;
+            }
+            offset += grads.len();
+        });
+        let report = check_gradients(&mut mlp, loss, &indices, 1e-6);
+        assert!(report.max_abs_error.is_nan(), "{report:?}");
+        assert_eq!(report.worst_index, bad);
     }
 
     #[test]
@@ -199,13 +199,16 @@ mod tests {
         }
         let indices = probe_indices(mlp.param_count(), 12);
         let per_sample = check_gradients(&mut mlp, total_loss, &indices, 1e-6);
-        assert!(per_sample.passes(1e-5), "{per_sample:?}");
+        assert!(per_sample.max_abs_error <= 1e-5, "{per_sample:?}");
 
         // Batched path over the same rows, same loss, same probes.
         let input = Matrix::from_rows(&xs.iter().map(|x| x.to_vec()).collect::<Vec<_>>()).unwrap();
         let gout = Matrix::from_rows(&grad_rows).unwrap();
-        let batched = check_gradients_batched(&mut mlp, &input, &gout, total_loss, &indices, 1e-6);
-        assert!(batched.passes(1e-5), "{batched:?}");
+        mlp.zero_grad();
+        mlp.forward_batch(&input);
+        mlp.backward_batch(&gout);
+        let batched = check_gradients(&mut mlp, total_loss, &indices, 1e-6);
+        assert!(batched.max_abs_error <= 1e-5, "{batched:?}");
         assert_eq!(
             per_sample, batched,
             "batched gradcheck must reproduce the per-sample report bitwise"
@@ -248,7 +251,7 @@ mod tests {
         };
         let indices = probe_indices(lstm.param_count(), 16);
         let report = check_gradients(&mut lstm, loss, &indices, 1e-6);
-        assert!(report.passes(1e-5), "{report:?}");
+        assert!(report.max_abs_error <= 1e-5, "{report:?}");
         assert_eq!(report.checked, 16);
     }
 
@@ -292,16 +295,6 @@ mod tests {
         };
         let indices = probe_indices(conv.param_count(), 9);
         let report = check_gradients(&mut conv, loss, &indices, 1e-6);
-        assert!(report.passes(1e-5), "{report:?}");
-    }
-
-    #[test]
-    fn probe_indices_cover_the_range() {
-        let idx = probe_indices(100, 5);
-        assert_eq!(idx.len(), 5);
-        assert!(idx[0] < idx[4]);
-        assert!(idx.iter().all(|&i| i < 100));
-        assert!(probe_indices(0, 5).is_empty());
-        assert_eq!(probe_indices(3, 10).len(), 3);
+        assert!(report.max_abs_error <= 1e-5, "{report:?}");
     }
 }

@@ -39,7 +39,7 @@ mod recurrent_equivalence;
 pub use activation::Activation;
 pub use conv::{Conv1d, ConvInferenceCache, ConvWorkspace};
 pub use dense::Dense;
-pub use gradcheck::{check_gradients, check_gradients_batched, probe_indices, GradCheckReport};
+pub use gradcheck::{check_gradients, GradCheckReport};
 pub use loss::{mse_loss, mse_loss_grad};
 pub use lstm::{
     BiLstm, BiLstmInferenceCache, BiRecurrentWorkspace, Lstm, LstmInferenceCache,
@@ -47,4 +47,4 @@ pub use lstm::{
 };
 pub use mlp::Mlp;
 pub use network::{BatchNetwork, Network};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::Adam;

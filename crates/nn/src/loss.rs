@@ -28,46 +28,6 @@ pub fn mse_loss_grad(output: &[f64], target: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Huber loss with threshold `delta` (quadratic near zero, linear in the
-/// tails); more robust to outlier targets than MSE.
-pub fn huber_loss(output: &[f64], target: &[f64], delta: f64) -> f64 {
-    debug_assert_eq!(output.len(), target.len(), "huber_loss: length mismatch");
-    if output.is_empty() {
-        return 0.0;
-    }
-    output
-        .iter()
-        .zip(target.iter())
-        .map(|(y, t)| {
-            let e = (y - t).abs();
-            if e <= delta {
-                0.5 * e * e
-            } else {
-                delta * (e - 0.5 * delta)
-            }
-        })
-        .sum::<f64>()
-        / output.len() as f64
-}
-
-/// Gradient of [`huber_loss`] with respect to `output`.
-pub fn huber_loss_grad(output: &[f64], target: &[f64], delta: f64) -> Vec<f64> {
-    debug_assert_eq!(output.len(), target.len());
-    let n = output.len().max(1) as f64;
-    output
-        .iter()
-        .zip(target.iter())
-        .map(|(y, t)| {
-            let e = y - t;
-            if e.abs() <= delta {
-                e / n
-            } else {
-                delta * e.signum() / n
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,30 +51,6 @@ mod tests {
             ym[i] -= h;
             let numeric = (mse_loss(&yp, &t) - mse_loss(&ym, &t)) / (2.0 * h);
             assert!((numeric - g[i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn huber_is_quadratic_then_linear() {
-        // e = 0.5 <= delta=1: 0.5*0.25 = 0.125
-        assert!((huber_loss(&[0.5], &[0.0], 1.0) - 0.125).abs() < 1e-12);
-        // e = 3 > 1: 1*(3-0.5) = 2.5
-        assert!((huber_loss(&[3.0], &[0.0], 1.0) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn huber_grad_matches_finite_difference() {
-        let y = [0.3, -2.5];
-        let t = [0.0, 0.0];
-        let g = huber_loss_grad(&y, &t, 1.0);
-        let h = 1e-6;
-        for i in 0..2 {
-            let mut yp = y;
-            yp[i] += h;
-            let mut ym = y;
-            ym[i] -= h;
-            let numeric = (huber_loss(&yp, &t, 1.0) - huber_loss(&ym, &t, 1.0)) / (2.0 * h);
-            assert!((numeric - g[i]).abs() < 1e-6, "i = {i}");
         }
     }
 }

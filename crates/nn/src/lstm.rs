@@ -861,6 +861,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradcheck::check_gradients;
 
     fn seq(vals: &[f64]) -> Vec<Vec<f64>> {
         vals.iter().map(|&v| vec![v]).collect()
@@ -912,28 +913,14 @@ mod tests {
         let ones = vec![1.0; 3];
         lstm.backward_last(&tape, &ones);
 
-        let flat = lstm.flat_params();
-        let mut grads = Vec::new();
-        lstm.visit_params(&mut |_p, g| grads.extend_from_slice(g));
-        let h = 1e-6;
-        let loss = |l: &Lstm| -> f64 { infer(l, &inputs).iter().sum() };
-        for &idx in &[0usize, 7, 20, flat.len() - 2, flat.len() - 1] {
-            let mut up = flat.clone();
-            up[idx] += h;
-            let mut dn = flat.clone();
-            dn[idx] -= h;
-            lstm.load_flat_params(&up);
-            let lu = loss(&lstm);
-            lstm.load_flat_params(&dn);
-            let ld = loss(&lstm);
-            lstm.load_flat_params(&flat);
-            let numeric = (lu - ld) / (2.0 * h);
-            assert!(
-                (numeric - grads[idx]).abs() < 1e-5,
-                "param {idx}: {numeric} vs {}",
-                grads[idx]
-            );
-        }
+        let n = lstm.param_count();
+        let report = check_gradients(
+            &mut lstm,
+            |l| infer(l, &inputs).iter().sum(),
+            &[0, 7, 20, n - 2, n - 1],
+            1e-6,
+        );
+        assert!(report.max_abs_error < 1e-5, "{report:?}");
     }
 
     #[test]

@@ -214,7 +214,7 @@ impl crate::network::BatchNetwork for Mlp {
 mod tests {
     use super::*;
     use crate::loss::{mse_loss, mse_loss_grad};
-    use crate::optimizer::{Adam, Optimizer};
+    use crate::optimizer::Adam;
 
     #[test]
     fn shapes_are_consistent() {

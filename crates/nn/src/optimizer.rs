@@ -1,137 +1,47 @@
-//! Gradient-descent optimizers over [`Network`] parameter visitors.
+//! The Adam optimizer over [`Network`] parameter visitors.
 
 use crate::network::Network;
-use eadrl_linalg::vector::{axpy, scale_in_place};
 
-/// A first-order optimizer.
-pub trait Optimizer {
-    /// Applies one update step using the gradients currently stored in the
-    /// network, then leaves the gradients untouched (callers decide when to
-    /// zero them).
-    fn step(&mut self, network: &mut dyn Network);
+const BETA1: f64 = 0.9;
+const BETA2: f64 = 0.999;
+const EPS: f64 = 1e-8;
 
-    /// Current learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Overrides the learning rate (used by decay schedules).
-    fn set_learning_rate(&mut self, lr: f64);
-}
-
-/// Plain SGD with optional classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// SGD without momentum.
-    pub fn new(lr: f64) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with classical momentum `v = μ v - lr g; p += v`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, network: &mut dyn Network) {
-        let mut idx = 0;
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        network.visit_params(&mut |p, g| {
-            if velocity.len() <= idx {
-                velocity.push(vec![0.0; p.len()]);
-            }
-            let v = &mut velocity[idx];
-            debug_assert_eq!(v.len(), p.len(), "Sgd: topology changed between steps");
-            if momentum > 0.0 {
-                // v = μ v - lr g; p += v — via the shared in-place kernels
-                // (`a - lr*g` and `a + (-lr)*g` are the same bits in IEEE).
-                scale_in_place(v, momentum);
-                axpy(-lr, g, v);
-                axpy(1.0, v, p);
-            } else {
-                axpy(-lr, g, p);
-            }
-            idx += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction.
+/// Adam (Kingma & Ba) with bias correction and the standard β₁ = 0.9,
+/// β₂ = 0.999, ε = 1e-8.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     t: u64,
     m: Vec<Vec<f64>>,
     v: Vec<Vec<f64>>,
 }
 
 impl Adam {
-    /// Adam with the standard β₁ = 0.9, β₂ = 0.999, ε = 1e-8.
+    /// Adam with learning rate `lr`.
     pub fn new(lr: f64) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
     }
 
-    /// Fully parameterized constructor.
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64) -> Self {
-        Adam {
-            lr,
-            beta1,
-            beta2,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, network: &mut dyn Network) {
+    /// Applies one update step using the gradients currently stored in the
+    /// network, then leaves the gradients untouched (callers decide when to
+    /// zero them).
+    pub fn step(&mut self, network: &mut dyn Network) {
         self.t += 1;
-        let (lr, b1, b2, eps, t) = (self.lr, self.beta1, self.beta2, self.eps, self.t);
-        let bc1 = 1.0 - b1.powi(t as i32);
-        let bc2 = 1.0 - b2.powi(t as i32);
+        let lr = self.lr;
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         let mut idx = 0;
         let m_state = &mut self.m;
         let v_state = &mut self.v;
         network.visit_params(&mut |p, g| {
             if m_state.len() <= idx {
-                m_state.push(vec![0.0; p.len()]);
-                v_state.push(vec![0.0; p.len()]);
+                m_state.push(vec![0.0; p.len()]); // eadrl-lint: allow(hot-path-alloc): first step only; later steps reuse the moment buffers
+                v_state.push(vec![0.0; p.len()]); // eadrl-lint: allow(hot-path-alloc): first step only; later steps reuse the moment buffers
             }
             let m = &mut m_state[idx];
             let v = &mut v_state[idx];
@@ -143,22 +53,14 @@ impl Optimizer for Adam {
                 .zip(g.iter())
                 .zip(m.iter_mut().zip(v.iter_mut()))
             {
-                *mv = b1 * *mv + (1.0 - b1) * gv;
-                *vv = b2 * *vv + (1.0 - b2) * gv * gv;
+                *mv = BETA1 * *mv + (1.0 - BETA1) * gv;
+                *vv = BETA2 * *vv + (1.0 - BETA2) * gv * gv;
                 let m_hat = *mv / bc1;
                 let v_hat = *vv / bc2;
-                *pv -= lr * m_hat / (v_hat.sqrt() + eps);
+                *pv -= lr * m_hat / (v_hat.sqrt() + EPS);
             }
             idx += 1;
         });
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
     }
 }
 
@@ -206,32 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut q = Quadratic::new(vec![5.0, -3.0], vec![1.0, 2.0]);
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..200 {
-            q.compute_grads();
-            opt.step(&mut q);
-        }
-        assert!(q.loss() < 1e-10, "loss = {}", q.loss());
-    }
-
-    #[test]
-    fn momentum_accelerates_sgd() {
-        let run = |mut opt: Sgd| {
-            let mut q = Quadratic::new(vec![10.0], vec![0.0]);
-            for _ in 0..20 {
-                q.compute_grads();
-                opt.step(&mut q);
-            }
-            q.loss()
-        };
-        let plain = run(Sgd::new(0.01));
-        let momentum = run(Sgd::with_momentum(0.01, 0.9));
-        assert!(momentum < plain, "momentum {momentum} vs plain {plain}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut q = Quadratic::new(vec![5.0, -3.0, 0.7], vec![1.0, 2.0, -0.5]);
         let mut opt = Adam::new(0.1);
@@ -251,15 +127,5 @@ mod tests {
         let before = q.p[0];
         opt.step(&mut q);
         assert!(((before - q.p[0]).abs() - 0.01).abs() < 1e-6);
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut s = Sgd::new(0.5);
-        s.set_learning_rate(0.25);
-        assert_eq!(s.learning_rate(), 0.25);
-        let mut a = Adam::new(0.1);
-        a.set_learning_rate(0.05);
-        assert_eq!(a.learning_rate(), 0.05);
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::{
     mse_loss_grad, Activation, Adam, BiLstm, BiLstmInferenceCache, BiRecurrentWorkspace, Conv1d,
-    ConvWorkspace, Dense, Lstm, LstmInferenceCache, Network, Optimizer, RecurrentWorkspace,
+    ConvWorkspace, Dense, Lstm, LstmInferenceCache, Network, RecurrentWorkspace,
 };
 use eadrl_linalg::Matrix;
 use eadrl_rng::DetRng;

@@ -1,7 +1,7 @@
 //! Property-based tests for the neural-network substrate.
 
 use eadrl_linalg::Matrix;
-use eadrl_nn::{Activation, Adam, Dense, Lstm, LstmInferenceCache, Mlp, Network, Optimizer};
+use eadrl_nn::{Activation, Adam, Dense, Lstm, LstmInferenceCache, Mlp, Network};
 use eadrl_ptest::prelude::*;
 use eadrl_rng::DetRng;
 

@@ -188,12 +188,6 @@ pub fn emit_batch(events: Vec<Event>) {
     }
 }
 
-/// Flushes the current sink.
-// eadrl-lint: allow(panic-reachable): lock poisoning requires a prior panic elsewhere; aborting is the correct response
-pub fn flush() {
-    obs().sink.read().unwrap().flush();
-}
-
 /// Emits a point event with fields, e.g.
 /// `eadrl_obs::event("ddpg.episode", Level::Info, &[("reward", r.into())])`.
 /// Field values are only cloned when the level is enabled — but prefer
@@ -252,6 +246,7 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
 
 /// Snapshots every metric in the global registry as metric-kind events
 /// and emits them at info level (useful at the end of a run).
+// eadrl-lint: allow(unreachable-pub): no caller yet; ROADMAP item 5's server health snapshot emits through it
 pub fn emit_metrics_snapshot() {
     for e in global_registry().snapshot_events() {
         emit(e);

@@ -351,6 +351,7 @@ impl Registry {
 
     /// One [`EventKind::Metric`] event per registered metric, in name
     /// order — the exportable state of the registry.
+    // eadrl-lint: allow(unreachable-pub): no caller outside tests yet; ROADMAP item 5's server health snapshot builds on it
     // eadrl-lint: allow(panic-reachable): lock poisoning requires a prior panic elsewhere; aborting is the correct response
     pub fn snapshot_events(&self) -> Vec<Event> {
         let map = self.map.lock().unwrap();

@@ -13,9 +13,6 @@ use std::sync::Mutex;
 pub trait EventSink: Send + Sync {
     /// Handles one event.
     fn emit(&self, event: &Event);
-
-    /// Flushes any buffered output (no-op by default).
-    fn flush(&self) {}
 }
 
 /// Discards everything — the default sink.
@@ -151,11 +148,6 @@ impl EventSink for JsonlSink {
         // A failing sink must never take the computation down with it.
         let _ = writeln!(out, "{line}");
     }
-
-    // eadrl-lint: allow(panic-reachable): lock poisoning requires a prior panic elsewhere; aborting is the correct response
-    fn flush(&self) {
-        let _ = self.out.lock().unwrap().flush();
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +223,6 @@ mod tests {
         let sink = JsonlSink::new(Box::new(SharedWriter(shared.clone())));
         sink.emit(&ev("one").field("k", 1.5));
         sink.emit(&ev("two"));
-        sink.flush();
         let text = String::from_utf8(shared.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -80,14 +80,6 @@ impl Span {
         }
     }
 
-    /// Elapsed microseconds so far (0 when the span is disabled).
-    pub fn elapsed_us(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|s| s.start.elapsed().as_micros() as u64)
-            .unwrap_or(0)
-    }
-
     /// True when the span is actually recording.
     pub fn is_recording(&self) -> bool {
         self.inner.is_some()
@@ -122,6 +114,5 @@ mod tests {
         // The global default is off; a span is inert then.
         let s = Span::enter_at(Level::Trace, "never.enabled.test");
         assert!(!s.is_recording());
-        assert_eq!(s.elapsed_us(), 0);
     }
 }

@@ -1,11 +1,11 @@
 //! Deep deterministic policy gradient (Lillicrap et al.), from scratch.
 
 use crate::env::Environment;
-use crate::noise::{Noise, OrnsteinUhlenbeck};
+use crate::noise::OrnsteinUhlenbeck;
 use crate::replay::{ReplayBuffer, SamplingStrategy, Transition};
 use crate::squash::ActionSquash;
 use eadrl_linalg::Matrix;
-use eadrl_nn::{Activation, Adam, Mlp, Network, Optimizer};
+use eadrl_nn::{Activation, Adam, Mlp, Network};
 use eadrl_obs::{Counter, Gauge, Histogram, Level};
 use eadrl_rng::DetRng;
 use std::sync::Arc;
@@ -263,11 +263,6 @@ impl DdpgAgent {
         self.updates
     }
 
-    /// Current replay-buffer fill level.
-    pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// State dimensionality the agent was built for.
     pub fn state_dim(&self) -> usize {
         self.state_dim
@@ -276,15 +271,6 @@ impl DdpgAgent {
     /// Action dimensionality the agent was built for.
     pub fn action_dim(&self) -> usize {
         self.action_dim
-    }
-
-    /// Critic estimate `Q(state, action)` — a diagnostics window into the
-    /// learned value function (e.g. to inspect which weightings the critic
-    /// believes in after training).
-    pub fn critic_value(&self, state: &[f64], action: &[f64]) -> f64 {
-        debug_assert_eq!(state.len(), self.state_dim);
-        debug_assert_eq!(action.len(), self.action_dim);
-        self.critic.forward_inference(&concat(state, action))[0]
     }
 
     /// Deterministic (greedy) action for `state`.
@@ -653,17 +639,17 @@ impl DdpgAgent {
     }
 }
 
-fn concat(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut v = Vec::with_capacity(a.len() + b.len());
-    v.extend_from_slice(a);
-    v.extend_from_slice(b);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::env::test_envs::PointMass;
+
+    fn concat(a: &[f64], b: &[f64]) -> Vec<f64> {
+        let mut v = Vec::with_capacity(a.len() + b.len());
+        v.extend_from_slice(a);
+        v.extend_from_slice(b);
+        v
+    }
 
     /// The reference the batched update is compared against: the original
     /// transition-at-a-time update loop, plus the parameter snapshots the
@@ -855,8 +841,8 @@ mod tests {
         agent.train(&mut env, 40);
         // From the start state, moving toward the target should be valued
         // higher than moving away.
-        let toward = agent.critic_value(&[0.0], &[1.0]);
-        let away = agent.critic_value(&[0.0], &[-1.0]);
+        let toward = agent.critic.forward_inference(&[0.0, 1.0])[0];
+        let away = agent.critic.forward_inference(&[0.0, -1.0])[0];
         assert!(
             toward > away,
             "critic should prefer moving toward the target: {toward} vs {away}"

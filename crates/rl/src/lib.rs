@@ -10,7 +10,7 @@
 //! * [`Environment`] — the minimal episodic-MDP interface,
 //! * [`ReplayBuffer`] with both [`SamplingStrategy::Uniform`] (the original
 //!   DDPG) and [`SamplingStrategy::Diversity`] (the paper's Eq. 4),
-//! * [`OrnsteinUhlenbeck`] and [`GaussianNoise`] exploration noise,
+//! * [`OrnsteinUhlenbeck`] exploration noise,
 //! * [`DdpgAgent`] — actor/critic MLPs with target networks, Polyak soft
 //!   updates and the deterministic-policy-gradient actor update, plus the
 //!   [`ActionSquash`] output map (the paper squashes policy outputs onto
@@ -25,6 +25,6 @@ pub mod squash;
 
 pub use ddpg::{DdpgAgent, DdpgConfig, EpisodeStats, UpdateStats};
 pub use env::Environment;
-pub use noise::{GaussianNoise, Noise, OrnsteinUhlenbeck};
+pub use noise::OrnsteinUhlenbeck;
 pub use replay::{ReplayBuffer, SamplingStrategy, Transition};
 pub use squash::ActionSquash;

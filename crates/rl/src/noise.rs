@@ -1,18 +1,6 @@
-//! Exploration-noise processes for continuous actions.
+//! Exploration noise for continuous actions.
 
 use eadrl_rng::DetRng;
-
-/// A stateful noise process producing one perturbation vector per call.
-pub trait Noise {
-    /// Next noise vector.
-    fn sample(&mut self, rng: &mut DetRng) -> Vec<f64>;
-
-    /// Resets any internal state (called at episode boundaries).
-    fn reset(&mut self);
-
-    /// Dimensionality of the produced vectors.
-    fn dim(&self) -> usize;
-}
 
 /// Ornstein–Uhlenbeck process — the temporally correlated noise DDPG uses
 /// for exploration in physical-control tasks:
@@ -35,77 +23,20 @@ impl OrnsteinUhlenbeck {
             state: vec![mu; dim],
         }
     }
-}
 
-impl Noise for OrnsteinUhlenbeck {
-    fn sample(&mut self, rng: &mut DetRng) -> Vec<f64> {
+    /// Next noise vector.
+    pub fn sample(&mut self, rng: &mut DetRng) -> Vec<f64> {
         for x in self.state.iter_mut() {
             *x += self.theta * (self.mu - *x) + self.sigma * gaussian(rng);
         }
         self.state.clone()
     }
 
-    fn reset(&mut self) {
+    /// Restores the mean state (called at episode boundaries).
+    pub fn reset(&mut self) {
         for x in self.state.iter_mut() {
             *x = self.mu;
         }
-    }
-
-    fn dim(&self) -> usize {
-        self.state.len()
-    }
-}
-
-/// Uncorrelated Gaussian noise `N(0, σ²)` per component, with optional
-/// multiplicative decay per sample (annealed exploration).
-#[derive(Debug, Clone)]
-pub struct GaussianNoise {
-    dim: usize,
-    sigma: f64,
-    initial_sigma: f64,
-    decay: f64,
-}
-
-impl GaussianNoise {
-    /// Constant-scale Gaussian noise.
-    pub fn new(dim: usize, sigma: f64) -> Self {
-        GaussianNoise {
-            dim,
-            sigma,
-            initial_sigma: sigma,
-            decay: 1.0,
-        }
-    }
-
-    /// Gaussian noise whose σ is multiplied by `decay` after every sample.
-    pub fn with_decay(dim: usize, sigma: f64, decay: f64) -> Self {
-        GaussianNoise {
-            dim,
-            sigma,
-            initial_sigma: sigma,
-            decay: decay.clamp(0.0, 1.0),
-        }
-    }
-
-    /// Current σ.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-}
-
-impl Noise for GaussianNoise {
-    fn sample(&mut self, rng: &mut DetRng) -> Vec<f64> {
-        let out = (0..self.dim).map(|_| self.sigma * gaussian(rng)).collect();
-        self.sigma *= self.decay;
-        out
-    }
-
-    fn reset(&mut self) {
-        self.sigma = self.initial_sigma;
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
     }
 }
 
@@ -152,16 +83,6 @@ mod tests {
         ou.sample(&mut rng);
         ou.reset();
         assert_eq!(ou.state, vec![0.5; 3]);
-        assert_eq!(ou.dim(), 3);
-    }
-
-    #[test]
-    fn gaussian_noise_has_requested_scale() {
-        let mut g = GaussianNoise::new(1, 2.0);
-        let mut rng = DetRng::seed_from_u64(3);
-        let samples: Vec<f64> = (0..2000).map(|_| g.sample(&mut rng)[0]).collect();
-        let var: f64 = samples.iter().map(|x| x * x).sum::<f64>() / samples.len() as f64;
-        assert!((var.sqrt() - 2.0).abs() < 0.2, "std = {}", var.sqrt());
     }
 
     #[test]
@@ -169,20 +90,5 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(8);
         let mut ou = OrnsteinUhlenbeck::new(7, 0.0, 0.15, 0.2);
         assert_eq!(ou.sample(&mut rng).len(), 7);
-        let mut g = GaussianNoise::new(5, 1.0);
-        assert_eq!(g.sample(&mut rng).len(), 5);
-        assert_eq!(g.dim(), 5);
-    }
-
-    #[test]
-    fn decay_shrinks_sigma_and_reset_restores() {
-        let mut g = GaussianNoise::with_decay(2, 1.0, 0.9);
-        let mut rng = DetRng::seed_from_u64(4);
-        for _ in 0..10 {
-            g.sample(&mut rng);
-        }
-        assert!((g.sigma() - 0.9_f64.powi(10)).abs() < 1e-12);
-        g.reset();
-        assert_eq!(g.sigma(), 1.0);
     }
 }

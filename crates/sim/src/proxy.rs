@@ -89,16 +89,6 @@ impl FaultyForecaster {
             last_good: AtomicU64::new(0.0_f64.to_bits()),
         }
     }
-
-    /// Prediction calls served so far.
-    pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    /// The configured fault.
-    pub fn kind(&self) -> FaultKind {
-        self.kind
-    }
 }
 
 impl Forecaster for FaultyForecaster {
@@ -187,7 +177,7 @@ mod tests {
         let f = wrap(FaultKind::PanicAtCall { call: 99 });
         assert_eq!(f.predict_next(&[1.0, 2.0]), 2.0); // Naive = last value
         assert_eq!(f.name(), "Naive");
-        assert_eq!(f.calls(), 1);
+        assert_eq!(f.calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]

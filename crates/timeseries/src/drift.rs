@@ -141,20 +141,6 @@ impl AdaptiveWindowDetector {
         }
         false
     }
-
-    /// Current adaptive window length.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// Mean of the current window (0 when empty).
-    pub fn window_mean(&self) -> f64 {
-        if self.window.is_empty() {
-            0.0
-        } else {
-            self.window.iter().sum::<f64>() / self.window.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -212,7 +198,7 @@ mod tests {
         }
         assert!(detected);
         // After drift the stale half is dropped.
-        assert!(d.window_len() < 200);
+        assert!(d.window.len() < 200);
     }
 
     #[test]
@@ -221,7 +207,8 @@ mod tests {
         for i in 0..300 {
             assert!(!d.update(5.0), "false positive at {i}");
         }
-        assert!((d.window_mean() - 5.0).abs() < 1e-12);
+        let mean = d.window.iter().sum::<f64>() / d.window.len() as f64;
+        assert!((mean - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -248,7 +235,7 @@ mod tests {
             d.update(0.0);
         }
         assert!(!d.update(f64::NAN));
-        assert_eq!(d.window_len(), 50, "NaN must not enter the window");
+        assert_eq!(d.window.len(), 50, "NaN must not enter the window");
         let mut detected = false;
         for _ in 0..100 {
             if d.update(10.0) {
@@ -265,6 +252,6 @@ mod tests {
         for i in 0..500 {
             d.update((i % 3) as f64);
         }
-        assert!(d.window_len() <= 50);
+        assert!(d.window.len() <= 50);
     }
 }

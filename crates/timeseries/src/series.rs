@@ -82,12 +82,6 @@ impl TimeSeries {
         self.values.push(value);
     }
 
-    /// The most recent `n` values (all of them when `n >= len`).
-    pub fn tail(&self, n: usize) -> &[f64] {
-        let start = self.values.len().saturating_sub(n);
-        &self.values[start..]
-    }
-
     /// Splits into `(train, test)` slices at the given train ratio.
     ///
     /// The paper uses a 75 % / 25 % split. `ratio` is clamped to `[0, 1]`.
@@ -96,15 +90,6 @@ impl TimeSeries {
         let cut = (self.values.len() as f64 * ratio).round() as usize;
         let cut = cut.min(self.values.len());
         (&self.values[..cut], &self.values[cut..])
-    }
-
-    /// Returns a copy restricted to the half-open index range.
-    pub fn slice(&self, range: std::ops::Range<usize>) -> TimeSeries {
-        TimeSeries {
-            name: self.name.clone(),
-            frequency: self.frequency,
-            values: self.values[range].to_vec(),
-        }
     }
 
     /// Minimum value; `None` when empty or all-NaN.
@@ -178,13 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn tail_returns_most_recent() {
-        let s = ts(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.tail(2), &[3.0, 4.0]);
-        assert_eq!(s.tail(10), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn push_extends_series() {
         let mut s = ts(vec![1.0]);
         s.push(2.0);
@@ -217,13 +195,5 @@ mod tests {
         assert_eq!(Frequency::Hourly.default_season(), 24);
         assert_eq!(Frequency::HalfHourly.default_season(), 48);
         assert_eq!(Frequency::TenMinutes.default_season(), 144);
-    }
-
-    #[test]
-    fn slice_copies_range() {
-        let s = ts(vec![1.0, 2.0, 3.0, 4.0]);
-        let sub = s.slice(1..3);
-        assert_eq!(sub.values(), &[2.0, 3.0]);
-        assert_eq!(sub.name(), "test");
     }
 }

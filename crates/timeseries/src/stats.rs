@@ -1,4 +1,4 @@
-//! Autocorrelation, partial autocorrelation and rolling moments.
+//! Autocorrelation, the Ljung–Box statistic and rolling means.
 
 /// Sample autocorrelation function up to `max_lag` (inclusive); index 0 is
 /// always 1.0. Returns an empty vector for series shorter than 2.
@@ -24,36 +24,6 @@ pub fn acf(series: &[f64], max_lag: usize) -> Vec<f64> {
             num / denom
         })
         .collect()
-}
-
-/// Partial autocorrelation function via the Durbin–Levinson recursion,
-/// lags `1..=max_lag`. Empty for series shorter than 2.
-pub fn pacf(series: &[f64], max_lag: usize) -> Vec<f64> {
-    let rho = acf(series, max_lag);
-    if rho.len() < 2 {
-        return Vec::new();
-    }
-    let max_lag = rho.len() - 1;
-    let mut pacf_out = Vec::with_capacity(max_lag);
-    // phi[k][j]: AR(k) coefficient j (1-indexed by convention, 0 slot unused).
-    let mut phi_prev = vec![0.0; max_lag + 1];
-    let mut v: f64 = 1.0; // prediction error variance ratio
-    for k in 1..=max_lag {
-        let mut num = rho[k];
-        for j in 1..k {
-            num -= phi_prev[j] * rho[k - j];
-        }
-        let phi_kk = if v.abs() < 1e-300 { 0.0 } else { num / v };
-        let mut phi_cur = phi_prev.clone();
-        phi_cur[k] = phi_kk;
-        for j in 1..k {
-            phi_cur[j] = phi_prev[j] - phi_kk * phi_prev[k - j];
-        }
-        v *= 1.0 - phi_kk * phi_kk;
-        pacf_out.push(phi_kk);
-        phi_prev = phi_cur;
-    }
-    pacf_out
 }
 
 /// Ljung–Box portmanteau statistic for residual autocorrelation up to
@@ -94,23 +64,6 @@ pub fn rolling_mean(series: &[f64], w: usize) -> Vec<f64> {
     out
 }
 
-/// Rolling population standard deviation with window `w`; aligned with
-/// [`rolling_mean`].
-pub fn rolling_std(series: &[f64], w: usize) -> Vec<f64> {
-    if w == 0 || series.len() < w {
-        return Vec::new();
-    }
-    // Recompute per window: O(n·w) but numerically safe (the running-sum
-    // trick for variance cancels catastrophically on large-mean series).
-    (0..=series.len() - w)
-        .map(|i| {
-            let win = &series[i..i + w];
-            let m = win.iter().sum::<f64>() / w as f64;
-            (win.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / w as f64).sqrt()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,28 +90,6 @@ mod tests {
         let a = acf(&[5.0; 10], 3);
         assert_eq!(a[0], 1.0);
         assert_eq!(a[1], 0.0);
-    }
-
-    #[test]
-    fn pacf_of_ar1_cuts_off_after_lag_one() {
-        // AR(1) with phi = 0.8, deterministic "noise" via a simple LCG.
-        let mut state = 42u64;
-        let mut noise = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let mut s = vec![0.0];
-        for _ in 0..2000 {
-            let prev = *s.last().unwrap();
-            s.push(0.8 * prev + noise());
-        }
-        let p = pacf(&s, 4);
-        assert!((p[0] - 0.8).abs() < 0.1, "pacf lag1 = {}", p[0]);
-        for lag in 1..4 {
-            assert!(p[lag].abs() < 0.1, "pacf lag{} = {}", lag + 1, p[lag]);
-        }
     }
 
     #[test]
@@ -196,28 +127,7 @@ mod tests {
     }
 
     #[test]
-    fn rolling_std_of_constant_window_is_zero() {
-        let s = [2.0, 2.0, 2.0, 5.0];
-        let r = rolling_std(&s, 2);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[0], 0.0);
-        assert!((r[2] - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rolling_std_is_stable_under_huge_means() {
-        // Classic catastrophic-cancellation trap for running-sum variance:
-        // tiny spread riding on a 1e12 offset.
-        let s: Vec<f64> = (0..50).map(|i| 1e12 + (i % 2) as f64).collect();
-        let r = rolling_std(&s, 4);
-        for v in r {
-            assert!((v - 0.5).abs() < 1e-3, "std {v} should be 0.5");
-        }
-    }
-
-    #[test]
     fn short_series_edge_cases() {
         assert!(acf(&[1.0], 3).is_empty());
-        assert!(pacf(&[1.0], 3).is_empty());
     }
 }

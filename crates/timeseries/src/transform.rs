@@ -11,11 +11,6 @@ pub trait Scaler {
     fn transform_all(&self, values: &[f64]) -> Vec<f64> {
         values.iter().map(|&v| self.transform(v)).collect()
     }
-
-    /// Inverts a whole slice into a new vector.
-    fn inverse_all(&self, values: &[f64]) -> Vec<f64> {
-        values.iter().map(|&v| self.inverse(v)).collect()
-    }
 }
 
 /// Standardizes to zero mean and unit variance.
@@ -49,11 +44,6 @@ impl ZScoreScaler {
     /// Fitted mean.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Fitted standard deviation (1.0 when the input was constant).
-    pub fn std(&self) -> f64 {
-        self.std
     }
 }
 
@@ -163,9 +153,8 @@ mod tests {
         let t = s.transform_all(&v);
         let mean: f64 = t.iter().sum::<f64>() / t.len() as f64;
         assert!(mean.abs() < 1e-12);
-        let back = s.inverse_all(&t);
-        for (a, b) in v.iter().zip(back.iter()) {
-            assert!((a - b).abs() < 1e-12);
+        for (a, b) in v.iter().zip(&t) {
+            assert!((a - s.inverse(*b)).abs() < 1e-12);
         }
     }
 
@@ -174,7 +163,7 @@ mod tests {
         let s = ZScoreScaler::fit(&[7.0, 7.0, 7.0]);
         assert_eq!(s.transform(7.0), 0.0);
         assert_eq!(s.inverse(0.0), 7.0);
-        assert_eq!(s.std(), 1.0);
+        assert_eq!(s.std, 1.0);
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn detectors_rearm_after_firing() {
         }
     }
     assert!(
-        fires.iter().any(|&i| i >= 500 && i < 700),
+        fires.iter().any(|i| (500..700).contains(i)),
         "first shift missed: {fires:?}"
     );
     assert!(
@@ -104,7 +104,7 @@ fn detectors_rearm_after_firing() {
         }
     }
     assert!(
-        aw_fires.iter().any(|&i| i >= 500 && i < 700),
+        aw_fires.iter().any(|i| (500..700).contains(i)),
         "window detector missed the first shift: {aw_fires:?}"
     );
     assert!(

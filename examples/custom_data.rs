@@ -36,8 +36,10 @@ fn main() {
     let (train, test) = series.split(0.75);
 
     // --- 2. Fit EA-DRL offline.
-    let mut config = EaDrlConfig::default();
-    config.episodes = 25;
+    let config = EaDrlConfig {
+        episodes: 25,
+        ..Default::default()
+    };
     let mut model = EaDrl::new(quick_pool(5, 7, 7), config.clone());
     model.fit(train).expect("fit");
     println!("trained over {} models", model.n_models());

@@ -74,8 +74,10 @@ fn main() {
     pool.push(Box::new(Windowed::new("WindowMedian", 5, WindowMedian)));
     pool.push(Box::new(DecayingMean { alpha: 0.25 }));
 
-    let mut config = EaDrlConfig::default();
-    config.episodes = 25;
+    let config = EaDrlConfig {
+        episodes: 25,
+        ..Default::default()
+    };
     let mut model = EaDrl::new(pool, config);
     model.fit(train).expect("fit");
 

@@ -38,8 +38,10 @@ fn main() {
     let (warm_a, online_a) = actuals.split_at(100);
 
     // EA-DRL: policy frozen after warm-up (the paper's offline design).
-    let mut config = EaDrlConfig::default();
-    config.episodes = 25;
+    let config = EaDrlConfig {
+        episodes: 25,
+        ..Default::default()
+    };
     let mut eadrl = EaDrlPolicy::new(config);
     eadrl.warm_up(warm_p, warm_a);
 

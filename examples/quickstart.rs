@@ -26,8 +26,10 @@ fn main() {
     //    aggregation policy. `quick_pool` is the fast 8-model pool; swap in
     //    `standard_pool` for the paper's 43 models.
     let pool = quick_pool(5, 48, 7);
-    let mut config = EaDrlConfig::default();
-    config.episodes = 30; // keep the example snappy
+    let config = EaDrlConfig {
+        episodes: 30, // keep the example snappy
+        ..Default::default()
+    };
     let mut model = EaDrl::new(pool, config);
 
     // 3. Offline phase: fit the pool, learn the combination policy.

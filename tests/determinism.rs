@@ -7,10 +7,12 @@ use eadrl::models::{quick_pool, standard_pool};
 fn run_pipeline(seed: u64) -> Vec<f64> {
     let series = generate(DatasetId::TaxiDemand2, 360, seed);
     let (train, test) = series.split(0.75);
-    let mut config = EaDrlConfig::default();
-    config.omega = 8;
-    config.episodes = 8;
-    config.restarts = 1;
+    let mut config = EaDrlConfig {
+        omega: 8,
+        episodes: 8,
+        restarts: 1,
+        ..Default::default()
+    };
     config.ddpg.seed = seed;
     let mut model = EaDrl::new(quick_pool(5, 48, seed), config);
     model.fit(train).unwrap();

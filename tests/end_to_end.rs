@@ -7,12 +7,13 @@ use eadrl::models::{quick_pool, Forecaster, Naive};
 use eadrl::timeseries::metrics::rmse;
 
 fn quick_config(episodes: usize) -> EaDrlConfig {
-    let mut config = EaDrlConfig::default();
-    config.omega = 8;
-    config.episodes = episodes;
-    config.max_iter = 60;
-    config.restarts = 1;
-    config
+    EaDrlConfig {
+        omega: 8,
+        episodes,
+        max_iter: 60,
+        restarts: 1,
+        ..Default::default()
+    }
 }
 
 #[test]

@@ -29,10 +29,12 @@ fn profile_with_threads(threads: &str) -> Vec<(String, u64)> {
 
     let series = generate(DatasetId::TaxiDemand2, 240, 11);
     let (train, test) = series.split(0.75);
-    let mut config = EaDrlConfig::default();
-    config.omega = 8;
-    config.episodes = 3;
-    config.restarts = 1;
+    let mut config = EaDrlConfig {
+        omega: 8,
+        episodes: 3,
+        restarts: 1,
+        ..Default::default()
+    };
     config.ddpg.seed = 11;
     let mut model = EaDrl::new(quick_pool(4, 48, 11), config);
     model.fit(train).expect("fit");

@@ -10,10 +10,12 @@ use eadrl::models::{quick_pool, Naive};
 
 fn mini_eval(id: DatasetId, seed: u64) -> eadrl::core::DatasetEvaluation {
     let series = generate(id, 340, seed);
-    let mut config = EaDrlConfig::default();
-    config.omega = 8;
-    config.episodes = 10;
-    config.restarts = 1;
+    let config = EaDrlConfig {
+        omega: 8,
+        episodes: 10,
+        restarts: 1,
+        ..Default::default()
+    };
     let combiners: Vec<Box<dyn Combiner>> = vec![
         Box::new(StaticEnsemble::new()),
         Box::new(SlidingWindowEnsemble::new(8)),

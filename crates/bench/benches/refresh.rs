@@ -13,14 +13,23 @@
 //! `EADRL_PAR_THREADS` ∈ {1, 2, 4} and is *not* gated: on a single-core
 //! runner all thread counts collapse onto one worker and the honest
 //! number is ~1.0x (see `EXPERIMENTS.md` for the multi-core protocol).
+//! Nor are the paper-scale rows, at `EADRL_PAR_THREADS` ∈ {1, 2}: a warm
+//! refresh over 43-member rows from `standard_pool(5, 24, 42)` on
+//! BikeRentals (buffer 120, 10 episodes), whose DDPG target pass runs on
+//! the sidecar at two threads, and the 43-model pool fit on 360 values,
+//! whose members the workers claim one at a time. A one-core runner has
+//! no second core for either.
 //! Nor is the 16-wide window: at serving-size windows both paths take
 //! tens of nanoseconds and the comparison is noise-bound. The 256-wide
 //! groups are where `remove(0)`'s O(n) shift must lose to the ring.
 
 use eadrl_bench::harness::{Gate, Harness};
 use eadrl_core::{
-    AdaptiveEaDrl, Combiner, EaDrlConfig, EaDrlPolicy, RefreshStrategy, RefreshTrigger,
+    fit_pool, prediction_matrix, AdaptiveEaDrl, Combiner, EaDrlConfig, EaDrlPolicy,
+    RefreshStrategy, RefreshTrigger,
 };
+use eadrl_datasets::{generate, DatasetId};
+use eadrl_models::standard_pool;
 use eadrl_timeseries::window::{SlideWindow, StepRing};
 use std::hint::black_box;
 
@@ -129,6 +138,70 @@ fn bench_refresh_latency(c: &mut Harness) {
     });
 }
 
+/// Values the paper-scale pool is fitted on.
+const PAPER_FIT: usize = 360;
+/// Refresh buffer of the paper-scale refresh (serve_bench's `drift_refresh`).
+const PAPER_BUFFER: usize = 120;
+/// Warm-start episodes of the paper-scale refresh.
+const PAPER_EPISODES: usize = 10;
+
+/// BikeRentals, long enough for the fit plus a warm-up segment and a
+/// full refresh buffer after it.
+fn paper_series() -> Vec<f64> {
+    generate(DatasetId::BikeRentals, PAPER_FIT + 2 * PAPER_BUFFER, 42)
+        .values()
+        .to_vec()
+}
+
+/// The 43-model fit on 360 values, per thread count: the workers claim
+/// members one at a time, so the nine recurrent members at the end of
+/// the pool spread over both workers.
+fn bench_fit_pool_paper(c: &mut Harness, series: &[f64]) {
+    let mut group = c.benchmark_group("fit_pool_paper");
+    for threads in [1usize, 2] {
+        std::env::set_var(eadrl_par::THREADS_ENV, threads.to_string());
+        group.bench_function(format!("threads{threads}"), |b| {
+            b.iter_batched(
+                || standard_pool(5, 24, 42),
+                |pool| black_box(fit_pool(pool, &series[..PAPER_FIT]).0.len()),
+            );
+        });
+    }
+    std::env::remove_var(eadrl_par::THREADS_ENV);
+}
+
+/// A warm-start refresh over 43-member prediction rows, per thread
+/// count: at two threads each DDPG update's target pass runs on the
+/// sidecar. The combiner is built under the row's thread count, because
+/// an agent's sidecar decides its placement at its first job.
+fn bench_refresh_paper(c: &mut Harness, series: &[f64]) {
+    let (fit_part, rest) = series.split_at(PAPER_FIT);
+    let (pool, _dropped) = fit_pool(standard_pool(5, 24, 42), fit_part);
+    let preds = prediction_matrix(&pool, fit_part, rest);
+    let (wp, op) = preds.split_at(PAPER_BUFFER);
+    let (wa, oa) = rest.split_at(PAPER_BUFFER);
+    let mut group = c.benchmark_group("refresh_latency");
+    for threads in [1usize, 2] {
+        std::env::set_var(eadrl_par::THREADS_ENV, threads.to_string());
+        let mut adaptive =
+            AdaptiveEaDrl::new(EaDrlConfig::default(), RefreshTrigger::Never, PAPER_BUFFER)
+                .with_strategy(RefreshStrategy::WarmStart {
+                    episodes: PAPER_EPISODES,
+                });
+        adaptive.warm_up(wp, wa);
+        for (p, &a) in op.iter().zip(oa.iter()) {
+            adaptive.observe(p, a);
+        }
+        group.bench_function(format!("warm_start_paper/threads{threads}"), |b| {
+            b.iter(|| {
+                adaptive.refresh_now();
+                black_box(adaptive.refreshes())
+            });
+        });
+    }
+    std::env::remove_var(eadrl_par::THREADS_ENV);
+}
+
 /// Ring-buffered sliding windows against the shifted-Vec equivalents
 /// they replaced, at serving-representative and stress window sizes.
 fn bench_window_slide(c: &mut Harness, window: usize, steps: usize) {
@@ -189,6 +262,9 @@ fn main() {
     let mut h = Harness::new("refresh");
     bench_restart_scaling(&mut h);
     bench_refresh_latency(&mut h);
+    let series = paper_series();
+    bench_refresh_paper(&mut h, &series);
+    bench_fit_pool_paper(&mut h, &series);
     bench_window_slide(&mut h, 16, 512);
     bench_window_slide(&mut h, 256, 512);
     bench_history_record(&mut h, 256, 512);

@@ -1,20 +1,25 @@
 //! # eadrl-par — deterministic std-only thread pool
 //!
 //! A zero-dependency parallel map whose output is **bitwise identical**
-//! to the serial computation at every thread count. The workspace's
-//! embarrassingly parallel hot paths — base-model pool fitting, the
-//! rolling pool-prediction matrix, the 16-method evaluation loop, the
-//! Bayes-sign-test Monte-Carlo chains — all funnel through [`par_map`],
-//! so the repo's determinism contract (frozen `eadrl_rng::DetRng`
-//! stream, byte-identical quickstart outputs) survives parallelism.
+//! to the serial computation at every thread count, and a [`Sidecar`]
+//! that overlaps one owner's job with the owner's own work. The
+//! workspace's embarrassingly parallel hot paths — base-model pool
+//! fitting, the rolling pool-prediction matrix, the 16-method
+//! evaluation loop, the Bayes-sign-test Monte-Carlo chains — all funnel
+//! through [`par_map`]; the DDPG update runs its Bellman-target pass on
+//! a sidecar. The repo's determinism contract (frozen
+//! `eadrl_rng::DetRng` stream, byte-identical quickstart outputs)
+//! survives both.
 //!
 //! ## Determinism model
 //!
 //! [`par_map`] applies a pure-per-item function to each element of an
-//! owned `Vec` and merges results **strictly by input index**. Work is
-//! split into contiguous chunks, one per worker, with a *static*
-//! assignment (no work stealing): which item runs on which thread is a
-//! function of `(items.len(), workers)` only, never of timing. Because
+//! owned `Vec` and merges results **strictly by input index**. Workers
+//! claim items one at a time from one shared queue, in ascending index
+//! order, so a worker that drew cheap items takes the next one instead
+//! of idling while another works through a costly run (the pool fit's
+//! nine recurrent members sit together at the end of the pool). Which
+//! worker ran which item depends on timing; nothing else does. Because
 //! `f` receives ownership of its item and may not share mutable state
 //! (the `Fn` + [`Sync`] bounds enforce this), the result for item `i`
 //! cannot depend on scheduling — so the merged output equals the serial
@@ -31,45 +36,99 @@
 //! `EADRL_PAR_THREADS` selects the worker count; unset (or unparsable)
 //! falls back to [`std::thread::available_parallelism`]. `1` forces the
 //! serial fallback, which runs **the identical code path** (same
-//! chunking, same per-item panic containment, same index merge) on the
-//! calling thread — there is no separate serial implementation to drift
-//! out of sync. [`par_map_with`] pins the count explicitly (used by the
-//! differential tests so they need no env mutation).
+//! claiming loop, same per-item panic containment and telemetry
+//! buffering, same index merge) on the calling thread — there is no
+//! separate serial implementation to drift out of sync. [`par_map_with`]
+//! pins the count explicitly (used by the differential tests so they
+//! need no env mutation).
 //!
 //! ## Panic containment
 //!
-//! A panic inside `f` is caught at the owning worker, the batch is
-//! abandoned, and [`par_map`] returns [`ParError::Panic`] carrying the
-//! *originating input index* — the smallest panicking index across
-//! workers, so even the error is deterministic. Workers are scoped
+//! A panic inside `f` is caught at the worker that ran the item, and
+//! [`par_map`] returns [`ParError::Panic`] carrying the *originating
+//! input index*. Once any item has panicked, no worker claims another.
+//! The reported index is still the smallest panicking one, at every
+//! thread count: claims ascend, so every item below a panicking index
+//! was claimed before it, and a claimed item always runs to completion
+//! (or to its own contained panic). Items past the reported index that
+//! a worker had already claimed are discarded with their telemetry, so
+//! the failing batch's trace is the serial one. Workers are scoped
 //! threads ([`std::thread::scope`]): every worker is joined before
 //! `par_map` returns, no thread outlives the call, and the pool is
 //! trivially usable for the next call (there is no poisoned state to
-//! clear). Items not yet processed when a batch is abandoned are
-//! dropped normally (no leaks — asserted by the fault-injection tests).
+//! clear). Items never claimed are dropped with the queue (no leaks —
+//! asserted by the fault-injection tests and a drop-counting property).
 //!
 //! ## Telemetry
 //!
-//! Each call opens a `par.map` span (debug: `items`, `workers`,
-//! `chunk`); each worker runs its chunk inside a `par.worker` span
-//! (debug: `worker`, `items`, `queue_wait_us` — the spawn-to-start
-//! latency), and a contained panic emits `par.panic` (warn: `index`).
-//! Counters `par.maps_total` / `par.tasks_total` accumulate in the
-//! global registry.
+//! Each call opens a `par.map` span (debug: `items`, `workers`); each
+//! worker runs inside a `par.worker` span (debug: `worker`, `items` it
+//! claimed, `queue_wait_us` — the spawn-to-start latency), and a
+//! contained panic emits `par.panic` (warn: `index`). Counters
+//! `par.maps_total` / `par.tasks_total` accumulate in the global
+//! registry.
 //!
 //! Worker telemetry is **deterministically ordered**: every worker runs
 //! under an [`eadrl_obs::worker_context`] that (a) stamps its events
 //! with `thread = 1 + worker index`, (b) inherits the caller's span
 //! path so worker spans nest under `par.map` instead of becoming
-//! orphaned roots, and (c) buffers events thread-locally. After the
-//! join, buffers are flushed in worker-index order — since chunks are
-//! contiguous and ascending, the flushed trace is ordered exactly like
-//! the serial one, at every thread count. The serial fallback runs the
-//! identical context + buffer path inline.
+//! orphaned roots, and (c) buffers events thread-locally. Each item's
+//! events are taken from the buffer as the item finishes and flushed
+//! after the join **in input-index order**, then the `par.worker` spans
+//! in worker order — so the flushed trace is ordered exactly like the
+//! serial one at every thread count. The `thread` stamp on an item's
+//! events records which worker claimed it, a scheduling fact like a
+//! timestamp. The serial fallback runs the identical context + buffer
+//! path inline.
+//!
+//! ## Sidecar
+//!
+//! A [`Sidecar`] is a persistent helper thread for one owner's [`Job`]:
+//! the owner stages the job's inputs, calls [`Sidecar::start`], does
+//! work that does not need the job, and takes it back with
+//! [`Sidecar::join`]. Any access to the job goes through `join`, which
+//! first settles a job still in flight, so an owner may also start a
+//! job and return, leaving it to land at its next access (the DDPG
+//! update posts its Polyak step that way). The job value lives behind a
+//! mutex in the sidecar for its whole life, so no borrowed data crosses
+//! threads and no `unsafe` is needed. The contract:
+//!
+//! * **Placement.** The helper is used only when [`thread_count`] and
+//!   [`std::thread::available_parallelism`] are both at least 2 and the
+//!   caller is not a worker of a multi-worker [`par_map`] (such a batch
+//!   already fills the cores); otherwise every job runs inline at
+//!   `join`, through the same claim-and-run code. There is no knob:
+//!   `EADRL_PAR_THREADS=1` makes every job inline.
+//! * **Spin, then park.** The helper is spawned at the owner's first
+//!   job it may take and joined when the owner drops. After each job it
+//!   spins a bounded number of iterations (no clock is read) and then
+//!   parks; a thread spawn costs ~95 µs and a parked thread's wake-up
+//!   ~50 µs on a 2-core VM, so back-to-back jobs of ~60 µs need a
+//!   thread that persists and is awake.
+//! * **Steal-back.** `start` posts the job; whichever of the helper and
+//!   the caller at `join` claims it first runs it. A job the helper has
+//!   not claimed by `join` runs on the caller, so a descheduled helper
+//!   never costs more than running inline.
+//! * **Panics** are caught where the job ran and re-raised on the caller
+//!   at `join` with [`std::panic::resume_unwind`], carrying the original
+//!   payload; the job stays in the sidecar.
+//! * **Telemetry.** The job runs under the caller's thread id and the
+//!   span path current at `start`, buffered, and its events are flushed
+//!   at `join`; the caller's wait is a `par.sidecar.wait` span. Both
+//!   placements emit the same trace shape.
+//!
+//! A job's result must not depend on which thread ran it: it owns
+//! everything it reads and writes.
 #![forbid(unsafe_code)]
 
 use eadrl_obs::Level;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+mod sidecar;
+
+pub use sidecar::{Job, JobGuard, Placement, Sidecar};
 
 /// Environment variable selecting the worker count ("1" = serial).
 pub const THREADS_ENV: &str = "EADRL_PAR_THREADS";
@@ -204,7 +263,6 @@ where
     let mut span = eadrl_obs::span_at(Level::Debug, "par.map");
     span.record("items", n.into());
     span.record("workers", workers.into());
-    span.record("chunk", n.div_ceil(workers.max(1)).into());
     eadrl_obs::counter("par.maps_total").inc();
     eadrl_obs::counter("par.tasks_total").add(n as u64);
     if n == 0 {
@@ -214,163 +272,187 @@ where
     // inherit (so their spans nest here identically at every thread
     // count) and whether their telemetry should be buffered at all.
     let parent_path = eadrl_obs::current_span_path();
-    let buffer = eadrl_obs::level().is_some();
+    let batch = Batch {
+        queue: Mutex::new(items.into_iter().enumerate()),
+        first_panic: AtomicUsize::new(usize::MAX),
+        parent_path: parent_path.as_deref(),
+        buffer: eadrl_obs::level().is_some(),
+    };
 
-    // Static contiguous chunking: worker w owns items
-    // [w*base + min(w, extra) ..], sizes differing by at most one.
-    // The assignment depends only on (n, workers), never on timing.
-    let base = n / workers;
-    let extra = n % workers;
-    let mut chunks: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-    let mut iter = items.into_iter().enumerate();
-    for w in 0..workers {
-        let len = base + usize::from(w < extra);
-        chunks.push(iter.by_ref().take(len).collect());
-    }
-
-    let outcomes: Vec<ChunkOutcome<R>> = if workers == 1 {
-        // Serial fallback: the identical per-chunk code path (context,
-        // buffering, span, containment), run inline — no spawn.
-        chunks
-            .into_iter()
-            .enumerate()
-            .map(|(w, chunk)| {
-                let (outcome, events) =
-                    run_chunk(w, chunk, &f, None, parent_path.as_deref(), buffer);
-                eadrl_obs::emit_batch(events);
-                outcome
-            })
-            .collect()
+    let outcomes: Vec<WorkerOutcome<R>> = if workers == 1 {
+        // Serial fallback: the identical worker loop (context, claiming,
+        // per-item buffering, containment), run inline — no spawn.
+        vec![batch.run_worker(0, &f, None)]
     } else {
         // Debug-gated so the clock is never read when telemetry is off
         // (which also keeps this crate runnable under Miri isolation).
         // eadrl-lint: allow(determinism): queue-wait telemetry only — the timestamp never reaches a result
         let spawned_at = eadrl_obs::enabled(Level::Debug).then(std::time::Instant::now);
-        let batches: Vec<(ChunkOutcome<R>, Vec<eadrl_obs::Event>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .enumerate()
-                .map(|(w, chunk)| {
-                    let f = &f;
-                    let parent = parent_path.as_deref();
-                    scope.spawn(move || run_chunk(w, chunk, f, spawned_at, parent, buffer))
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (f, batch) = (&f, &batch);
+                    scope.spawn(move || {
+                        POOL_WORKER.with(|flag| flag.set(true));
+                        batch.run_worker(w, f, spawned_at)
+                    })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        (
-                            ChunkOutcome {
-                                results: Vec::new(),
-                                panic: None,
-                            },
-                            Vec::new(),
-                        )
-                    })
-                })
+                .map(|h| h.join().unwrap_or_else(|_| WorkerOutcome::default()))
                 .collect()
-        });
-        // Flush worker buffers in worker-index order: chunks are
-        // contiguous ascending, so this equals the serial trace order.
-        batches
-            .into_iter()
-            .map(|(outcome, events)| {
-                eadrl_obs::emit_batch(events);
-                outcome
-            })
-            .collect()
+        })
     };
+    // Items nobody claimed (the batch stopped at a panic) drop here.
+    drop(batch);
 
-    // Merge strictly by input index. Chunks are contiguous and ordered,
-    // so this is a flatten — slots make the invariant explicit and turn
-    // any violation into a typed error rather than wrong output.
-    let mut first_panic: Option<(usize, String)> = None;
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    // Merge strictly by input index. Only items at or below the smallest
+    // panicking index count: every one of them was claimed (claims
+    // ascend) and finished, whatever the thread count, while items past
+    // it ran only if a worker happened to claim them first.
+    let mut slots: Vec<Option<ItemOutcome<R>>> = (0..n).map(|_| None).collect();
+    let mut worker_events = Vec::with_capacity(workers);
     for outcome in outcomes {
-        if let Some((index, message)) = outcome.panic {
-            let sooner = first_panic.as_ref().is_none_or(|(i, _)| index < *i);
-            if sooner {
-                first_panic = Some((index, message));
+        for item in outcome.items {
+            let index = item.index;
+            slots[index] = Some(item);
+        }
+        worker_events.push(outcome.events);
+    }
+    let stop = slots
+        .iter()
+        .flatten()
+        .find(|item| item.result.is_err())
+        .map_or(n, |item| item.index + 1);
+    let mut out = Vec::with_capacity(stop);
+    let mut failure = None;
+    for (index, slot) in slots.into_iter().enumerate().take(stop) {
+        let Some(item) = slot else {
+            failure.get_or_insert(ParError::WorkerLost { index });
+            continue;
+        };
+        // Each item's telemetry flushes in input order: the trace reads
+        // like the serial one at every thread count.
+        eadrl_obs::emit_batch(item.events);
+        match item.result {
+            Ok(value) => out.push(value),
+            Err(message) => failure = Some(ParError::Panic { index, message }),
+        }
+    }
+    for events in worker_events {
+        eadrl_obs::emit_batch(events);
+    }
+    match failure {
+        Some(err) => {
+            if let ParError::Panic { index, .. } = err {
+                eadrl_obs::warn("par.panic", &[("index", index.into())]);
             }
+            Err(err)
         }
-        for (index, value) in outcome.results {
-            slots[index] = Some(value);
-        }
+        None => Ok(out),
     }
-    if let Some((index, message)) = first_panic {
-        eadrl_obs::warn("par.panic", &[("index", index.into())]);
-        return Err(ParError::Panic { index, message });
-    }
-    let mut out = Vec::with_capacity(n);
-    for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(value) => out.push(value),
-            None => return Err(ParError::WorkerLost { index }),
-        }
-    }
-    Ok(out)
 }
 
-/// What one worker hands back: results for its chunk prefix, plus the
-/// panic that interrupted it, if any.
-struct ChunkOutcome<R> {
-    results: Vec<(usize, R)>,
-    panic: Option<(usize, String)>,
+thread_local! {
+    /// Set on the threads a multi-worker [`par_map`] spawns, for their
+    /// whole (scoped) life: a [`Sidecar`] started there runs its jobs
+    /// inline, because the batch already fills the cores.
+    static POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Runs one worker's chunk inside an [`eadrl_obs::worker_context`] and a
-/// `par.worker` span, returning the outcome plus the worker's buffered
-/// telemetry (empty when `buffer` is off). A contained item panic still
-/// returns the buffer — the trace up to the failure is kept.
-fn run_chunk<T, R, F>(
-    worker: usize,
-    chunk: Vec<(usize, T)>,
-    f: &F,
-    spawned_at: Option<std::time::Instant>,
-    parent_path: Option<&str>,
+/// True on a worker thread of a multi-worker [`par_map`].
+fn in_pool_worker() -> bool {
+    POOL_WORKER.with(std::cell::Cell::get)
+}
+
+/// The state one batch's workers share: the claim queue, the smallest
+/// panicking index seen so far, and the telemetry context they inherit.
+struct Batch<'p, T> {
+    /// Unclaimed items, in input order. Claims ascend.
+    queue: Mutex<std::iter::Enumerate<std::vec::IntoIter<T>>>,
+    /// Smallest panicking index seen (`usize::MAX` while none has).
+    first_panic: AtomicUsize,
+    parent_path: Option<&'p str>,
     buffer: bool,
-) -> (ChunkOutcome<R>, Vec<eadrl_obs::Event>)
-where
-    F: Fn(usize, T) -> R,
-{
-    let mut ctx = eadrl_obs::worker_context(worker as u64 + 1, parent_path, buffer);
-    let outcome = {
-        let mut span = eadrl_obs::span_at(Level::Debug, "par.worker");
-        span.record("worker", worker.into());
-        span.record("items", chunk.len().into());
-        if span.is_recording() {
-            let queue_wait_us = spawned_at.map_or(0, |t| t.elapsed().as_micros() as u64);
-            span.record("queue_wait_us", queue_wait_us.into());
-        }
-        run_items(chunk, f)
-    };
-    let events = ctx.take_buffered();
-    (outcome, events)
 }
 
-fn run_items<T, R, F>(chunk: Vec<(usize, T)>, f: &F) -> ChunkOutcome<R>
-where
-    F: Fn(usize, T) -> R,
-{
-    let mut results = Vec::with_capacity(chunk.len());
-    for (index, item) in chunk {
-        match catch_unwind(AssertUnwindSafe(|| f(index, item))) {
-            Ok(value) => results.push((index, value)),
-            Err(payload) => {
-                // Abandon the rest of the chunk: the remaining items
-                // drop here, the completed prefix is still reported so
-                // the caller sees a consistent (index → result) map.
-                return ChunkOutcome {
-                    results,
-                    panic: Some((index, panic_message(payload.as_ref()))),
-                };
-            }
+/// One finished item: its result (or panic message) and the telemetry
+/// it emitted, which the merge flushes in input order.
+struct ItemOutcome<R> {
+    index: usize,
+    result: Result<R, String>,
+    events: Vec<eadrl_obs::Event>,
+}
+
+/// What one worker hands back: the items it ran, plus its own
+/// `par.worker` span (empty when telemetry is off).
+struct WorkerOutcome<R> {
+    items: Vec<ItemOutcome<R>>,
+    events: Vec<eadrl_obs::Event>,
+}
+
+impl<R> Default for WorkerOutcome<R> {
+    fn default() -> Self {
+        WorkerOutcome {
+            items: Vec::new(),
+            events: Vec::new(),
         }
     }
-    ChunkOutcome {
-        results,
-        panic: None,
+}
+
+impl<T> Batch<'_, T> {
+    /// Claims the next item, or `None` once the queue is empty or some
+    /// item has panicked: every later claim would lie past the
+    /// panicking index, so it could not change the reported one.
+    fn claim(&self) -> Option<(usize, T)> {
+        if self.first_panic.load(Ordering::Acquire) != usize::MAX {
+            return None;
+        }
+        self.queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next()
+    }
+
+    /// One worker's loop inside an [`eadrl_obs::worker_context`] and a
+    /// `par.worker` span: claim, run under `catch_unwind`, take the
+    /// item's buffered telemetry, repeat. A claimed item always runs to
+    /// completion (or to its contained panic).
+    fn run_worker<R, F>(
+        &self,
+        worker: usize,
+        f: &F,
+        spawned_at: Option<std::time::Instant>,
+    ) -> WorkerOutcome<R>
+    where
+        F: Fn(usize, T) -> R,
+    {
+        let mut ctx = eadrl_obs::worker_context(worker as u64 + 1, self.parent_path, self.buffer);
+        let mut items = Vec::new();
+        {
+            let mut span = eadrl_obs::span_at(Level::Debug, "par.worker");
+            span.record("worker", worker.into());
+            if span.is_recording() {
+                let queue_wait_us = spawned_at.map_or(0, |t| t.elapsed().as_micros() as u64);
+                span.record("queue_wait_us", queue_wait_us.into());
+            }
+            while let Some((index, item)) = self.claim() {
+                let result = catch_unwind(AssertUnwindSafe(|| f(index, item)))
+                    .map_err(|payload| panic_message(payload.as_ref()));
+                if result.is_err() {
+                    self.first_panic.fetch_min(index, Ordering::AcqRel);
+                }
+                items.push(ItemOutcome {
+                    index,
+                    result,
+                    events: ctx.take_buffered(),
+                });
+            }
+            span.record("items", items.len().into());
+        }
+        let events = ctx.take_buffered();
+        WorkerOutcome { items, events }
     }
 }
 

@@ -46,8 +46,8 @@ fn worker_events_are_ordered_nested_and_attributed() {
     for threads in [1, 2, 4, 8] {
         let events = traced_run(threads, N);
 
-        // Item events arrive in input-index order: worker buffers are
-        // flushed by worker index and chunks are contiguous ascending.
+        // Item events arrive in input-index order: each item's events
+        // are buffered on their own and flushed by input index.
         let indices: Vec<u64> = events
             .iter()
             .filter(|e| e.name_matches("par.test.item"))
@@ -77,7 +77,7 @@ fn worker_events_are_ordered_nested_and_attributed() {
         assert_eq!(
             worker_spans.len(),
             expected_workers,
-            "threads={threads}: one worker span per chunk"
+            "threads={threads}: one worker span per worker"
         );
         let mut seen_items = 0u64;
         for span in &worker_spans {
@@ -95,7 +95,7 @@ fn worker_events_are_ordered_nested_and_attributed() {
         }
         assert_eq!(
             seen_items, N as u64,
-            "threads={threads}: chunks cover all items"
+            "threads={threads}: the workers ran every item once"
         );
 
         // The par.map span closes after the flush, on the main thread.
@@ -112,14 +112,30 @@ fn worker_events_are_ordered_nested_and_attributed() {
     }
 
     // Same thread count, two runs: identical event-name sequence
-    // (timestamps aside, the trace is deterministic).
-    let names = |events: &[Event]| -> Vec<(String, u64)> {
-        events.iter().map(|e| (e.name.clone(), e.thread)).collect()
-    };
+    // (timestamps aside, the trace is deterministic). Which worker
+    // claimed an item is a scheduling fact, like a timestamp, so the
+    // `thread` stamps are checked for consistency, not equality.
+    let names =
+        |events: &[Event]| -> Vec<String> { events.iter().map(|e| e.name.clone()).collect() };
     assert_eq!(names(&traced_run(4, N)), names(&traced_run(4, N)));
+    let events = traced_run(4, N);
+    for span in events
+        .iter()
+        .filter(|e| e.kind == EventKind::Span && e.name_matches("par.worker"))
+    {
+        let ran = events
+            .iter()
+            .filter(|e| e.name_matches("par.test.item") && e.thread == span.thread)
+            .count() as u64;
+        assert_eq!(
+            u64_field(span, "items"),
+            Some(ran),
+            "a worker's item count matches the item events stamped with its thread"
+        );
+    }
 
     // Across thread counts, the only shape difference is the number of
-    // par.worker chunks: with those collapsed, the traces agree.
+    // par.worker spans: with those collapsed, the traces agree.
     let collapse = |events: &[Event]| -> Vec<String> {
         events
             .iter()

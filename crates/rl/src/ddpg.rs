@@ -7,6 +7,7 @@ use crate::squash::ActionSquash;
 use eadrl_linalg::Matrix;
 use eadrl_nn::{Activation, Adam, Mlp, Network};
 use eadrl_obs::{Counter, Gauge, Histogram, Level};
+use eadrl_par::{Placement, Sidecar};
 use eadrl_rng::DetRng;
 use std::sync::Arc;
 
@@ -162,29 +163,86 @@ impl DdpgTelemetry {
 struct UpdateBuffers {
     /// Sampled states (`n x state_dim`) — the actor's input batch.
     states: Matrix,
-    /// Sampled next-states (`n x state_dim`) — the target actor's input.
-    next_states: Matrix,
     /// `[state | action]` rows (`n x (state_dim + action_dim)`) — the
     /// critic's TD-update input.
     sa: Matrix,
-    /// `[next_state | π'(next_state)]` rows — the target critic's input.
-    next_sa: Matrix,
     /// `[state | π(state)]` rows — the critic's input in the actor update.
     pi_sa: Matrix,
     /// Per-sample scalar gradients fed into the critic (`n x 1`).
     grad_q: Matrix,
     /// Per-sample raw-action gradients fed into the actor (`n x action_dim`).
     grad_raw: Matrix,
+}
+
+/// The target networks and everything their two steps read and write.
+/// Neither step reads anything else of the agent, so both run as
+/// [`Sidecar`] jobs: the Bellman-target pass beside the critic and actor
+/// forwards of the same update, and the Polyak step, posted at the end
+/// of an update, beside whatever the caller does until its next update.
+struct TargetPass {
+    /// Target actor `π'`.
+    actor: Mlp,
+    /// Target critic `Q'`.
+    critic: Mlp,
+    /// Sampled next-states (`n x state_dim`) — the target actor's input.
+    next_states: Matrix,
+    /// `[next_state | π'(next_state)]` rows — the target critic's input.
+    next_sa: Matrix,
     /// Sampled rewards, in batch order.
     rewards: Vec<f64>,
     /// Sampled terminal flags, in batch order.
     dones: Vec<bool>,
-    /// Bellman targets `y`, in batch order.
+    /// Bellman targets `y`, in batch order (the job's output).
     targets: Vec<f64>,
-    /// Scratch for Polyak syncs: current actor parameters.
+    /// The online actor's parameters after an update, for its Polyak step.
     actor_params: Vec<f64>,
-    /// Scratch for Polyak syncs: current critic parameters.
+    /// The online critic's parameters after an update, for its Polyak step.
     critic_params: Vec<f64>,
+    /// The next run is the Polyak step, not a target pass.
+    polyak_due: bool,
+    gamma: f64,
+    tau: f64,
+    squash: ActionSquash,
+}
+
+impl eadrl_par::Job for TargetPass {
+    /// The Polyak step `θ' ← τθ + (1−τ)θ'` when one is due, otherwise the
+    /// batched Bellman targets `y = r + γ·Q'(s', π'(s'))` (just `r` at a
+    /// terminal).
+    fn run(&mut self) {
+        if std::mem::take(&mut self.polyak_due) {
+            let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.polyak");
+            self.actor.soft_update_from(&self.actor_params, self.tau);
+            self.critic.soft_update_from(&self.critic_params, self.tau);
+            return;
+        }
+        let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.targets");
+        let (n, sd) = (self.next_states.rows(), self.next_states.cols());
+        self.actor.forward_batch(&self.next_states);
+        let ad = self.actor.batch_output().cols();
+        self.next_sa.resize(n, sd + ad);
+        for s in 0..n {
+            let row = self.next_sa.row_mut(s);
+            let (row_s, row_a) = row.split_at_mut(sd);
+            row_s.copy_from_slice(self.next_states.row(s));
+            // Squash straight into the staged minibatch row — no
+            // per-sample Vec.
+            self.squash
+                .forward_into(self.actor.batch_output().row(s), row_a);
+        }
+        self.critic.forward_batch(&self.next_sa);
+        self.targets.clear();
+        for s in 0..n {
+            let q_next = self.critic.batch_output()[(s, 0)];
+            let y = self.rewards[s]
+                + if self.dones[s] {
+                    0.0
+                } else {
+                    self.gamma * q_next
+                };
+            self.targets.push(y); // eadrl-lint: allow(hot-path-alloc): push into a cleared, capacity-retaining Vec — allocation-free at steady state
+        }
+    }
 }
 
 /// The DDPG agent: actor + critic networks, their targets, a replay buffer
@@ -193,8 +251,11 @@ pub struct DdpgAgent {
     config: DdpgConfig,
     actor: Mlp,
     critic: Mlp,
-    target_actor: Mlp,
-    target_critic: Mlp,
+    /// The target networks with their staging, as a job: each update
+    /// runs the Bellman-target pass on the sidecar's helper thread
+    /// while this thread runs the forwards that do not need it, and
+    /// posts its Polyak step there last.
+    target_pass: Sidecar<TargetPass>,
     actor_opt: Adam,
     critic_opt: Adam,
     buffer: ReplayBuffer,
@@ -210,6 +271,19 @@ pub struct DdpgAgent {
 impl DdpgAgent {
     /// Creates an agent for the given state/action dimensions.
     pub fn new(state_dim: usize, action_dim: usize, config: DdpgConfig) -> Self {
+        DdpgAgent::with_placement(state_dim, action_dim, config, Placement::Auto)
+    }
+
+    /// [`DdpgAgent::new`] with the target pass pinned inline or to the
+    /// helper thread. A test hook: both paths compute the same bits, and
+    /// every production agent uses [`Placement::Auto`].
+    #[doc(hidden)]
+    pub fn with_placement(
+        state_dim: usize,
+        action_dim: usize,
+        config: DdpgConfig,
+        placement: Placement,
+    ) -> Self {
         let mut rng = DetRng::seed_from_u64(config.seed);
         let mut actor_sizes = vec![state_dim];
         actor_sizes.extend(&config.hidden);
@@ -231,8 +305,22 @@ impl DdpgAgent {
             Activation::Identity,
         )
         .with_small_final_layer(&mut rng, 3e-3);
-        let target_actor = actor.clone();
-        let target_critic = critic.clone();
+        let job = TargetPass {
+            actor: actor.clone(),
+            critic: critic.clone(),
+            next_states: Matrix::default(),
+            next_sa: Matrix::default(),
+            rewards: Vec::new(),
+            dones: Vec::new(),
+            targets: Vec::new(),
+            actor_params: Vec::new(),
+            critic_params: Vec::new(),
+            polyak_due: false,
+            gamma: config.gamma,
+            tau: config.tau,
+            squash: config.squash,
+        };
+        let target_pass = Sidecar::with_placement(job, placement);
         let noise = OrnsteinUhlenbeck::new(action_dim, 0.0, 0.15, config.noise_sigma);
         DdpgAgent {
             actor_opt: Adam::new(config.actor_lr),
@@ -247,8 +335,7 @@ impl DdpgAgent {
             bufs: UpdateBuffers::default(),
             actor,
             critic,
-            target_actor,
-            target_critic,
+            target_pass,
             config,
         }
     }
@@ -314,97 +401,56 @@ impl DdpgAgent {
     }
 
     /// Minibatch-as-matrix update: the sampled transitions are staged into
-    /// the persistent [`UpdateBuffers`] matrices once, and every network
-    /// runs one batched forward/backward per update. Gradients accumulate
-    /// through the GEMM kernels in sample order, so the result is
-    /// bitwise-identical to the original transition-at-a-time loop (kept
-    /// as the test reference).
+    /// the persistent [`UpdateBuffers`] matrices and the target pass's
+    /// staging once, and every network runs one batched forward/backward
+    /// per update. Gradients accumulate through the GEMM kernels in sample
+    /// order, so the result is bitwise-identical to the original
+    /// transition-at-a-time loop (kept as the test reference).
+    ///
+    /// Phase order: land the previous update's Polyak step; stage; start
+    /// the Bellman-target pass on the sidecar; the critic forward on
+    /// `[s|a]` and the actor forward plus squash on `s` (neither reads a
+    /// target network); join; the TD loss and the critic update; the
+    /// actor update; post the Polyak step last. Each phase reads the same
+    /// values in the same order whichever thread ran the sidecar's jobs,
+    /// so both paths compute the same bits.
     fn update_batched(&mut self) -> UpdateStats {
         let n = self.config.batch_size;
         let sd = self.state_dim;
         let ad = self.action_dim;
 
-        // ---- Stage the minibatch (one RNG draw; the borrowed transitions
+        // ---- Stage the minibatch (one RNG draw; the drawn transitions
         // are copied straight into the reused matrices — no per-transition
-        // clones).
+        // clones). Joining first lands the previous update's Polyak step.
+        let mut job = self.target_pass.join();
         {
             let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.stage");
             let batch = self.buffer.sample(n, self.config.sampling, &mut self.rng);
             self.bufs.states.resize(n, sd);
-            self.bufs.next_states.resize(n, sd);
             self.bufs.sa.resize(n, sd + ad);
-            self.bufs.rewards.clear();
-            self.bufs.dones.clear();
+            job.next_states.resize(n, sd);
+            job.rewards.resize(n, 0.0);
+            job.dones.resize(n, false);
             for (s, t) in batch.iter().enumerate() {
                 self.bufs.states.row_mut(s).copy_from_slice(&t.state);
-                self.bufs
-                    .next_states
-                    .row_mut(s)
-                    .copy_from_slice(&t.next_state);
                 let row = self.bufs.sa.row_mut(s);
                 row[..sd].copy_from_slice(&t.state);
                 row[sd..].copy_from_slice(&t.action);
-                self.bufs.rewards.push(t.reward); // eadrl-lint: allow(hot-path-alloc): push into a cleared, capacity-retaining Vec — allocation-free at steady state
-                self.bufs.dones.push(t.done); // eadrl-lint: allow(hot-path-alloc): push into a cleared, capacity-retaining Vec — allocation-free at steady state
+                job.next_states.row_mut(s).copy_from_slice(&t.next_state);
+                job.rewards[s] = t.reward;
+                job.dones[s] = t.done;
             }
         }
+        drop(job);
 
-        // ---- Bellman targets via the target networks, batched.
-        {
-            let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.targets");
-            self.target_actor.forward_batch(&self.bufs.next_states);
-            self.bufs.next_sa.resize(n, sd + ad);
-            for s in 0..n {
-                let row = self.bufs.next_sa.row_mut(s);
-                let (row_s, row_a) = row.split_at_mut(sd);
-                row_s.copy_from_slice(self.bufs.next_states.row(s));
-                // Squash straight into the staged minibatch row — no
-                // per-sample Vec.
-                self.config
-                    .squash
-                    .forward_into(self.target_actor.batch_output().row(s), row_a);
-            }
-            self.target_critic.forward_batch(&self.bufs.next_sa);
-            self.bufs.targets.clear();
-            for s in 0..n {
-                let q_next = self.target_critic.batch_output()[(s, 0)];
-                let y = self.bufs.rewards[s]
-                    + if self.bufs.dones[s] {
-                        0.0
-                    } else {
-                        self.config.gamma * q_next
-                    };
-                self.bufs.targets.push(y); // eadrl-lint: allow(hot-path-alloc): push into a cleared, capacity-retaining Vec — allocation-free at steady state
-            }
-        }
-
-        // ---- Critic update: minimize (Q(s,a) - y)² with Bellman targets.
+        // ---- Bellman targets via the target networks, beside the two
+        // forwards below.
+        self.target_pass.start();
         self.critic.zero_grad();
-        let mut critic_loss = 0.0;
         {
             let _phase = eadrl_obs::span_at(Level::Trace, "critic.forward");
             self.critic.forward_batch(&self.bufs.sa);
-            self.bufs.grad_q.resize(n, 1);
-            for s in 0..n {
-                let err = self.critic.batch_output()[(s, 0)] - self.bufs.targets[s];
-                critic_loss += err * err / n as f64;
-                self.bufs.grad_q[(s, 0)] = 2.0 * err / n as f64;
-            }
         }
-        {
-            let _phase = eadrl_obs::span_at(Level::Trace, "critic.backward");
-            // Nothing sits below the critic's first layer — skip its
-            // input-gradient GEMM (parameter gradients are bitwise identical).
-            self.critic.backward_batch_weights_only(&self.bufs.grad_q);
-        }
-        let critic_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| self.critic.grad_norm());
-        {
-            let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.optimizer");
-            self.critic.clip_grad_norm(5.0);
-            self.critic_opt.step(&mut self.critic);
-        }
-
-        // ---- Actor update: ascend ∇_θ Q(s, π_θ(s)).
         self.actor.zero_grad();
         {
             let _phase = eadrl_obs::span_at(Level::Trace, "actor.forward");
@@ -422,6 +468,31 @@ impl DdpgAgent {
                     .forward_into(self.actor.batch_output().row(s), row_a);
             }
         }
+        let mut target = self.target_pass.join();
+
+        // ---- Critic update: minimize (Q(s,a) - y)² with Bellman targets.
+        let mut critic_loss = 0.0;
+        {
+            let _phase = eadrl_obs::span_at(Level::Trace, "critic.backward");
+            self.bufs.grad_q.resize(n, 1);
+            for s in 0..n {
+                let err = self.critic.batch_output()[(s, 0)] - target.targets[s];
+                critic_loss += err * err / n as f64;
+                self.bufs.grad_q[(s, 0)] = 2.0 * err / n as f64;
+            }
+            // Nothing sits below the critic's first layer — skip its
+            // input-gradient GEMM (parameter gradients are bitwise identical).
+            self.critic.backward_batch_weights_only(&self.bufs.grad_q);
+        }
+        let critic_grad_norm = eadrl_obs::enabled(Level::Debug).then(|| self.critic.grad_norm());
+        {
+            let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.optimizer");
+            self.critic.clip_grad_norm(5.0);
+            self.critic_opt.step(&mut self.critic);
+        }
+
+        // ---- Actor update: ascend ∇_θ Q(s, π_θ(s)), from the actor
+        // forward above (the actor has not changed since).
         let mut actor_objective = 0.0;
         {
             let _phase = eadrl_obs::span_at(Level::Trace, "critic.grad_input");
@@ -468,30 +539,22 @@ impl DdpgAgent {
             self.actor_opt.step(&mut self.actor);
         }
 
-        {
-            let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.polyak");
-            self.polyak_target_updates();
-        }
+        // ---- Polyak soft target updates, posted last: the online
+        // parameters are snapshotted into the job's persistent buffers
+        // ([`Network::flat_params_into`], allocation-free at steady state)
+        // and the step runs on the sidecar while the caller moves on; the
+        // next access to the target networks joins it.
+        self.actor.flat_params_into(&mut target.actor_params);
+        self.critic.flat_params_into(&mut target.critic_params);
+        target.polyak_due = true;
+        drop(target);
+        self.target_pass.start();
         UpdateStats {
             critic_loss,
             actor_objective,
             critic_grad_norm,
             actor_grad_norm,
         }
-    }
-
-    /// Polyak soft target updates. Parameter snapshots go through
-    /// persistent scratch buffers
-    /// ([`Network::flat_params_into`]) so the per-update sync is
-    /// allocation-free at steady state.
-    fn polyak_target_updates(&mut self) {
-        let tau = self.config.tau;
-        self.actor.flat_params_into(&mut self.bufs.actor_params);
-        self.target_actor
-            .soft_update_from(&self.bufs.actor_params, tau);
-        self.critic.flat_params_into(&mut self.bufs.critic_params);
-        self.target_critic
-            .soft_update_from(&self.bufs.critic_params, tau);
     }
 
     /// Runs one episode on `env`. With `train = true` the agent explores,
@@ -603,7 +666,8 @@ impl DdpgAgent {
     /// Panics when `bias` does not match the action dimension.
     pub fn init_actor_output_bias(&mut self, bias: &[f64]) {
         assert_eq!(bias.len(), self.action_dim, "bias/action dim mismatch");
-        for net in [&mut self.actor, &mut self.target_actor] {
+        let mut target = self.target_pass.join();
+        for net in [&mut self.actor, &mut target.actor] {
             if let Some(layer) = net.final_layer_mut() {
                 layer.bias_mut().copy_from_slice(bias);
             }
@@ -660,17 +724,18 @@ mod tests {
             let batch: Vec<Transition> = self
                 .buffer
                 .sample(n, self.config.sampling, &mut self.rng)
-                .into_iter()
+                .iter()
                 .cloned()
                 .collect();
 
             // ---- Critic update: minimize (Q(s,a) - y)² with Bellman targets.
             let mut targets = Vec::with_capacity(n);
+            let mut target_nets = self.target_pass.join();
             for t in &batch {
-                let raw_next = self.target_actor.forward_inference(&t.next_state);
+                let raw_next = target_nets.actor.forward_inference(&t.next_state);
                 let a_next = self.config.squash.forward(&raw_next);
-                let q_next = self
-                    .target_critic
+                let q_next = target_nets
+                    .critic
                     .forward_inference(&concat(&t.next_state, &a_next))[0];
                 let y = t.reward
                     + if t.done {
@@ -723,7 +788,11 @@ mod tests {
             self.actor_opt.step(&mut self.actor);
             self.critic.zero_grad(); // discard scratch gradients
 
-            self.polyak_target_updates();
+            let tau = self.config.tau;
+            let actor = self.actor.flat_params();
+            target_nets.actor.soft_update_from(&actor, tau);
+            let critic = self.critic.flat_params();
+            target_nets.critic.soft_update_from(&critic, tau);
             UpdateStats {
                 critic_loss,
                 actor_objective,
@@ -738,8 +807,9 @@ mod tests {
 
         /// The target networks' parameters, actor then critic.
         fn target_params(&mut self) -> Vec<f64> {
-            let mut v = self.target_actor.flat_params();
-            v.extend(self.target_critic.flat_params());
+            let mut target = self.target_pass.join();
+            let mut v = target.actor.flat_params();
+            v.extend(target.critic.flat_params());
             v
         }
     }
@@ -1101,45 +1171,55 @@ mod tests {
         // every update's critic loss and actor objective) were recorded
         // in release and debug builds before the GEMM kernels gained
         // their SIMD twins and the replay buffer its maintained median.
+        // The target pass runs inline and on the sidecar's helper in
+        // turn; both must reproduce the digests.
         const SD: usize = 10;
         const AD: usize = 43;
-        let mut agent = DdpgAgent::new(
-            SD,
-            AD,
-            DdpgConfig {
-                buffer_capacity: 200,
-                noise_sigma: 0.3,
-                hidden: vec![32, 32],
-                seed: 0x0e4d,
-                ..DdpgConfig::default()
-            },
-        );
-        let mut rng = DetRng::seed_from_u64(0x9a9e);
-        for i in 0..100 {
-            agent.observe(paper_transition(&mut rng, SD, AD, i));
+        for placement in [Placement::Inline, Placement::Helper] {
+            let mut agent = DdpgAgent::with_placement(
+                SD,
+                AD,
+                DdpgConfig {
+                    buffer_capacity: 200,
+                    noise_sigma: 0.3,
+                    hidden: vec![32, 32],
+                    seed: 0x0e4d,
+                    ..DdpgConfig::default()
+                },
+                placement,
+            );
+            let mut rng = DetRng::seed_from_u64(0x9a9e);
+            for i in 0..100 {
+                agent.observe(paper_transition(&mut rng, SD, AD, i));
+            }
+            let mut stats = Vec::with_capacity(600);
+            for i in 100..400 {
+                agent.observe(paper_transition(&mut rng, SD, AD, i));
+                let s = agent.update().expect("buffer holds a batch");
+                stats.push(s.critic_loss);
+                stats.push(s.actor_objective);
+            }
+            assert_eq!(
+                agent.target_pass.has_helper(),
+                placement == Placement::Helper,
+                "{placement:?}"
+            );
+            let got = (
+                fnv_bits(&agent.actor_params()),
+                fnv_bits(&agent.critic_params()),
+                fnv_bits(&agent.target_params()),
+                fnv_bits(&stats),
+            );
+            assert_eq!(
+                got,
+                (
+                    0xc642_c1fa_4960_eef1,
+                    0x024a_91be_d40f_a180,
+                    0xd132_0e95_66cf_8053,
+                    0x62c1_9ea3_06c7_0520,
+                ),
+                "{placement:?}: got {got:#x?}"
+            );
         }
-        let mut stats = Vec::with_capacity(600);
-        for i in 100..400 {
-            agent.observe(paper_transition(&mut rng, SD, AD, i));
-            let s = agent.update().expect("buffer holds a batch");
-            stats.push(s.critic_loss);
-            stats.push(s.actor_objective);
-        }
-        let got = (
-            fnv_bits(&agent.actor_params()),
-            fnv_bits(&agent.critic_params()),
-            fnv_bits(&agent.target_params()),
-            fnv_bits(&stats),
-        );
-        assert_eq!(
-            got,
-            (
-                0xc642_c1fa_4960_eef1,
-                0x024a_91be_d40f_a180,
-                0xd132_0e95_66cf_8053,
-                0x62c1_9ea3_06c7_0520,
-            ),
-            "got {got:#x?}"
-        );
     }
 }

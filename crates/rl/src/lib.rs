@@ -26,5 +26,5 @@ pub mod squash;
 pub use ddpg::{DdpgAgent, DdpgConfig, EpisodeStats, UpdateStats};
 pub use env::Environment;
 pub use noise::OrnsteinUhlenbeck;
-pub use replay::{ReplayBuffer, SamplingStrategy, Transition};
+pub use replay::{Batch, ReplayBuffer, SamplingStrategy, Transition};
 pub use squash::ActionSquash;

@@ -68,6 +68,34 @@ pub struct ReplayBuffer {
     /// Reusable index pools for the median split (cleared, capacity kept).
     high: Vec<usize>,
     low: Vec<usize>,
+    /// The last draw's slot indices (cleared, capacity kept).
+    drawn: Vec<usize>,
+}
+
+/// A drawn mini-batch: slot indices into the buffer, in draw order, and
+/// the transitions they name.
+#[derive(Debug, Clone, Copy)]
+pub struct Batch<'a> {
+    storage: &'a [Transition],
+    slots: &'a [usize],
+}
+
+impl<'a> Batch<'a> {
+    /// Number of drawn transitions.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when nothing was drawn (an empty buffer or `n == 0`).
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The drawn transitions, in draw order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Transition> + 'a {
+        let storage = self.storage;
+        self.slots.iter().map(move |&slot| &storage[slot])
+    }
 }
 
 impl ReplayBuffer {
@@ -87,6 +115,7 @@ impl ReplayBuffer {
             sorted: Vec::with_capacity(reserve),
             high: Vec::new(),
             low: Vec::new(),
+            drawn: Vec::new(),
         }
     }
 
@@ -131,51 +160,57 @@ impl ReplayBuffer {
 
     /// Draws `n` transitions (with replacement) using `strategy`.
     ///
-    /// Takes `&mut self` so diversity sampling can reuse the buffer's
-    /// index pools. It reads the maintained median and splits the slots
-    /// with one scan of the contiguous rewards.
+    /// Takes `&mut self` so the draw can reuse the buffer's own scratch:
+    /// the drawn slot indices and diversity sampling's index pools. It
+    /// reads the maintained median and splits the slots with one scan of
+    /// the contiguous rewards. At a steady batch size and buffer length
+    /// the call allocates nothing.
     ///
     /// Diversity sampling degrades gracefully: when every reward equals the
     /// median (e.g. constant rewards) one of the halves would be empty, and
     /// the call falls back to uniform sampling for the missing half.
-    pub fn sample(
-        &mut self,
-        n: usize,
-        strategy: SamplingStrategy,
-        rng: &mut DetRng,
-    ) -> Vec<&Transition> {
-        if self.storage.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        match strategy {
-            SamplingStrategy::Uniform => (0..n)
-                .map(|_| &self.storage[rng.random_range(0..self.storage.len())])
-                .collect(),
-            SamplingStrategy::Diversity => {
-                let median = self.reward_median();
-                self.high.clear();
-                self.low.clear();
-                for (i, &reward) in self.rewards.iter().enumerate() {
-                    if reward >= median {
-                        self.high.push(i);
-                    } else {
-                        self.low.push(i);
+    pub fn sample(&mut self, n: usize, strategy: SamplingStrategy, rng: &mut DetRng) -> Batch<'_> {
+        self.drawn.clear();
+        if !self.storage.is_empty() {
+            match strategy {
+                SamplingStrategy::Uniform => {
+                    for _ in 0..n {
+                        let slot = rng.random_range(0..self.storage.len());
+                        self.drawn.push(slot); // eadrl-lint: allow(hot-path-alloc): push into a cleared, capacity-retaining Vec — allocation-free at steady state
                     }
                 }
-                let mut out = Vec::with_capacity(n);
-                let half = n / 2;
-                for (pool, count) in [(&self.high, half), (&self.low, n - half)] {
-                    for _ in 0..count {
-                        let idx = if pool.is_empty() {
-                            rng.random_range(0..self.storage.len())
+                SamplingStrategy::Diversity => {
+                    let median = self.reward_median();
+                    self.high.clear();
+                    self.low.clear();
+                    // Either pool may hold every slot: sized once the
+                    // buffer is full, neither grows again.
+                    self.high.reserve(self.rewards.len());
+                    self.low.reserve(self.rewards.len());
+                    for (i, &reward) in self.rewards.iter().enumerate() {
+                        if reward >= median {
+                            self.high.push(i); // eadrl-lint: allow(hot-path-alloc): cleared index pool; grows only while the buffer fills
                         } else {
-                            pool[rng.random_range(0..pool.len())]
-                        };
-                        out.push(&self.storage[idx]);
+                            self.low.push(i); // eadrl-lint: allow(hot-path-alloc): cleared index pool; grows only while the buffer fills
+                        }
+                    }
+                    let half = n / 2;
+                    for (pool, count) in [(&self.high, half), (&self.low, n - half)] {
+                        for _ in 0..count {
+                            let slot = if pool.is_empty() {
+                                rng.random_range(0..self.storage.len())
+                            } else {
+                                pool[rng.random_range(0..pool.len())]
+                            };
+                            self.drawn.push(slot); // eadrl-lint: allow(hot-path-alloc): push into a cleared, capacity-retaining Vec — allocation-free at steady state
+                        }
                     }
                 }
-                out
             }
+        }
+        Batch {
+            storage: &self.storage,
+            slots: &self.drawn,
         }
     }
 
@@ -395,16 +430,11 @@ mod tests {
             for &op in &ops {
                 if op % 4 == 3 && !buf.is_empty() {
                     let n = 1 + (op / 4 % 9) as usize;
-                    let drawn: Vec<*const Transition> = buf
+                    let drawn = buf
                         .sample(n, SamplingStrategy::Diversity, &mut rng)
-                        .into_iter()
-                        .map(|t| t as *const Transition)
-                        .collect();
-                    let expect: Vec<*const Transition> =
-                        reference_diversity(&buf.storage, n, &mut rng_ref)
-                            .into_iter()
-                            .map(|i| &buf.storage[i] as *const Transition)
-                            .collect();
+                        .slots
+                        .to_vec();
+                    let expect = reference_diversity(&buf.storage, n, &mut rng_ref);
                     prop_assert_eq!(drawn, expect);
                 } else {
                     buf.push(t(reward_for(op)));

@@ -64,7 +64,7 @@ proptest! {
             buf.push(transition(r));
         }
         let mut rng = DetRng::seed_from_u64(seed);
-        for t in buf.sample(n, SamplingStrategy::Uniform, &mut rng) {
+        for t in buf.sample(n, SamplingStrategy::Uniform, &mut rng).iter() {
             prop_assert!(rewards.iter().any(|&r| (r - t.reward).abs() < 1e-12));
         }
     }

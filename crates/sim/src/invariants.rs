@@ -30,7 +30,11 @@ pub struct InvariantReport {
     /// Human-readable violations; empty means the run upheld the
     /// degradation contract.
     pub violations: Vec<String>,
-    /// Telemetry events inspected.
+    /// Event-kind records in the run's telemetry: the records
+    /// `ScenarioOutcome::telemetry_fingerprint` hashes. Span and metric
+    /// records are not counted, because a parallel map records one
+    /// `par.worker` span per worker, so their number follows the thread
+    /// count.
     pub checked_events: usize,
     /// Forecast steps inspected.
     pub checked_steps: usize,
@@ -90,7 +94,10 @@ fn check_simplex(weights: &[f64], what: &str, violations: &mut Vec<String>) {
 pub fn check_run(forecasts: &[f64], events: &[Event]) -> InvariantReport {
     let mut report = InvariantReport {
         checked_steps: forecasts.len(),
-        checked_events: events.len(),
+        checked_events: events
+            .iter()
+            .filter(|e| e.kind == eadrl_obs::EventKind::Event)
+            .count(),
         ..InvariantReport::default()
     };
     let violations = &mut report.violations;

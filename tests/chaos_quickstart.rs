@@ -3,16 +3,18 @@
 //! hardened quickstart-shaped pipeline must (a) uphold every
 //! degradation invariant, (b) actually exercise quarantine and history
 //! repair — a chaos test that stops injecting is worse than none — and
-//! (c) reproduce byte-identically: same forecast bits and the same
-//! telemetry fingerprint on a rerun and at `EADRL_PAR_THREADS` 1 vs 4.
+//! (c) reproduce byte-identically: same forecast bits, the same
+//! telemetry fingerprint and the same checked event count on a rerun
+//! and at `EADRL_PAR_THREADS` 1 vs 4.
 
 use eadrl_sim::{run_scenario, FaultPlan, Scenario};
 
 const PLAN: &str = include_str!("../crates/sim/plans/chaos_quickstart.plan");
 
 /// Runs the golden scenario under `threads` workers and returns the
-/// run's byte-level identity (forecast bits + telemetry fingerprint).
-fn run_with_threads(threads: &str) -> (Vec<u64>, u64) {
+/// run's byte-level identity (forecast bits + telemetry fingerprint)
+/// and the event count `chaos run` prints.
+fn run_with_threads(threads: &str) -> (Vec<u64>, u64, usize) {
     std::env::set_var(eadrl::par::THREADS_ENV, threads);
     let plan = FaultPlan::parse(PLAN).expect("committed plan must parse");
     let outcome = run_scenario(&Scenario::new("chaos-quickstart", plan, 17));
@@ -41,6 +43,7 @@ fn run_with_threads(threads: &str) -> (Vec<u64>, u64) {
     (
         outcome.forecast_bits.clone(),
         outcome.telemetry_fingerprint(),
+        outcome.report.checked_events,
     )
 }
 
@@ -56,7 +59,12 @@ fn golden_chaos_run_is_byte_identical_across_reruns_and_thread_counts() {
         "same plan, same seed, same thread count — the rerun must match bitwise"
     );
     assert_eq!(
-        first, parallel,
+        (&first.0, first.1),
+        (&parallel.0, parallel.1),
         "forecast bits / telemetry fingerprint leaked the thread count"
+    );
+    assert_eq!(
+        first.2, parallel.2,
+        "the checked event count leaked the thread count"
     );
 }

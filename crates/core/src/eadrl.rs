@@ -7,8 +7,12 @@ use crate::guard::{renormalize_over_active, GuardConfig, PoolGuard};
 use crate::persist::PolicySnapshot;
 use eadrl_linalg::vector::dot;
 use eadrl_models::{fallback_forecast, Forecaster, ModelError};
+use eadrl_nn::{Mlp, Network};
 use eadrl_obs::Level;
-use eadrl_rl::{ActionSquash, DdpgAgent, DdpgConfig, EpisodeStats, SamplingStrategy};
+use eadrl_rl::{
+    actor_network, ActionSquash, DdpgAgent, DdpgConfig, EpisodeStats, SamplingStrategy,
+};
+use eadrl_rng::DetRng;
 use eadrl_timeseries::sanitize::sanitize_series;
 use eadrl_timeseries::window::SlideWindow;
 
@@ -119,21 +123,25 @@ const EVAL_EVERY: usize = 5;
 /// generalization.
 const SELECTION_HOLDOUT: f64 = 0.4;
 
-/// Relative holdout-RMSE improvement a *trained* checkpoint must show over
-/// the best static candidate to be deployed. Trained checkpoints get many
-/// more selection attempts than the handful of static candidates, so
-/// without a margin the winner's curse lets noisy checkpoints displace
-/// robust static weightings.
+/// Relative holdout-RMSE improvement a restart's best checkpoint must show
+/// over the best contender so far to be deployed. Restarts get many more
+/// selection attempts than the handful of static candidates, so without a
+/// margin the winner's curse lets noisy checkpoints displace robust static
+/// weightings.
 const SELECTION_MARGIN: f64 = 0.08;
 
 /// The learned combination policy, usable as a [`Combiner`].
 ///
-/// `warm_up` phrases the validation predictions as an [`EnsembleEnv`] and
-/// trains the DDPG agent offline; afterwards `weights` is a single actor
-/// forward pass — this is why the paper's online phase is cheap (Table III).
+/// `warm_up` phrases the validation predictions as an [`EnsembleEnv`],
+/// trains DDPG offline and deploys the selected actor; afterwards
+/// `weights` is a single actor forward pass — this is why the paper's
+/// online phase is cheap (Table III).
 pub struct EaDrlPolicy {
     config: EaDrlConfig,
-    agent: Option<DdpgAgent>,
+    /// The deployed actor network, squashed by `config.ddpg.squash`;
+    /// `None` until a selection deploys one. A warm-start refresh trains
+    /// it on.
+    pub(crate) actor: Option<Mlp>,
     /// Unscaled window of recent ensemble outputs (state of §II-B).
     window: SlideWindow,
     last_weights: Vec<f64>,
@@ -146,7 +154,7 @@ impl EaDrlPolicy {
         let window = SlideWindow::new(config.omega.max(1));
         EaDrlPolicy {
             config,
-            agent: None,
+            actor: None,
             window,
             last_weights: Vec::new(),
             learning_curve: Vec::new(),
@@ -159,28 +167,21 @@ impl EaDrlPolicy {
         &self.learning_curve
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &EaDrlConfig {
-        &self.config
-    }
-
-    /// True once `warm_up` has trained the agent.
+    /// True once a selection has deployed an actor.
     pub fn is_trained(&self) -> bool {
-        self.agent.is_some()
+        self.actor.is_some()
     }
 
     /// Captures the deployed actor for persistence; `None` before training.
     pub fn snapshot(&mut self) -> Option<PolicySnapshot> {
-        let omega = self.config.omega;
-        let window = self.window.to_vec();
-        let agent = self.agent.as_mut()?;
+        let actor = self.actor.as_mut()?;
         Some(PolicySnapshot {
-            omega,
-            action_dim: agent.action_dim(),
-            hidden: agent.config().hidden.clone(),
-            squash: agent.config().squash,
-            params: agent.actor_params(),
-            window,
+            omega: self.config.omega,
+            action_dim: actor.out_dim(),
+            hidden: self.config.ddpg.hidden.clone(),
+            squash: self.config.ddpg.squash,
+            params: actor.flat_params(),
+            window: self.window.to_vec(),
         })
     }
 
@@ -188,21 +189,49 @@ impl EaDrlPolicy {
     /// topology (ω, hidden sizes, squash) overrides the corresponding
     /// fields of `config`; everything else (e.g. online-state semantics)
     /// comes from `config`.
+    ///
+    /// # Panics
+    /// Panics when `snapshot.params` does not hold the parameter count of
+    /// the actor `[omega, hidden…, action_dim]`. [`PolicySnapshot::read`]
+    /// rejects such a snapshot, so only a hand-built one can panic here.
     pub fn restore(mut config: EaDrlConfig, snapshot: &PolicySnapshot) -> EaDrlPolicy {
         config.omega = snapshot.omega;
         config.ddpg.hidden = snapshot.hidden.clone();
         config.ddpg.squash = snapshot.squash;
-        let mut agent = DdpgAgent::new(snapshot.omega, snapshot.action_dim, config.ddpg.clone());
-        agent.load_actor_params(&snapshot.params);
-        let mut window = SlideWindow::new(config.omega.max(1));
-        window.assign(&snapshot.window);
-        EaDrlPolicy {
-            config,
-            agent: Some(agent),
-            window,
-            last_weights: Vec::new(),
-            learning_curve: Vec::new(),
-        }
+        let mut actor = initial_actor(snapshot.omega, snapshot.action_dim, &config.ddpg);
+        actor.load_flat_params(&snapshot.params);
+        let mut policy = EaDrlPolicy::new(config);
+        policy.actor = Some(actor);
+        policy.window.assign(&snapshot.window);
+        policy
+    }
+
+    /// Runs [`select`] with this policy's config and deploys the winner,
+    /// seeding the online window with the latest actual values. `false`,
+    /// deploying nothing, when the selection declines.
+    pub(crate) fn deploy_selection(
+        &mut self,
+        preds: &[Vec<f64>],
+        actuals: &[f64],
+        training: Training,
+    ) -> bool {
+        let Some(selection) = select(&self.config, preds, actuals, training) else {
+            return false;
+        };
+        eadrl_obs::event(
+            "eadrl.selection",
+            Level::Info,
+            &[
+                ("source", selection.source.as_str().into()),
+                ("holdout_rmse", selection.holdout_rmse.into()),
+                ("deployed", true.into()),
+            ],
+        );
+        self.actor = Some(selection.actor);
+        self.learning_curve = selection.curve;
+        self.window
+            .assign(&actuals[actuals.len() - self.config.omega..]);
+        true
     }
 
     fn scaled_state(&self) -> Option<Vec<f64>> {
@@ -214,10 +243,6 @@ impl EaDrlPolicy {
         ))
     }
 
-    fn push_output(&mut self, value: f64) {
-        self.window.slide(value);
-    }
-
     /// Advances the state window with the ensemble value actually served.
     ///
     /// The degraded serving path uses this instead of
@@ -225,106 +250,7 @@ impl EaDrlPolicy {
     /// renormalized combination over the surviving members, which the
     /// raw-weight dot product inside `observe` would not reproduce.
     pub(crate) fn observe_served(&mut self, served: f64) {
-        self.push_output(served);
-    }
-
-    /// Continues training the deployed actor on a fresh validation
-    /// segment — the warm-start path of the online refresh.
-    ///
-    /// Where `warm_up` spawns fresh restarts, `refine` keeps the current
-    /// actor (typically restored from a [`PolicySnapshot`] of the serving
-    /// policy) and runs `episodes` additional training episodes against
-    /// the new segment, with the same holdout split, checkpoint selection
-    /// and static informed-weighting candidates. The untouched deployed
-    /// actor competes as the episode-0 checkpoint, so on the holdout the
-    /// refinement can only keep or improve the RMSE, never regress it.
-    ///
-    /// Returns `true` when the refinement ran (a trained agent and a
-    /// long-enough segment with matching pool width); `false` leaves the
-    /// policy exactly as it was, signalling the caller to fall back to a
-    /// cold `warm_up`.
-    pub fn refine(&mut self, preds: &[Vec<f64>], actuals: &[f64], episodes: usize) -> bool {
-        let _span = eadrl_obs::span("eadrl.warm_up");
-        let omega = self.config.omega;
-        if actuals.len() <= omega + 1 || preds.is_empty() {
-            eadrl_obs::warn(
-                "eadrl.warm_up.skipped",
-                &[("val_len", actuals.len().into()), ("omega", omega.into())],
-            );
-            return false;
-        }
-        let m = preds[0].len();
-        let Some(mut agent) = self.agent.take() else {
-            return false;
-        };
-        if agent.action_dim() != m {
-            // The pool width changed under the deployed policy; the old
-            // actor cannot score this matrix.
-            self.agent = Some(agent);
-            return false;
-        }
-        let head_len = ((preds.len() as f64) * (1.0 - SELECTION_HOLDOUT)).round() as usize;
-        let head_len = head_len.clamp(omega + 2, preds.len());
-        let mut env = EnsembleEnv::new(
-            preds[..head_len].to_vec(),
-            actuals[..head_len].to_vec(),
-            omega,
-            self.config.reward,
-            self.config.max_iter,
-        );
-        let init_score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
-        let mut best = (init_score, agent.actor_params());
-        let mut best_source = String::from("snapshot");
-        // The static candidates derisk the refinement exactly as they
-        // derisk the offline warm-up: the informed weighting, recomputed
-        // on the fresh segment, competes with the untouched and the
-        // refined actor on the same holdout. They cost four greedy
-        // rollouts — no training episodes.
-        if self.config.informed_init {
-            for temperature in [3.0, 6.0, 10.0, 15.0] {
-                let mut candidate = DdpgAgent::new(omega, m, self.config.ddpg.clone());
-                let bias = informed_logits(preds, actuals, temperature, self.config.ddpg.squash);
-                candidate.init_actor_output_bias(&bias);
-                let score = greedy_rollout_rmse(&candidate, preds, actuals, omega, head_len);
-                eadrl_obs::event(
-                    "eadrl.candidate",
-                    Level::Debug,
-                    &[
-                        ("temperature", temperature.into()),
-                        ("holdout_rmse", score.into()),
-                    ],
-                );
-                if score < best.0 {
-                    best = (score, candidate.actor_params());
-                    best_source = format!("static(T={temperature})");
-                }
-            }
-        }
-        let mut curve = Vec::with_capacity(episodes);
-        for episode in 0..episodes {
-            curve.push(agent.run_episode(&mut env, true));
-            if (episode + 1) % EVAL_EVERY == 0 || episode + 1 == episodes {
-                let score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
-                if score < best.0 {
-                    best = (score, agent.actor_params());
-                    best_source = String::from("warm_start");
-                }
-            }
-        }
-        self.learning_curve = curve;
-        eadrl_obs::event(
-            "eadrl.selection",
-            Level::Info,
-            &[
-                ("source", best_source.as_str().into()),
-                ("holdout_rmse", best.0.into()),
-                ("deployed", true.into()),
-            ],
-        );
-        agent.load_actor_params(&best.1);
-        self.agent = Some(agent);
-        self.window.assign(&actuals[actuals.len() - omega..]);
-        true
+        self.window.slide(served);
     }
 }
 
@@ -335,155 +261,17 @@ impl Combiner for EaDrlPolicy {
 
     fn warm_up(&mut self, preds: &[Vec<f64>], actuals: &[f64]) {
         let _span = eadrl_obs::span("eadrl.warm_up");
-        let omega = self.config.omega;
-        if actuals.len() <= omega + 1 || preds.is_empty() {
-            eadrl_obs::warn(
-                "eadrl.warm_up.skipped",
-                &[("val_len", actuals.len().into()), ("omega", omega.into())],
-            );
-            return; // Too little data to train; stay uniform.
-        }
-        let m = preds[0].len();
-        // Split the validation segment: the head trains the policy, the
-        // tail scores checkpoints (generalization-based model selection).
-        let head_len = ((preds.len() as f64) * (1.0 - SELECTION_HOLDOUT)).round() as usize;
-        let head_len = head_len.clamp(omega + 2, preds.len());
-        // Model selection: several independent DDPG trainings, with the
-        // actor checkpointed at its best greedy RMSE on the held-out tail.
-        // DDPG's performance oscillates between episodes, so "last actor"
-        // is routinely worse than "best actor seen".
-        let mut best: Option<(f64, Vec<f64>)> = None;
-        let mut best_source = String::from("none");
-        let mut selected_agent = None;
-        // Static candidates: the informed weighting at several sharpness
-        // levels, each expressed as an actor whose output bias encodes the
-        // weighting. These derisk the RL training — if no trained
-        // checkpoint beats the best static weighting on the holdout, EA-DRL
-        // deploys that weighting (still a policy network, still Algorithm 1).
-        if self.config.informed_init {
-            for temperature in [3.0, 6.0, 10.0, 15.0] {
-                let mut agent = DdpgAgent::new(omega, m, self.config.ddpg.clone());
-                let bias = informed_logits(preds, actuals, temperature, self.config.ddpg.squash);
-                agent.init_actor_output_bias(&bias);
-                let score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
-                eadrl_obs::event(
-                    "eadrl.candidate",
-                    Level::Debug,
-                    &[
-                        ("temperature", temperature.into()),
-                        ("holdout_rmse", score.into()),
-                    ],
-                );
-                if best.as_ref().is_none_or(|(b, _)| score < *b) {
-                    best = Some((score, agent.actor_params()));
-                    best_source = format!("static(T={temperature})");
-                    selected_agent = Some(agent);
-                }
-            }
-        }
-        self.learning_curve.clear();
-        // Each restart is a pure function of its index (the DDPG seed is
-        // derived from it), so the restarts fan out over the deterministic
-        // worker pool: static index-ordered chunks, per-worker telemetry
-        // buffered and flushed in restart order after the join (so the
-        // trace reads exactly like the old serial loop), and the merge
-        // below walks the results in restart order — winner selection is
-        // bitwise identical at every `EADRL_PAR_THREADS`.
-        let config = &self.config;
-        let restart_results = eadrl_par::par_map_indexed(
-            (0..config.restarts.max(1)).collect::<Vec<usize>>(),
-            |_, restart| {
-                let mut env = EnsembleEnv::new(
-                    preds[..head_len].to_vec(),
-                    actuals[..head_len].to_vec(),
-                    omega,
-                    config.reward,
-                    config.max_iter,
-                );
-                let mut ddpg = config.ddpg.clone();
-                ddpg.seed = ddpg.seed.wrapping_add(1000 * restart as u64);
-                let squash = ddpg.squash;
-                let mut agent = DdpgAgent::new(omega, m, ddpg);
-                if config.informed_init {
-                    let bias = informed_logits(preds, actuals, INIT_TEMPERATURE, squash);
-                    agent.init_actor_output_bias(&bias);
-                }
-                let mut curve = Vec::with_capacity(config.episodes);
-                // Episode-0 checkpoint: the informed initialization itself
-                // competes in the selection.
-                let init_score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
-                let mut restart_best = (init_score, agent.actor_params());
-                for episode in 0..config.episodes {
-                    curve.push(agent.run_episode(&mut env, true));
-                    if (episode + 1) % EVAL_EVERY == 0 || episode + 1 == config.episodes {
-                        let score = greedy_rollout_rmse(&agent, preds, actuals, omega, head_len);
-                        if score < restart_best.0 {
-                            restart_best = (score, agent.actor_params());
-                        }
-                    }
-                }
-                eadrl_obs::event(
-                    "eadrl.restart",
-                    Level::Info,
-                    &[
-                        ("restart", restart.into()),
-                        ("init_rmse", init_score.into()),
-                        ("holdout_rmse", restart_best.0.into()),
-                    ],
-                );
-                (curve, restart_best, agent)
-            },
-        );
-        // A restart that panics must surface as a panic here — the online
-        // refresh path wraps warm_up in catch_unwind and relies on that
-        // contract for its bounded-retry recovery. `resume_unwind`
-        // re-raises the worker's own panic (caught at the par boundary
-        // only to preserve merge ordering) instead of originating a new
-        // one, so callers observe the same unwind the serial loop raised.
-        let restart_results = match restart_results {
-            Ok(results) => results,
-            Err(err) => std::panic::resume_unwind(Box::new(err.to_string())),
-        };
-        for (restart, (curve, (score, params), mut agent)) in
-            restart_results.into_iter().enumerate()
-        {
-            // The learning curve documents the (first restart's) training
-            // run regardless of which candidate is deployed.
-            if self.learning_curve.is_empty() {
-                self.learning_curve = curve;
-            }
-            if best
-                .as_ref()
-                .is_none_or(|(b, _)| score < *b * (1.0 - SELECTION_MARGIN))
-            {
-                agent.load_actor_params(&params);
-                best = Some((score, params));
-                best_source = format!("restart({restart})");
-                selected_agent = Some(agent);
-            }
-        }
-        if let Some(agent) = selected_agent {
-            self.agent = Some(agent);
-        }
-        eadrl_obs::event(
-            "eadrl.selection",
-            Level::Info,
-            &[
-                ("source", best_source.as_str().into()),
-                (
-                    "holdout_rmse",
-                    best.as_ref().map(|(s, _)| *s).unwrap_or(f64::NAN).into(),
-                ),
-                ("deployed", self.agent.is_some().into()),
-            ],
-        );
-        // Seed the online window with the latest actual values.
-        self.window.assign(&actuals[actuals.len() - omega..]);
+        // A segment too short to train leaves the policy as it was
+        // (uniform when untrained).
+        self.deploy_selection(preds, actuals, Training::Restarts);
     }
 
     fn weights(&mut self, m: usize) -> Vec<f64> {
-        let w = match (&self.agent, self.scaled_state()) {
-            (Some(agent), Some(state)) => agent.act(&state),
+        let w = match (&self.actor, self.scaled_state()) {
+            (Some(actor), Some(state)) => {
+                let raw = actor.forward_inference(&state);
+                self.config.ddpg.squash.forward(&raw)
+            }
             _ => vec![1.0 / m as f64; m],
         };
         self.last_weights.clear();
@@ -492,7 +280,7 @@ impl Combiner for EaDrlPolicy {
             vec![
                 ("weights".to_string(), w.as_slice().into()),
                 ("entropy".to_string(), weight_entropy(&w).into()),
-                ("trained".to_string(), self.agent.is_some().into()),
+                ("trained".to_string(), self.actor.is_some().into()),
             ]
         });
         w
@@ -505,7 +293,7 @@ impl Combiner for EaDrlPolicy {
         // which keeps the online state distribution in-domain for the
         // policy network and measures slightly better end-to-end.
         if self.config.online_state == OnlineState::Observed && actual.is_finite() {
-            self.push_output(actual);
+            self.window.slide(actual);
             return;
         }
         // The cached weighting is read in place — no per-step clone. The
@@ -518,8 +306,248 @@ impl Combiner for EaDrlPolicy {
             let u = 1.0 / preds.len() as f64;
             preds.iter().map(|p| u * p).sum()
         };
-        self.push_output(ens);
+        self.window.slide(ens);
     }
+}
+
+/// The initial actor of a [`DdpgAgent`] built from `ddpg`, without the
+/// agent's critic, targets and replay buffer.
+fn initial_actor(state_dim: usize, action_dim: usize, ddpg: &DdpgConfig) -> Mlp {
+    let mut rng = DetRng::seed_from_u64(ddpg.seed);
+    actor_network(&mut rng, state_dim, action_dim, &ddpg.hidden)
+}
+
+/// What a selection trains beside its untrained contenders.
+pub(crate) enum Training {
+    /// [`EaDrlConfig::restarts`] fresh trainings: the fit, a cold refresh.
+    Restarts,
+    /// The deployed actor, trained on for `episodes`: a warm refresh.
+    WarmStart { actor: Mlp, episodes: usize },
+}
+
+/// A selection's deployed actor, its source (`snapshot`, `static(T=…)`,
+/// `restart(k)` or `warm_start`) and holdout RMSE, and the learning
+/// curve of its training run (restart 0's, or the warm run's).
+struct Selection {
+    actor: Mlp,
+    source: String,
+    holdout_rmse: f64,
+    curve: Vec<EpisodeStats>,
+}
+
+/// A validation segment split once for selection: the head trains the
+/// policy, the tail (`SELECTION_HOLDOUT`) scores every contender.
+struct Holdout<'a> {
+    preds: &'a [Vec<f64>],
+    actuals: &'a [f64],
+    omega: usize,
+    head_len: usize,
+}
+
+impl Holdout<'_> {
+    /// The training environment over the head.
+    fn env(&self, config: &EaDrlConfig) -> EnsembleEnv {
+        EnsembleEnv::new(
+            self.preds[..self.head_len].to_vec(),
+            self.actuals[..self.head_len].to_vec(),
+            self.omega,
+            config.reward,
+            config.max_iter,
+        )
+    }
+
+    /// RMSE over the tail of the greedy policy `act` replayed from step ω,
+    /// its window advanced with the ensemble's own outputs.
+    fn rmse(&self, act: impl Fn(&[f64]) -> Vec<f64>) -> f64 {
+        let (omega, preds, actuals) = (self.omega, self.preds, self.actuals);
+        let score_from = self.head_len.min(actuals.len().saturating_sub(1));
+        let mut window = SlideWindow::new(omega);
+        window.assign(&actuals[..omega]);
+        let (mut out, mut truth) = (Vec::new(), Vec::new());
+        for t in omega..actuals.len() {
+            let w = act(&normalize_window(&window));
+            let ens: f64 = preds[t].iter().zip(w.iter()).map(|(p, wi)| p * wi).sum();
+            if t >= score_from {
+                out.push(ens);
+                truth.push(actuals[t]);
+            }
+            window.slide(ens);
+        }
+        eadrl_timeseries::metrics::rmse(&truth, &out)
+    }
+
+    /// Trains `agent` for `episodes`, handing `checkpoint` its holdout
+    /// RMSE every `EVAL_EVERY` episodes and after the last: DDPG
+    /// oscillates, so the last actor is often not the best one seen.
+    fn train(
+        &self,
+        agent: &mut DdpgAgent,
+        env: &mut EnsembleEnv,
+        episodes: usize,
+        mut checkpoint: impl FnMut(f64, &mut DdpgAgent),
+    ) -> Vec<EpisodeStats> {
+        let mut curve = Vec::with_capacity(episodes);
+        for episode in 0..episodes {
+            curve.push(agent.run_episode(env, true));
+            if (episode + 1) % EVAL_EVERY == 0 || episode + 1 == episodes {
+                let score = self.rmse(|s| agent.act(s));
+                checkpoint(score, agent);
+            }
+        }
+        curve
+    }
+}
+
+/// The policy selection behind both the fit and the online refresh, the
+/// paper's "tuned by model selection" (DESIGN.md §4.5). Untrained
+/// contenders are scored first, each kept only if it beats the best so
+/// far: a warm refresh's deployed actor (`snapshot`), then the informed
+/// weighting at four temperatures (`static(T=…)`, one actor of the config
+/// seed with four output biases). Then the trained ones, checkpointed
+/// every `EVAL_EVERY` episodes: fresh restarts, which must beat the best
+/// by `SELECTION_MARGIN`, or the deployed actor trained on in a fresh
+/// agent (`warm_start`). `None` when the segment is too short or the
+/// deployed actor no longer fits the pool's width.
+fn select(
+    config: &EaDrlConfig,
+    preds: &[Vec<f64>],
+    actuals: &[f64],
+    training: Training,
+) -> Option<Selection> {
+    let omega = config.omega;
+    if actuals.len() <= omega + 1 || preds.is_empty() {
+        eadrl_obs::warn(
+            "eadrl.warm_up.skipped",
+            &[("val_len", actuals.len().into()), ("omega", omega.into())],
+        );
+        return None;
+    }
+    let m = preds[0].len();
+    let head_len = ((preds.len() as f64) * (1.0 - SELECTION_HOLDOUT)).round() as usize;
+    let holdout = Holdout {
+        preds,
+        actuals,
+        omega,
+        head_len: head_len.clamp(omega + 2, preds.len()),
+    };
+    // The greedy action of an untrained contender, as `DdpgAgent::act`.
+    let act =
+        |actor: &Mlp, state: &[f64]| config.ddpg.squash.forward(&actor.forward_inference(state));
+    // The best contender so far: holdout RMSE, actor parameters, source.
+    let mut best: Option<(f64, Vec<f64>, String)> = None;
+    let warm = match training {
+        Training::Restarts => None,
+        Training::WarmStart {
+            mut actor,
+            episodes,
+        } => {
+            if actor.out_dim() != m {
+                return None;
+            }
+            let params = actor.flat_params();
+            let mut agent = DdpgAgent::new(omega, m, config.ddpg.clone());
+            agent.load_actor_params(&params);
+            // Built before any static is scored: a ragged buffer fails here.
+            let env = holdout.env(config);
+            let score = holdout.rmse(|s| act(&actor, s));
+            best = Some((score, params, String::from("snapshot")));
+            Some((agent, env, episodes))
+        }
+    };
+    let mut actor = initial_actor(omega, m, &config.ddpg);
+    if config.informed_init {
+        for temperature in [3.0, 6.0, 10.0, 15.0] {
+            let bias = informed_logits(preds, actuals, temperature, config.ddpg.squash);
+            if let Some(layer) = actor.final_layer_mut() {
+                layer.bias_mut().copy_from_slice(&bias);
+            }
+            let score = holdout.rmse(|s| act(&actor, s));
+            eadrl_obs::event(
+                "eadrl.candidate",
+                Level::Debug,
+                &[
+                    ("temperature", temperature.into()),
+                    ("holdout_rmse", score.into()),
+                ],
+            );
+            if best.as_ref().is_none_or(|(b, ..)| score < *b) {
+                let source = format!("static(T={temperature})");
+                best = Some((score, actor.flat_params(), source));
+            }
+        }
+    }
+    let curve = match warm {
+        Some((mut agent, mut env, episodes)) => {
+            holdout.train(&mut agent, &mut env, episodes, |score, agent| {
+                if best.as_ref().is_none_or(|(b, ..)| score < *b) {
+                    best = Some((score, agent.actor_params(), String::from("warm_start")));
+                }
+            })
+        }
+        None => {
+            // Each restart is a pure function of its index, and the pool
+            // flushes telemetry and merges in restart order: the winner is
+            // bitwise identical at every `EADRL_PAR_THREADS`.
+            let restarts = eadrl_par::par_map_indexed(
+                (0..config.restarts.max(1)).collect::<Vec<usize>>(),
+                |_, restart| {
+                    let mut env = holdout.env(config);
+                    let mut ddpg = config.ddpg.clone();
+                    ddpg.seed = ddpg.seed.wrapping_add(1000 * restart as u64);
+                    let mut agent = DdpgAgent::new(omega, m, ddpg);
+                    if config.informed_init {
+                        let squash = config.ddpg.squash;
+                        let bias = informed_logits(preds, actuals, INIT_TEMPERATURE, squash);
+                        agent.init_actor_output_bias(&bias);
+                    }
+                    // Episode-0 checkpoint: the initialization competes too.
+                    let init_rmse = holdout.rmse(|s| agent.act(s));
+                    let mut restart_best = (init_rmse, agent.actor_params());
+                    let curve =
+                        holdout.train(&mut agent, &mut env, config.episodes, |score, agent| {
+                            if score < restart_best.0 {
+                                restart_best = (score, agent.actor_params());
+                            }
+                        });
+                    eadrl_obs::event(
+                        "eadrl.restart",
+                        Level::Info,
+                        &[
+                            ("restart", restart.into()),
+                            ("init_rmse", init_rmse.into()),
+                            ("holdout_rmse", restart_best.0.into()),
+                        ],
+                    );
+                    (curve, restart_best)
+                },
+            );
+            // A restart's own panic re-raises here, so the refresh's
+            // `catch_unwind` sees it and retries.
+            let restarts = match restarts {
+                Ok(results) => results,
+                Err(err) => std::panic::resume_unwind(Box::new(err.to_string())),
+            };
+            let mut first_curve = None;
+            for (restart, (curve, (score, params))) in restarts.into_iter().enumerate() {
+                first_curve.get_or_insert(curve);
+                if best
+                    .as_ref()
+                    .is_none_or(|(b, ..)| score < *b * (1.0 - SELECTION_MARGIN))
+                {
+                    best = Some((score, params, format!("restart({restart})")));
+                }
+            }
+            first_curve.unwrap_or_default()
+        }
+    };
+    let (holdout_rmse, params, source) = best?;
+    actor.load_flat_params(&params);
+    Some(Selection {
+        actor,
+        source,
+        holdout_rmse,
+        curve,
+    })
 }
 
 /// Raw-logit targets for the informed actor initialization: per-model
@@ -577,35 +605,6 @@ fn informed_logits(
         // Plain softmax (and anything else): the logits pass through.
         _ => z,
     }
-}
-
-/// RMSE of the greedy (noise-free) policy replayed over the validation
-/// segment, advancing the state window with the ensemble's own outputs.
-/// The rollout starts at `omega` (so the window is well-formed), but only
-/// the steps at or beyond `score_from` count toward the returned RMSE —
-/// pass the training/holdout boundary to score generalization only.
-fn greedy_rollout_rmse(
-    agent: &DdpgAgent,
-    preds: &[Vec<f64>],
-    actuals: &[f64],
-    omega: usize,
-    score_from: usize,
-) -> f64 {
-    let mut window = SlideWindow::new(omega);
-    window.assign(&actuals[..omega]);
-    let mut out = Vec::new();
-    let mut truth = Vec::new();
-    for t in omega..actuals.len() {
-        let state = normalize_window(&window);
-        let w = agent.act(&state);
-        let ens: f64 = preds[t].iter().zip(w.iter()).map(|(p, wi)| p * wi).sum();
-        if t >= score_from.min(actuals.len().saturating_sub(1)) {
-            out.push(ens);
-            truth.push(actuals[t]);
-        }
-        window.slide(ens);
-    }
-    eadrl_timeseries::metrics::rmse(&truth, &out)
 }
 
 /// The complete EA-DRL forecaster: a pool of heterogeneous base models plus

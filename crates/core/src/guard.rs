@@ -191,11 +191,6 @@ impl PoolGuard {
         *self = PoolGuard::new(self.config.clone(), m);
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &GuardConfig {
-        &self.config
-    }
-
     /// Indices currently quarantined (ascending).
     pub fn quarantined(&self) -> Vec<usize> {
         self.health

@@ -14,7 +14,7 @@
 //! ([`RefreshTrigger::DriftDetected`]).
 
 use crate::combiner::Combiner;
-use crate::eadrl::{EaDrlConfig, EaDrlPolicy};
+use crate::eadrl::{EaDrlConfig, EaDrlPolicy, Training};
 use eadrl_obs::Level;
 use eadrl_timeseries::drift::PageHinkley;
 use eadrl_timeseries::sanitize::sanitize_series;
@@ -56,12 +56,12 @@ pub enum RefreshStrategy {
     /// behaviour, byte-identical to earlier releases.
     #[default]
     Cold,
-    /// Seed retraining from the deployed policy (via its snapshot) and
-    /// run only `episodes` refinement episodes instead of the full
-    /// static-candidate/restart sweep — typically several times cheaper
-    /// per refresh. A retry after a caught panic falls back to a cold
-    /// start with the bumped seed, as does a refresh before any policy
-    /// is deployed or after the pool width changes.
+    /// Train the deployed actor on for `episodes` episodes instead of
+    /// the full restart sweep — typically several times cheaper per
+    /// refresh. The untouched actor and the static weightings compete
+    /// with its checkpoints. A retry after a caught panic falls back to
+    /// a cold start with the bumped seed, as does a refresh before any
+    /// policy is deployed or after the pool width changes.
     WarmStart {
         /// Refinement episodes per refresh (compare
         /// [`EaDrlConfig::episodes`] for the cold path).
@@ -151,7 +151,8 @@ impl AdaptiveEaDrl {
     }
 
     fn refresh(&mut self, cause: &str) {
-        if self.history.len() <= self.config.omega + 2 {
+        // Not enough recent data to rebuild the environment.
+        let skip = || {
             eadrl_obs::warn(
                 "eadrl.online.refresh.skipped",
                 &[
@@ -160,7 +161,10 @@ impl AdaptiveEaDrl {
                     ("needed", (self.config.omega + 3).into()),
                 ],
             );
-            return; // Not enough recent data to rebuild the environment.
+        };
+        if self.history.len() <= self.config.omega + 2 {
+            skip();
+            return;
         }
         let _span = eadrl_obs::span("eadrl.online.refresh");
         // Stage the training matrix into the persistent buffers: row
@@ -195,14 +199,7 @@ impl AdaptiveEaDrl {
                     ],
                 );
                 if stats.replaced == stats.len {
-                    eadrl_obs::warn(
-                        "eadrl.online.refresh.skipped",
-                        &[
-                            ("cause", cause.into()),
-                            ("buffer_len", self.history.len().into()),
-                            ("needed", (self.config.omega + 3).into()),
-                        ],
-                    );
+                    skip();
                     self.staged_preds = preds;
                     self.staged_actuals = actuals;
                     return;
@@ -212,13 +209,10 @@ impl AdaptiveEaDrl {
             }
         }
         crate::experiment::sanitize_predictions(&mut preds, &actuals);
-        // Bounded retry: attempt 0 runs with the configured seed (the
-        // clean path is unchanged); each retry after a caught panic bumps
-        // the DDPG seed deterministically so the re-training explores a
-        // different trajectory instead of replaying the same failure.
-        // Under `RefreshStrategy::WarmStart` attempt 0 refines the
-        // deployed policy from its snapshot; any retry — and any refresh
-        // without a deployable snapshot — falls back to a cold start.
+        // Bounded retry: each retry after a caught panic bumps the DDPG
+        // seed deterministically, so it explores a different trajectory
+        // instead of replaying the failure. A `WarmStart` refresh trains
+        // the deployed actor on at attempt 0 only, when there is one.
         let strategy_name = match self.strategy {
             RefreshStrategy::Cold => "cold",
             RefreshStrategy::WarmStart { .. } => "warm_start",
@@ -230,46 +224,40 @@ impl AdaptiveEaDrl {
             attempts = attempt + 1;
             let mut config = self.config.clone();
             config.ddpg.seed = config.ddpg.seed.wrapping_add(7919 * attempt);
-            let warm = match self.strategy {
-                RefreshStrategy::WarmStart { episodes } if attempt == 0 => {
-                    self.policy.snapshot().map(|snapshot| (snapshot, episodes))
-                }
-                _ => None,
-            };
-            let was_warm = warm.is_some();
-            let outcome = match warm {
-                Some((snapshot, episodes)) => catch_unwind(AssertUnwindSafe(|| {
-                    let mut next = EaDrlPolicy::restore(config, &snapshot);
-                    let trained = next.refine(&preds, &actuals, episodes);
-                    (next, trained)
-                })),
-                None => {
-                    if matches!(self.strategy, RefreshStrategy::WarmStart { .. }) {
-                        cold_restart = true;
+            let training = match (self.strategy, &self.policy.actor) {
+                (RefreshStrategy::WarmStart { episodes }, Some(actor)) if attempt == 0 => {
+                    Training::WarmStart {
+                        actor: actor.clone(),
+                        episodes,
                     }
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let mut next = EaDrlPolicy::new(config);
-                        next.warm_up(&preds, &actuals);
-                        let trained = next.is_trained();
-                        (next, trained)
-                    }))
                 }
+                (RefreshStrategy::WarmStart { .. }, _) => {
+                    cold_restart = true;
+                    Training::Restarts
+                }
+                (RefreshStrategy::Cold, _) => Training::Restarts,
             };
+            let was_warm = matches!(training, Training::WarmStart { .. });
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let _span = eadrl_obs::span("eadrl.online.select");
+                let mut next = EaDrlPolicy::new(config);
+                next.deploy_selection(&preds, &actuals, training)
+                    .then_some(next)
+            }));
             match outcome {
-                Ok((next, trained)) => {
-                    if trained {
-                        self.policy = next;
-                        self.refreshes += 1;
-                        deployed = true;
-                        break;
-                    }
-                    // A warm start that completes but declines (e.g. the
-                    // pool width changed under the snapshot) is exactly
-                    // the case a cold restart handles — fall through to
-                    // the next attempt, which always goes cold. A cold
-                    // retraining that declines signals a data-size
-                    // problem, not a transient: retrying with a new seed
-                    // cannot help, so stop.
+                Ok(Some(next)) => {
+                    self.policy = next;
+                    self.refreshes += 1;
+                    deployed = true;
+                    break;
+                }
+                // A warm start that declines (the pool width changed
+                // under the deployed actor) is exactly the case a cold
+                // restart handles — fall through to the next attempt,
+                // which always goes cold. A cold selection that declines
+                // signals a data-size problem, not a transient: retrying
+                // with a new seed cannot help, so stop.
+                Ok(None) => {
                     if !was_warm {
                         break;
                     }
@@ -516,7 +504,7 @@ mod tests {
             "refresh must deploy via the cold fallback"
         );
         // The deployed policy came out of a full cold warm_up (8
-        // episodes), not the 4-episode warm refinement the snapshot
+        // episodes), not the 4-episode warm refinement the deployed actor
         // could no longer support.
         assert_eq!(adaptive.policy().learning_curve().len(), 8);
         let w = adaptive.weights(2);

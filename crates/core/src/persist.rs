@@ -94,7 +94,12 @@ fn write_floats<W: Write>(writer: &mut W, label: &str, values: &[f64]) -> std::i
     writeln!(writer)
 }
 
-fn parse_floats(line: &str, label: &str) -> Result<Vec<f64>, PersistError> {
+/// Parses a `label count value…` line, each value with `parse`.
+fn parse_list<T>(
+    line: &str,
+    label: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, PersistError> {
     let mut parts = line.split_whitespace();
     let got = parts.next().unwrap_or_default();
     if got != label {
@@ -106,10 +111,8 @@ fn parse_floats(line: &str, label: &str) -> Result<Vec<f64>, PersistError> {
         .next()
         .and_then(|c| c.parse().ok())
         .ok_or_else(|| PersistError::Format(format!("{label}: bad count")))?;
-    let values: Result<Vec<f64>, _> = parts
-        .map(|hex| u64::from_str_radix(hex, 16).map(f64::from_bits))
-        .collect();
-    let values = values.map_err(|_| PersistError::Format(format!("{label}: bad hex float")))?;
+    let values: Option<Vec<T>> = parts.map(parse).collect();
+    let values = values.ok_or_else(|| PersistError::Format(format!("{label}: bad value")))?;
     if values.len() != count {
         return Err(PersistError::Format(format!(
             "{label}: expected {count} values, found {}",
@@ -117,6 +120,26 @@ fn parse_floats(line: &str, label: &str) -> Result<Vec<f64>, PersistError> {
         )));
     }
     Ok(values)
+}
+
+fn parse_floats(line: &str, label: &str) -> Result<Vec<f64>, PersistError> {
+    parse_list(line, label, |hex| {
+        u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
+    })
+}
+
+/// Parameter count (`in·out + out` per layer) of the actor MLP
+/// `[omega, hidden…, action_dim]`, in checked arithmetic so that a huge
+/// size is an error, not a sizing; `None` for a zero size or on overflow.
+fn actor_param_count(omega: usize, hidden: &[usize], action_dim: usize) -> Option<usize> {
+    if omega == 0 || action_dim == 0 || hidden.contains(&0) {
+        return None;
+    }
+    let fan_in = std::iter::once(omega).chain(hidden.iter().copied());
+    let fan_out = hidden.iter().copied().chain([action_dim]);
+    fan_in.zip(fan_out).try_fold(0usize, |n, (i, o)| {
+        n.checked_add(i.checked_mul(o)?.checked_add(o)?)
+    })
 }
 
 impl PolicySnapshot {
@@ -136,7 +159,9 @@ impl PolicySnapshot {
         Ok(())
     }
 
-    /// Reads a snapshot written by [`PolicySnapshot::write`].
+    /// Reads a snapshot written by [`PolicySnapshot::write`]. A snapshot
+    /// whose `params` do not fit its actor topology is a
+    /// [`PersistError::Format`], so `EaDrlPolicy::restore` accepts it all.
     pub fn read<R: Read>(reader: R) -> Result<Self, PersistError> {
         let mut lines = BufReader::new(reader).lines();
         let mut next = |what: &str| -> Result<String, PersistError> {
@@ -163,26 +188,23 @@ impl PolicySnapshot {
         };
         let omega = parse_usize_line(next("omega")?, "omega")?;
         let action_dim = parse_usize_line(next("action_dim")?, "action_dim")?;
-        let hidden_line = next("hidden")?;
-        let mut hp = hidden_line.split_whitespace();
-        if hp.next() != Some("hidden") {
-            return Err(PersistError::Format("expected hidden line".into()));
-        }
-        let hcount: usize = hp
-            .next()
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| PersistError::Format("hidden: bad count".into()))?;
-        let hidden: Result<Vec<usize>, _> = hp.map(|v| v.parse::<usize>()).collect();
-        let hidden = hidden.map_err(|_| PersistError::Format("hidden: bad size".into()))?;
-        if hidden.len() != hcount {
-            return Err(PersistError::Format("hidden: count mismatch".into()));
-        }
+        let hidden = parse_list(&next("hidden")?, "hidden", |v| v.parse().ok())?;
         let squash_line = next("squash")?;
         let tag = squash_line
             .strip_prefix("squash ")
             .ok_or_else(|| PersistError::Format("expected squash line".into()))?;
         let squash = parse_squash(tag.trim())?;
+        let Some(expected) = actor_param_count(omega, &hidden, action_dim) else {
+            let bad = format!("actor [{omega}, {hidden:?}, {action_dim}]");
+            let msg = format!("{bad} has a zero size or too many parameters");
+            return Err(PersistError::Format(msg));
+        };
         let params = parse_floats(&next("params")?, "params")?;
+        if params.len() != expected {
+            let found = params.len();
+            let msg = format!("params: the actor needs {expected} values, found {found}");
+            return Err(PersistError::Format(msg));
+        }
         let window = parse_floats(&next("window")?, "window")?;
         Ok(PolicySnapshot {
             omega,
@@ -199,14 +221,31 @@ impl PolicySnapshot {
 mod tests {
     use super::*;
 
+    /// A valid snapshot: the actor `[2, 3, 2]` holds 2·3+3 + 3·2+2 = 17
+    /// parameters, some of them awkward bit patterns.
     fn sample() -> PolicySnapshot {
+        let mut params: Vec<f64> = (0..17).map(|i| f64::from(i) * 0.37 - 2.5).collect();
+        params[..4].copy_from_slice(&[std::f64::consts::PI, 1e-300, -0.0, f64::MIN_POSITIVE / 4.0]);
         PolicySnapshot {
-            omega: 10,
-            action_dim: 43,
-            hidden: vec![32, 32],
+            omega: 2,
+            action_dim: 2,
+            hidden: vec![3],
             squash: ActionSquash::BoundedSoftmax { scale: 6.0 },
-            params: vec![0.1, -2.5, std::f64::consts::PI, 1e-300],
+            params,
             window: vec![1.0, 2.0, 3.0],
+        }
+    }
+
+    fn sample_text() -> String {
+        let mut buf = Vec::new();
+        sample().write(&mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    fn rejected(text: &str) -> String {
+        match PolicySnapshot::read(text.as_bytes()) {
+            Err(PersistError::Format(msg)) => msg,
+            other => panic!("expected a format error, got {other:?}"),
         }
     }
 
@@ -252,12 +291,42 @@ mod tests {
 
     #[test]
     fn corrupted_params_are_rejected() {
-        let snap = sample();
-        let mut buf = Vec::new();
-        snap.write(&mut buf).unwrap();
-        let text = String::from_utf8(buf)
-            .unwrap()
-            .replace("params 4", "params 9");
+        let text = sample_text().replace("params 17", "params 18");
         assert!(PolicySnapshot::read(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn params_must_fit_the_actor_topology() {
+        // Three parameters for an actor that needs 17: consistent as
+        // text, but `restore` would index past the end of the slice.
+        let text = "eadrl-policy v1\nomega 2\naction_dim 2\nhidden 1 3\nsquash softmax\n\
+                    params 3 0 0 0\nwindow 0\n";
+        assert!(rejected(text).contains("needs 17 values, found 3"));
+    }
+
+    #[test]
+    fn zero_omega_is_rejected() {
+        let text = sample_text().replace("omega 2", "omega 0");
+        assert!(rejected(&text).contains("zero size or too many parameters"));
+    }
+
+    #[test]
+    fn zero_action_dim_is_rejected() {
+        let text = sample_text().replace("action_dim 2", "action_dim 0");
+        assert!(rejected(&text).contains("zero size or too many parameters"));
+    }
+
+    #[test]
+    fn zero_hidden_size_is_rejected() {
+        let text = sample_text().replace("hidden 1 3", "hidden 2 3 0");
+        assert!(rejected(&text).contains("zero size or too many parameters"));
+    }
+
+    #[test]
+    fn overflowing_topology_is_rejected_without_allocating() {
+        // 2⁶³·2⁶³ weights overflow the count: an error, not a sizing.
+        let huge = 1usize << (usize::BITS - 1);
+        let text = sample_text().replace("hidden 1 3", &format!("hidden 2 {huge} {huge}"));
+        assert!(rejected(&text).contains("zero size or too many parameters"));
     }
 }

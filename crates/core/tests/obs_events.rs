@@ -1,9 +1,13 @@
 //! End-to-end telemetry contract: fitting and serving an EA-DRL model
 //! with a ring-buffer sink installed must produce the documented event
 //! stream (one `ddpg.episode` per configured episode, an `eadrl.fit`
-//! span, per-step `eadrl.weights` vectors).
+//! span, per-step `eadrl.weights` vectors), and a warm-start refresh
+//! must train under its own span, not under the fit's `eadrl.warm_up`.
+//!
+//! One `#[test]`: the sink and level are process-global, so two tests in
+//! this binary would race on them.
 
-use eadrl_core::{EaDrl, EaDrlConfig};
+use eadrl_core::{AdaptiveEaDrl, Combiner, EaDrl, EaDrlConfig, RefreshStrategy, RefreshTrigger};
 use eadrl_models::{auto_regressive, Forecaster, Naive, SeasonalNaive};
 use eadrl_obs::{EventKind, Level, NoopSink, RingSink, Value};
 use std::sync::Arc;
@@ -75,13 +79,19 @@ fn fit_and_predict_emit_the_documented_event_stream() {
         Some(Value::U64(_))
     ));
 
-    // Span paths nest: the episode spans ran inside eadrl.fit.
+    // Span paths nest: the episode spans ran inside the fit's warm-up,
+    // and none under the refresh's selection span.
+    let fit_episode_spans = episode_spans(&sink);
     assert!(
-        sink.events()
-            .iter()
-            .any(|e| e.kind == EventKind::Span && e.name.contains("eadrl.fit/")),
-        "span hierarchy must nest under eadrl.fit"
+        !fit_episode_spans.is_empty(),
+        "debug level records episode spans"
     );
+    for path in &fit_episode_spans {
+        assert!(
+            path.starts_with("eadrl.fit/eadrl.warm_up/") && !path.contains("eadrl.online.select"),
+            "a fit's episode span must nest under eadrl.fit/eadrl.warm_up: {path}"
+        );
+    }
 
     // Selection and pool bookkeeping happened.
     assert_eq!(sink.events_named("eadrl.selection").len(), 1);
@@ -108,4 +118,51 @@ fn fit_and_predict_emit_the_documented_event_stream() {
 
     // Prediction latency landed in the global histogram.
     assert!(eadrl_obs::histogram("eadrl.predict_next.duration_us").count() >= 5);
+
+    // A warm-start refresh trains under its own span.
+    let mut config = EaDrlConfig {
+        omega: 6,
+        episodes: 4,
+        max_iter: 40,
+        restarts: 1,
+        ..Default::default()
+    };
+    config.ddpg.seed = 17;
+    let warm_episodes = 3;
+    let values = seasonal_series(200);
+    let preds: Vec<Vec<f64>> = values
+        .iter()
+        .enumerate()
+        .map(|(t, &a)| vec![a + 0.1 * (t % 3) as f64, a + 1.5, a - 4.0])
+        .collect();
+    let mut adaptive = AdaptiveEaDrl::new(config, RefreshTrigger::Never, 60).with_strategy(
+        RefreshStrategy::WarmStart {
+            episodes: warm_episodes,
+        },
+    );
+    adaptive.warm_up(&preds[..100], &values[..100]);
+    for (p, &a) in preds[100..].iter().zip(&values[100..]) {
+        adaptive.observe(p, a);
+    }
+    sink.clear();
+    eadrl_obs::set_sink(sink.clone());
+    eadrl_obs::set_level(Some(Level::Debug));
+    adaptive.refresh_now();
+    eadrl_obs::set_level(None);
+    eadrl_obs::set_sink(Arc::new(NoopSink));
+    assert_eq!(adaptive.refreshes(), 1, "the warm refresh deploys");
+    assert_eq!(
+        episode_spans(&sink),
+        vec!["eadrl.online.refresh/eadrl.online.select/ddpg.episode"; warm_episodes],
+        "a warm refresh's episodes nest under its own selection span"
+    );
+}
+
+/// The span paths of every `ddpg.episode` span recorded so far.
+fn episode_spans(sink: &RingSink) -> Vec<String> {
+    sink.events()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::Span && e.name.ends_with("/ddpg.episode"))
+        .map(|e| e.name)
+        .collect()
 }

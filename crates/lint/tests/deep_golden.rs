@@ -274,7 +274,7 @@ fn workspace_graph_crosses_crate_borders() {
         g.edges[f].iter().any(|e| g.nodes[e.to].qualified() == to)
     };
     assert!(edge(
-        "core::EaDrlPolicy::warm_up",
+        "core::Holdout::train",
         "crates/core/src/eadrl.rs",
         "rl::DdpgAgent::run_episode"
     ));

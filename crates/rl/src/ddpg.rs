@@ -245,6 +245,21 @@ impl eadrl_par::Job for TargetPass {
     }
 }
 
+/// The actor network `π`: ReLU hidden layers and a small linear output.
+/// [`DdpgAgent::new`] draws it first from an RNG seeded with
+/// [`DdpgConfig::seed`], so a fresh RNG of that seed gives its actor.
+pub fn actor_network(
+    rng: &mut DetRng,
+    state_dim: usize,
+    action_dim: usize,
+    hidden: &[usize],
+) -> Mlp {
+    let mut sizes = vec![state_dim];
+    sizes.extend(hidden);
+    sizes.push(action_dim);
+    Mlp::new(rng, &sizes, Activation::Relu, Activation::Identity).with_small_final_layer(rng, 3e-3)
+}
+
 /// The DDPG agent: actor + critic networks, their targets, a replay buffer
 /// and an exploration-noise process.
 pub struct DdpgAgent {
@@ -285,16 +300,7 @@ impl DdpgAgent {
         placement: Placement,
     ) -> Self {
         let mut rng = DetRng::seed_from_u64(config.seed);
-        let mut actor_sizes = vec![state_dim];
-        actor_sizes.extend(&config.hidden);
-        actor_sizes.push(action_dim);
-        let actor = Mlp::new(
-            &mut rng,
-            &actor_sizes,
-            Activation::Relu,
-            Activation::Identity,
-        )
-        .with_small_final_layer(&mut rng, 3e-3);
+        let actor = actor_network(&mut rng, state_dim, action_dim, &config.hidden);
         let mut critic_sizes = vec![state_dim + action_dim];
         critic_sizes.extend(&config.hidden);
         critic_sizes.push(1);
@@ -340,24 +346,9 @@ impl DdpgAgent {
         }
     }
 
-    /// The agent's configuration.
-    pub fn config(&self) -> &DdpgConfig {
-        &self.config
-    }
-
     /// Number of gradient updates performed so far.
     pub fn updates(&self) -> u64 {
         self.updates
-    }
-
-    /// State dimensionality the agent was built for.
-    pub fn state_dim(&self) -> usize {
-        self.state_dim
-    }
-
-    /// Action dimensionality the agent was built for.
-    pub fn action_dim(&self) -> usize {
-        self.action_dim
     }
 
     /// Deterministic (greedy) action for `state`.
@@ -852,7 +843,7 @@ mod tests {
         let mut agent = DdpgAgent::new(1, 1, small_config(ActionSquash::Tanh));
         agent.update();
         assert_eq!(agent.updates(), 0);
-        for _ in 0..agent.config().batch_size {
+        for _ in 0..agent.config.batch_size {
             agent.observe(Transition {
                 state: vec![0.0],
                 action: vec![0.0],

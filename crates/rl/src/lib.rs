@@ -23,7 +23,7 @@ pub mod noise;
 pub mod replay;
 pub mod squash;
 
-pub use ddpg::{DdpgAgent, DdpgConfig, EpisodeStats, UpdateStats};
+pub use ddpg::{actor_network, DdpgAgent, DdpgConfig, EpisodeStats, UpdateStats};
 pub use env::Environment;
 pub use noise::OrnsteinUhlenbeck;
 pub use replay::{Batch, ReplayBuffer, SamplingStrategy, Transition};

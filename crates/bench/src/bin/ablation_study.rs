@@ -9,9 +9,8 @@
 
 use eadrl_bench::{build_pool, json_output, print_json_report, Scale, OMEGA};
 use eadrl_core::baselines::all_baselines;
-use eadrl_core::experiment::sanitize_predictions;
 use eadrl_core::{
-    fit_pool, prediction_matrix, run_combiner, AdaptiveEaDrl, Combiner, EaDrlConfig, EaDrlPolicy,
+    run_combiner, AdaptiveEaDrl, Combiner, EaDrlConfig, EaDrlPolicy, EvaluationProtocol,
     RefreshTrigger, RewardKind,
 };
 use eadrl_datasets::{generate, DatasetId};
@@ -30,32 +29,24 @@ struct Prepared {
 
 fn prepare(id: DatasetId, scale: Scale) -> Prepared {
     let series = generate(id, scale.series_len, scale.seed);
-    let cut = (series.len() as f64 * 0.75).round() as usize;
-    let (train, test) = series.values().split_at(cut);
-    let fit_len = (train.len() as f64 * 0.75).round() as usize;
-    let (fit_part, warm_part) = train.split_at(fit_len);
     let season = series.frequency().default_season().min(series.len() / 4);
-    let (pool, _) = fit_pool(build_pool(scale, season), fit_part);
-    let mut warm_preds = prediction_matrix(&pool, fit_part, warm_part);
-    let mut online_preds = prediction_matrix(&pool, train, test);
-    sanitize_predictions(&mut warm_preds, fit_part);
-    sanitize_predictions(&mut online_preds, train);
+    let data = EvaluationProtocol::default().prepare(series.values(), build_pool(scale, season));
 
     let baseline_rmses = all_baselines(OMEGA, scale.seed)
         .into_iter()
         .map(|mut c| {
-            c.warm_up(&warm_preds, warm_part);
-            let out = run_combiner(c.as_mut(), &online_preds, test);
-            rmse(test, &out)
+            c.warm_up(&data.warm_preds, data.warm_part);
+            let out = run_combiner(c.as_mut(), &data.online_preds, data.test);
+            rmse(data.test, &out)
         })
         .collect();
 
     Prepared {
         name: series.name().to_string(),
-        warm_preds,
-        warm_actuals: warm_part.to_vec(),
-        online_preds,
-        online_actuals: test.to_vec(),
+        warm_actuals: data.warm_part.to_vec(),
+        online_actuals: data.test.to_vec(),
+        warm_preds: data.warm_preds,
+        online_preds: data.online_preds,
         baseline_rmses,
     }
 }

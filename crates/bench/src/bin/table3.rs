@@ -11,8 +11,7 @@
 use eadrl_bench::{
     build_pool, demsc_combiner, eadrl_config, mean_std, time_combination_only, time_online, Scale,
 };
-use eadrl_core::experiment::sanitize_predictions;
-use eadrl_core::{fit_pool, prediction_matrix, Combiner, EaDrlPolicy};
+use eadrl_core::{Combiner, EaDrlPolicy, EvaluationProtocol};
 use eadrl_datasets::{generate, DatasetId};
 use eadrl_eval::render_table;
 
@@ -25,38 +24,40 @@ fn main() {
 
     for id in DatasetId::all() {
         let series = generate(id, scale.series_len, scale.seed);
-        let n = series.len();
-        let cut = (n as f64 * 0.75).round() as usize;
-        let (train, test) = series.values().split_at(cut);
-        let fit_len = (train.len() as f64 * 0.75).round() as usize;
-        let (fit_part, warm_part) = train.split_at(fit_len);
-        let season = series.frequency().default_season().min(n / 4);
-
-        let (pool, _) = fit_pool(build_pool(scale, season), fit_part);
-        let mut warm_preds = prediction_matrix(&pool, fit_part, warm_part);
-        sanitize_predictions(&mut warm_preds, fit_part);
+        let season = series.frequency().default_season().min(series.len() / 4);
+        let data =
+            EvaluationProtocol::default().prepare(series.values(), build_pool(scale, season));
+        let (warm_preds, warm_part) = (&data.warm_preds, data.warm_part);
 
         // EA-DRL: policy trained offline (untimed), online loop timed.
         let mut eadrl = EaDrlPolicy::new(eadrl_config(scale));
-        eadrl.warm_up(&warm_preds, warm_part);
-        eadrl_times.push(time_online(&mut eadrl, &pool, train, test));
+        eadrl.warm_up(warm_preds, warm_part);
+        eadrl_times.push(time_online(&mut eadrl, &data.pool, data.train, data.test));
 
         // DEMSC: committee selection warm-started (untimed), online loop
         // (including drift-triggered re-selection) timed.
         let mut demsc = demsc_combiner(scale.seed);
-        demsc.warm_up(&warm_preds, warm_part);
-        demsc_times.push(time_online(&mut demsc, &pool, train, test));
+        demsc.warm_up(warm_preds, warm_part);
+        demsc_times.push(time_online(&mut demsc, &data.pool, data.train, data.test));
 
         // Combination-only timing (pool predictions precomputed): this is
         // where the two methods actually differ.
-        let mut online_preds = prediction_matrix(&pool, train, test);
-        sanitize_predictions(&mut online_preds, train);
         let mut eadrl2 = EaDrlPolicy::new(eadrl_config(scale));
-        eadrl2.warm_up(&warm_preds, warm_part);
-        eadrl_comb.push(time_combination_only(&mut eadrl2, &online_preds, test, 20));
+        eadrl2.warm_up(warm_preds, warm_part);
+        eadrl_comb.push(time_combination_only(
+            &mut eadrl2,
+            &data.online_preds,
+            data.test,
+            20,
+        ));
         let mut demsc2 = demsc_combiner(scale.seed);
-        demsc2.warm_up(&warm_preds, warm_part);
-        demsc_comb.push(time_combination_only(&mut demsc2, &online_preds, test, 20));
+        demsc2.warm_up(warm_preds, warm_part);
+        demsc_comb.push(time_combination_only(
+            &mut demsc2,
+            &data.online_preds,
+            data.test,
+            20,
+        ));
 
         eprintln!(
             "  [{:>2}/20] {:<28} EA-DRL {:.3}s  DEMSC {:.3}s",

@@ -7,7 +7,10 @@
 #![forbid(unsafe_code)]
 
 use eadrl_core::baselines::{all_baselines, Demsc};
-use eadrl_core::{Combiner, DatasetEvaluation, EaDrlConfig, EaDrlPolicy, EvaluationProtocol};
+use eadrl_core::{
+    Combiner, DatasetEvaluation, EaDrlConfig, EaDrlPolicy, EvaluationProtocol, GuardConfig,
+    PoolGuard,
+};
 use eadrl_datasets::{catalog, generate, DatasetId};
 use eadrl_models::{
     gradient_boosting, lstm_forecaster, quick_pool, random_forest, stacked_lstm_forecaster,
@@ -223,7 +226,9 @@ pub fn evaluate_all(scale: Scale) -> Vec<DatasetEvaluation> {
 /// Wall-clock seconds for the *online* phase of one combination method on
 /// one dataset: base-model one-step predictions plus weight computation
 /// and combination for every test step — the Table III measurement. The
-/// combiner must already be warmed up; the pool must already be fitted.
+/// pool is swept by the serving guard, as `EaDrl::predict_next` sweeps
+/// it. The combiner must already be warmed up; the pool must already be
+/// fitted.
 pub fn time_online(
     combiner: &mut dyn Combiner,
     pool: &[Box<dyn Forecaster>],
@@ -231,9 +236,10 @@ pub fn time_online(
     test: &[f64],
 ) -> f64 {
     let start = Instant::now();
+    let mut guard = PoolGuard::new(GuardConfig::default(), pool.len());
     let mut history = train.to_vec();
     for &actual in test {
-        let preds: Vec<f64> = pool.iter().map(|m| m.predict_next(&history)).collect();
+        let preds = guard.sweep(pool, &history).values;
         let _forecast = combiner.combine(&preds);
         combiner.observe(&preds, actual);
         history.push(actual);

@@ -245,10 +245,12 @@ impl EaDrlPolicy {
 
     /// Advances the state window with the ensemble value actually served.
     ///
-    /// The degraded serving path uses this instead of
-    /// [`Combiner::observe`]: under masking the served value is a
-    /// renormalized combination over the surviving members, which the
-    /// raw-weight dot product inside `observe` would not reproduce.
+    /// [`EaDrl::predict_next`] uses this instead of
+    /// [`Combiner::observe`], which would compute the served value
+    /// again: on a clean step it is the same dot product, and under
+    /// masking it is a renormalized combination over the surviving
+    /// members, which the raw-weight dot product inside `observe` would
+    /// not reproduce.
     pub(crate) fn observe_served(&mut self, served: f64) {
         self.window.slide(served);
     }
@@ -695,7 +697,7 @@ impl EaDrl {
         self.pool = kept;
 
         // Rolling one-step predictions over the validation suffix.
-        let mut preds = self.validation_predictions(fit_part, val_part);
+        let mut preds = crate::parallel::prediction_matrix(&self.pool, fit_part, val_part);
         crate::experiment::sanitize_predictions(&mut preds, fit_part);
 
         eadrl_obs::event_with("eadrl.fit.pool", Level::Info, || {
@@ -712,10 +714,6 @@ impl EaDrl {
         self.guard.reset(self.pool.len());
         self.fitted = true;
         Ok(())
-    }
-
-    fn validation_predictions(&self, fit_part: &[f64], val_part: &[f64]) -> Vec<Vec<f64>> {
-        crate::parallel::prediction_matrix(&self.pool, fit_part, val_part)
     }
 
     /// One-step-ahead forecast given the observed history (Algorithm 1's
@@ -752,9 +750,10 @@ impl EaDrl {
         let w = self.policy.weights(self.pool.len());
         if sweep.all_active {
             // Fault-free fast path: bit-identical to the historical
-            // unguarded combination (same dot, same observe).
+            // unguarded combination (the same dot, which the window
+            // advances with).
             let ens = dot(&w, &sweep.values);
-            self.policy.observe(&sweep.values, f64::NAN);
+            self.policy.observe_served(ens);
             return ens;
         }
         let effective = renormalize_over_active(&w, &sweep.active);

@@ -3,7 +3,8 @@
 //! per-method timing.
 
 use crate::combiner::{run_combiner, Combiner};
-use eadrl_models::{rolling_forecast, Forecaster};
+use crate::parallel::{fit_pool, prediction_matrix, report_faults, rolling_column};
+use eadrl_models::Forecaster;
 use eadrl_timeseries::metrics::rmse;
 use std::time::Instant;
 
@@ -78,6 +79,29 @@ impl DatasetEvaluation {
             .map(|i| self.results[i].name.as_str())
             .collect()
     }
+}
+
+/// The inputs every combination method of one protocol run shares,
+/// built by [`EvaluationProtocol::prepare`]: the split of the series,
+/// the fitted pool and its two sanitized rolling prediction matrices.
+pub struct Prepared<'a> {
+    /// The training part of the series (the first `train_ratio`).
+    pub train: &'a [f64],
+    /// The test part the online methods forecast.
+    pub test: &'a [f64],
+    /// The validation tail of `train` the combiners warm up on; the
+    /// pool is fitted on the part of `train` before it.
+    pub warm_part: &'a [f64],
+    /// The members that fitted the fit part, in pool order.
+    pub pool: Vec<Box<dyn Forecaster>>,
+    /// The names of the members the series could not support.
+    pub dropped: Vec<String>,
+    /// The pool's rolling forecasts over `warm_part`, one row per step,
+    /// sanitized against the fit part (`train` before `warm_part`).
+    pub warm_preds: Vec<Vec<f64>>,
+    /// The pool's rolling forecasts over `test` after `train`, one row
+    /// per step, sanitized against `train`.
+    pub online_preds: Vec<Vec<f64>>,
 }
 
 /// Multi-horizon evaluation of a recursive forecaster (Algorithm 1's
@@ -177,6 +201,33 @@ pub fn sanitize_predictions(preds: &mut [Vec<f64>], reference: &[f64]) {
 }
 
 impl EvaluationProtocol {
+    /// Splits `series` into train and test and `train` into fit and
+    /// validation parts, fits `pool` on the fit part in parallel
+    /// (dropping the members the series cannot support) and walks the
+    /// fitted pool over the validation part and the test part.
+    pub fn prepare<'a>(&self, series: &'a [f64], pool: Vec<Box<dyn Forecaster>>) -> Prepared<'a> {
+        let train_ratio = self.train_ratio.clamp(0.1, 0.95);
+        let cut = ((series.len() as f64) * train_ratio).round() as usize;
+        let (train, test) = series.split_at(cut.min(series.len().saturating_sub(2)));
+        let warm_fraction = self.warm_fraction.clamp(0.05, 0.5);
+        let fit_len = ((train.len() as f64) * (1.0 - warm_fraction)).round() as usize;
+        let (fit_part, warm_part) = train.split_at(fit_len.min(train.len().saturating_sub(2)));
+        let (pool, dropped) = fit_pool(pool, fit_part);
+        let mut warm_preds = prediction_matrix(&pool, fit_part, warm_part);
+        let mut online_preds = prediction_matrix(&pool, train, test);
+        sanitize_predictions(&mut warm_preds, fit_part);
+        sanitize_predictions(&mut online_preds, train);
+        Prepared {
+            train,
+            test,
+            warm_part,
+            pool,
+            dropped,
+            warm_preds,
+            online_preds,
+        }
+    }
+
     /// Runs the full protocol on one series.
     ///
     /// * `pool` — base models for the ensemble methods (fitted here on the
@@ -193,23 +244,8 @@ impl EvaluationProtocol {
         standalone: Vec<(String, Box<dyn Forecaster>)>,
         combiners: Vec<Box<dyn Combiner>>,
     ) -> DatasetEvaluation {
-        let train_ratio = self.train_ratio.clamp(0.1, 0.95);
-        let cut = ((series.len() as f64) * train_ratio).round() as usize;
-        let (train, test) = series.split_at(cut.min(series.len().saturating_sub(2)));
-        let warm_fraction = self.warm_fraction.clamp(0.05, 0.5);
-        let fit_len = ((train.len() as f64) * (1.0 - warm_fraction)).round() as usize;
-        let (fit_part, warm_part) = train.split_at(fit_len.min(train.len().saturating_sub(2)));
-
-        // --- Pool fitting (drop members the series cannot support),
-        // fanned out across `eadrl-par` workers.
-        let (fitted, dropped) = crate::parallel::fit_pool(pool, fit_part);
-
-        // --- Base-model rolling predictions (warm-up + online segments),
-        // one parallel task per pool member.
-        let mut warm_preds = crate::parallel::prediction_matrix(&fitted, fit_part, warm_part);
-        let mut online_preds = crate::parallel::prediction_matrix(&fitted, train, test);
-        sanitize_predictions(&mut warm_preds, fit_part);
-        sanitize_predictions(&mut online_preds, train);
+        let data = self.prepare(series, pool);
+        let (train, test, warm_part) = (data.train, data.test, data.warm_part);
 
         let mut results = Vec::new();
 
@@ -217,26 +253,34 @@ impl EvaluationProtocol {
         // Each method is self-contained, so the whole fit + rolling
         // evaluation runs as one parallel task; the Table III wall-clock
         // is measured inside the task, exactly as the serial loop did.
+        // The walk is the pool's (`rolling_column`), and faulted steps
+        // are reported after the merge, as `prediction_matrix` does.
         let standalone_results = eadrl_par::par_map(standalone, |(label, mut model)| {
             if model.fit(train).is_err() {
                 return None;
             }
             // eadrl-lint: allow(determinism): wall-clock here IS the measurement — Table III reports computation time
             let start = Instant::now();
-            let preds = rolling_forecast(model.as_ref(), train, test);
+            let (preds, faults) = rolling_column(model.as_ref(), train, test);
             let online_seconds = start.elapsed().as_secs_f64();
-            Some(MethodResult {
+            let result = MethodResult {
                 name: label,
                 rmse: rmse(test, &preds),
                 predictions: preds,
                 online_seconds,
                 warmup_seconds: 0.0,
-            })
+            };
+            Some((result, faults))
         });
         match standalone_results {
-            Ok(rows) => results.extend(rows.into_iter().flatten()),
-            // A panicking forecaster violates the Forecaster contract;
-            // report the batch and keep the sweep alive.
+            Ok(rows) => {
+                for (result, faults) in rows.into_iter().flatten() {
+                    report_faults("standalone", &result.name, faults, test.len());
+                    results.push(result);
+                }
+            }
+            // Only a panicking `fit` gets here (the walk catches the
+            // calls'); report the batch and keep the sweep alive.
             Err(err) => {
                 eadrl_obs::warn(
                     "par.panic",
@@ -250,11 +294,11 @@ impl EvaluationProtocol {
         let combiner_results = eadrl_par::par_map(combiners, |mut combiner| {
             // eadrl-lint: allow(determinism): wall-clock here IS the measurement — Table III reports warm-up time
             let warm_start = Instant::now();
-            combiner.warm_up(&warm_preds, warm_part);
+            combiner.warm_up(&data.warm_preds, warm_part);
             let warmup_seconds = warm_start.elapsed().as_secs_f64();
             // eadrl-lint: allow(determinism): wall-clock here IS the measurement — Table III reports online time
             let start = Instant::now();
-            let preds = run_combiner(combiner.as_mut(), &online_preds, test);
+            let preds = run_combiner(combiner.as_mut(), &data.online_preds, test);
             let online_seconds = start.elapsed().as_secs_f64();
             MethodResult {
                 name: combiner.name().to_string(),
@@ -278,8 +322,8 @@ impl EvaluationProtocol {
             dataset: dataset.to_string(),
             test_actuals: test.to_vec(),
             results,
-            dropped_models: dropped,
-            pool_size: fitted.len(),
+            pool_size: data.pool.len(),
+            dropped_models: data.dropped,
         }
     }
 }

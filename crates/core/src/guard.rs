@@ -50,6 +50,11 @@
 //! A state serves the bits of the member's `predict_next`, so the path
 //! never changes a served value. Members without a state are called per
 //! step as before.
+//!
+//! The same per-member call walks every rolling prediction matrix: each
+//! [`crate::prediction_matrix`] worker keeps one member's slot for its
+//! whole walk, whose history grows by one revealed value per step, so
+//! ARIMA/ETS fold one value per step there too.
 
 use eadrl_models::{fallback_forecast, Forecaster, PredictError, SeriesState};
 use eadrl_obs::Level;
@@ -134,11 +139,15 @@ pub struct GuardedSweep {
     pub all_active: bool,
 }
 
-/// How the guard calls one member (see "Serving state" above).
+/// One member's side of the guard, and the one place that calls a
+/// fitted member on a series: its serving slot (see "Serving state"
+/// above), the `catch_unwind` around the call and the fault class.
+/// [`PoolGuard`] keeps one per member across its sweeps; each
+/// [`crate::prediction_matrix`] worker keeps one for its whole walk.
 #[derive(Debug)]
-enum Slot {
-    /// Not asked for a state yet: a new guard, after a reset, or after
-    /// the member's state panicked.
+pub(crate) enum Member {
+    /// Not asked for a state yet: a new member, or one whose state
+    /// panicked.
     Unknown,
     /// The member forecasts from each call's history.
     PerCall,
@@ -149,6 +158,72 @@ enum Slot {
     },
 }
 
+impl Member {
+    /// One guarded call of `model` on `history`: through the member's
+    /// state when it has one, else `try_predict_next` on the whole
+    /// history. `history` must extend the values the state folded so
+    /// far; a caller whose next history does not first calls
+    /// [`Member::rewind`]. Asks for the declared cost exactly once.
+    pub(crate) fn call(
+        &mut self,
+        model: &dyn Forecaster,
+        history: &[f64],
+        budget_us: Option<u64>,
+    ) -> Result<f64, FaultClass> {
+        if let Member::Unknown = self {
+            match catch_unwind(AssertUnwindSafe(|| model.series_state())) {
+                Ok(Some(state)) => *self = Member::Folding { state, folded: 0 },
+                Ok(None) => *self = Member::PerCall,
+                Err(_) => return Err(FaultClass::Panic),
+            }
+        }
+        // One cost inquiry per call on both paths, budget or not: a
+        // member's declared cost may depend on how often it was asked.
+        let cost_us = model.cost_hint_us();
+        if matches!((budget_us, cost_us), (Some(budget), Some(cost)) if cost > budget) {
+            return Err(FaultClass::BudgetExceeded);
+        }
+        let Member::Folding { state, folded } = self else {
+            // A fitted model is immutable while predicting (Forecaster
+            // contract), so observing it after a caught panic cannot
+            // expose broken state.
+            return match catch_unwind(AssertUnwindSafe(|| model.try_predict_next(history))) {
+                Ok(Ok(value)) => Ok(value),
+                Ok(Err(PredictError::NonFinite { .. })) => Err(FaultClass::NonFinite),
+                Ok(Err(PredictError::BudgetExceeded { .. })) => Err(FaultClass::BudgetExceeded),
+                Err(_) => Err(FaultClass::Panic),
+            };
+        };
+        let unseen = &history[*folded..];
+        match catch_unwind(AssertUnwindSafe(|| {
+            state.fold(unseen);
+            state.predict()
+        })) {
+            Ok(value) => {
+                *folded = history.len();
+                if value.is_finite() {
+                    Ok(value)
+                } else {
+                    Err(FaultClass::NonFinite)
+                }
+            }
+            Err(_) => {
+                // A half-folded state is unusable: rebuild it next call.
+                *self = Member::Unknown;
+                Err(FaultClass::Panic)
+            }
+        }
+    }
+
+    /// Forgets every value the state folded.
+    fn rewind(&mut self) {
+        if let Member::Folding { state, folded } = self {
+            state.reset();
+            *folded = 0;
+        }
+    }
+}
+
 /// Tracks pool-member health across serving steps and executes the
 /// guarded per-model calls. Owned by [`crate::EaDrl`]; the pool itself
 /// stays outside so borrows remain simple.
@@ -156,7 +231,7 @@ enum Slot {
 pub struct PoolGuard {
     config: GuardConfig,
     health: Vec<MemberHealth>,
-    slots: Vec<Slot>,
+    members: Vec<Member>,
     /// The history of the last sweep, which the members' states folded.
     seen: Vec<f64>,
 }
@@ -176,11 +251,11 @@ impl PoolGuard {
     }
 
     fn with_health(config: GuardConfig, health: Vec<MemberHealth>) -> Self {
-        let slots = health.iter().map(|_| Slot::Unknown).collect();
+        let members = health.iter().map(|_| Member::Unknown).collect();
         PoolGuard {
             config,
             health,
-            slots,
+            members,
             seen: Vec::new(),
         }
     }
@@ -212,12 +287,12 @@ impl PoolGuard {
     pub fn sweep(&mut self, pool: &[Box<dyn Forecaster>], history: &[f64]) -> GuardedSweep {
         let substitute = fallback_forecast(history);
         self.track(pool.len(), history);
+        let budget_us = self.config.latency_budget_us;
         let mut values = Vec::with_capacity(pool.len());
         let mut active = Vec::with_capacity(pool.len());
         let mut faults = Vec::new();
         for (i, model) in pool.iter().enumerate() {
-            let outcome = self.call(i, model.as_ref(), history);
-            match outcome {
+            match self.members[i].call(model.as_ref(), history, budget_us) {
                 Ok(value) => {
                     let in_quarantine = self.record_clean(i, model.name());
                     values.push(value);
@@ -242,14 +317,14 @@ impl PoolGuard {
 
     /// Compares `history` with the last swept one: if it extends it bit
     /// for bit, the states keep what they folded; otherwise every state
-    /// resets. Then remembers `history`.
+    /// rewinds. Then remembers `history`.
     fn track(&mut self, m: usize, history: &[f64]) {
-        if self.slots.len() != m {
+        if self.members.len() != m {
             // Another pool width: the states start over.
-            self.slots = (0..m).map(|_| Slot::Unknown).collect();
+            self.members = (0..m).map(|_| Member::Unknown).collect();
             self.seen.clear();
         }
-        if self.slots.iter().all(|s| matches!(s, Slot::PerCall)) {
+        if self.members.iter().all(|s| matches!(s, Member::PerCall)) {
             // No member folds: nothing to compare against.
             return;
         }
@@ -258,60 +333,9 @@ impl PoolGuard {
             self.seen.extend_from_slice(&history[known..]);
             return;
         }
-        for slot in &mut self.slots {
-            if let Slot::Folding { state, folded } = slot {
-                state.reset();
-                *folded = 0;
-            }
-        }
+        self.members.iter_mut().for_each(Member::rewind);
         self.seen.clear();
         self.seen.extend_from_slice(history);
-    }
-
-    /// One guarded call of member `i`: through its state when it has
-    /// one, else [`guarded_call`].
-    fn call(
-        &mut self,
-        i: usize,
-        model: &dyn Forecaster,
-        history: &[f64],
-    ) -> Result<f64, FaultClass> {
-        let budget = self.config.latency_budget_us;
-        let slot = &mut self.slots[i];
-        if let Slot::Unknown = slot {
-            match catch_unwind(AssertUnwindSafe(|| model.series_state())) {
-                Ok(Some(state)) => *slot = Slot::Folding { state, folded: 0 },
-                Ok(None) => *slot = Slot::PerCall,
-                Err(_) => return Err(FaultClass::Panic),
-            }
-        }
-        // One cost inquiry per call, as on the per-call path: a member's
-        // declared cost may depend on how often it was asked.
-        let Slot::Folding { state, folded } = slot else {
-            return guarded_call(model, history, budget);
-        };
-        if over_budget(model, budget) {
-            return Err(FaultClass::BudgetExceeded);
-        }
-        let unseen = &history[*folded..];
-        match catch_unwind(AssertUnwindSafe(|| {
-            state.fold(unseen);
-            state.predict()
-        })) {
-            Ok(value) => {
-                *folded = history.len();
-                if value.is_finite() {
-                    Ok(value)
-                } else {
-                    Err(FaultClass::NonFinite)
-                }
-            }
-            Err(_) => {
-                // A half-folded state is unusable: rebuild it next call.
-                *slot = Slot::Unknown;
-                Err(FaultClass::Panic)
-            }
-        }
     }
 
     /// Records a clean call; returns `true` while the member remains
@@ -378,32 +402,6 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
                 .fold(0u64, |acc, (u, v)| acc | (u.to_bits() ^ v.to_bits()))
                 == 0
         })
-}
-
-/// Deterministic budget check: the member's declared cost against the
-/// serving budget.
-fn over_budget(model: &dyn Forecaster, budget_us: Option<u64>) -> bool {
-    matches!((budget_us, model.cost_hint_us()), (Some(budget), Some(cost)) if cost > budget)
-}
-
-/// One guarded model call: `catch_unwind` around the checked prediction
-/// path, plus deterministic budget enforcement.
-pub fn guarded_call(
-    model: &dyn Forecaster,
-    history: &[f64],
-    budget_us: Option<u64>,
-) -> Result<f64, FaultClass> {
-    if over_budget(model, budget_us) {
-        return Err(FaultClass::BudgetExceeded);
-    }
-    // A fitted model is immutable while predicting (Forecaster contract),
-    // so observing it after a caught panic cannot expose broken state.
-    match catch_unwind(AssertUnwindSafe(|| model.try_predict_next(history))) {
-        Ok(Ok(value)) => Ok(value),
-        Ok(Err(PredictError::NonFinite { .. })) => Err(FaultClass::NonFinite),
-        Ok(Err(PredictError::BudgetExceeded { .. })) => Err(FaultClass::BudgetExceeded),
-        Err(_) => Err(FaultClass::Panic),
-    }
 }
 
 /// Renormalizes `weights` over the active members.

@@ -33,10 +33,9 @@ pub use eadrl::{weight_entropy, EaDrl, EaDrlConfig, EaDrlPolicy, OnlineState};
 pub use env::{EnsembleEnv, RewardKind};
 pub use experiment::{
     multi_horizon_rmse, sanitize_predictions, DatasetEvaluation, EvaluationProtocol, MethodResult,
+    Prepared,
 };
-pub use guard::{
-    guarded_call, renormalize_over_active, FaultClass, GuardConfig, GuardedSweep, PoolGuard,
-};
+pub use guard::{renormalize_over_active, FaultClass, GuardConfig, GuardedSweep, PoolGuard};
 pub use online::{AdaptiveEaDrl, RefreshStrategy, RefreshTrigger};
 pub use parallel::{fit_pool, prediction_matrix};
 pub use persist::{PersistError, PolicySnapshot};

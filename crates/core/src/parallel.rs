@@ -9,6 +9,7 @@
 //! setting — `crates/core/tests/par_determinism.rs` is the differential
 //! proof.
 
+use crate::guard::Member;
 use eadrl_models::{fallback_forecast, Forecaster};
 use eadrl_obs::Level;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -56,22 +57,21 @@ pub fn fit_pool(
 }
 
 /// Rolling one-step prediction matrix `preds[t][i]` of a fitted pool
-/// over `segment`, with the preceding history given by `train` — model
-/// `i`'s forecasts computed in parallel across the pool, then merged by
-/// pool index and transposed into per-step rows.
-///
-/// The per-model rolling state (the growing history buffer) is
-/// allocated once per member up front — not re-sliced and re-grown per
-/// timestep — and the transpose pre-sizes every row, so the matrix
-/// costs exactly `m + t + 2` allocations for an `m`-model pool over `t`
-/// steps.
+/// over `segment`, with the preceding history given by `train`: model
+/// `i`'s forecast of `segment[t]` from `train` and `segment[..t]`. Each
+/// member is walked through the guard's per-member call, so ARIMA/ETS
+/// fold one revealed value per step and a faulted step carries the
+/// history fallback; a member with faulted steps is reported in one
+/// `eadrl.degraded` event. The columns are computed in parallel across
+/// the pool, then merged by pool index and transposed into per-step
+/// rows.
 pub fn prediction_matrix(
     pool: &[Box<dyn Forecaster>],
     train: &[f64],
     segment: &[f64],
 ) -> Vec<Vec<f64>> {
     let refs: Vec<&dyn Forecaster> = pool.iter().map(AsRef::as_ref).collect();
-    let per_model = match eadrl_par::par_map(refs, |model| guarded_rolling(model, train, segment)) {
+    let per_model = match eadrl_par::par_map(refs, |model| rolling_column(model, train, segment)) {
         Ok(columns) => columns,
         Err(err) => {
             eadrl_obs::event(
@@ -80,30 +80,18 @@ pub fn prediction_matrix(
                 &[("context", format!("{err}").as_str().into())],
             );
             // Serial fallback keeps the forecast path alive; with the
-            // per-step guard inside `guarded_rolling` this is only
-            // reachable through a panicking destructor.
+            // guarded call inside `rolling_column` this is only reachable
+            // through a panicking destructor.
             pool.iter()
-                .map(|m| guarded_rolling(m.as_ref(), train, segment))
+                .map(|m| rolling_column(m.as_ref(), train, segment))
                 .collect()
         }
     };
     // Fault telemetry is emitted *after* the index-ordered merge, never
-    // from inside a worker: worker-side emission would interleave events
-    // in thread-completion order and break the telemetry-determinism
-    // contract across `EADRL_PAR_THREADS` settings.
-    for (i, (column, faults)) in per_model.iter().enumerate() {
-        if *faults > 0 {
-            eadrl_obs::event(
-                "eadrl.degraded",
-                Level::Warn,
-                &[
-                    ("context", "prediction_matrix".into()),
-                    ("model", pool[i].name().into()),
-                    ("faults", (*faults).into()),
-                    ("steps", column.len().into()),
-                ],
-            );
-        }
+    // from inside a worker, so it follows every event the members'
+    // calls emitted, at any `EADRL_PAR_THREADS` setting.
+    for (model, (column, faults)) in pool.iter().zip(&per_model) {
+        report_faults("prediction_matrix", model.name(), *faults, column.len());
     }
     let mut rows = Vec::with_capacity(segment.len());
     for t in 0..segment.len() {
@@ -116,36 +104,59 @@ pub fn prediction_matrix(
     rows
 }
 
-/// [`eadrl_models::rolling_forecast`] with a per-step degradation
-/// guard: a step on which the model panics or emits a non-finite value
-/// contributes the documented history fallback instead of poisoning the
-/// column (or the whole sweep). On a well-behaved model this is
-/// call-for-call identical to the unguarded walk, so the clean-path
-/// matrix stays bitwise equal to the unguarded one. Returns the
-/// column plus its fault count; the caller owns fault telemetry (workers
-/// must not emit events — see `prediction_matrix`).
-fn guarded_rolling(model: &dyn Forecaster, train: &[f64], segment: &[f64]) -> (Vec<f64>, usize) {
+/// Member `model`'s rolling one-step forecasts over `segment`: step `t`
+/// forecasts `segment[t]` from `train` followed by `segment[..t]`, the
+/// paper's online protocol for base models. Each step is one guarded
+/// member call, and one member slot serves the whole walk, so a member
+/// with a serving state folds one revealed value per step. A step whose
+/// call faulted carries the history fallback instead of poisoning the
+/// column. Returns the column and its fault count.
+pub(crate) fn rolling_column(
+    model: &dyn Forecaster,
+    train: &[f64],
+    segment: &[f64],
+) -> (Vec<f64>, usize) {
+    let mut member = Member::Unknown;
     let mut history = Vec::with_capacity(train.len() + segment.len());
     history.extend_from_slice(train);
-    let mut out = Vec::with_capacity(segment.len());
+    let mut column = Vec::with_capacity(segment.len());
     let mut faults = 0usize;
     for &actual in segment {
-        match crate::guard::guarded_call(model, &history, None) {
-            Ok(value) => out.push(value),
-            Err(_) => {
-                faults += 1;
-                out.push(fallback_forecast(&history));
-            }
-        }
+        let value = member.call(model, &history, None).unwrap_or_else(|_| {
+            faults += 1;
+            fallback_forecast(&history)
+        });
+        column.push(value);
         history.push(actual);
     }
-    (out, faults)
+    (column, faults)
+}
+
+/// Reports a walked column with `faults` faulted steps out of `steps`
+/// as one `eadrl.degraded` event; a clean column emits nothing.
+pub(crate) fn report_faults(context: &str, model: &str, faults: usize, steps: usize) {
+    if faults > 0 {
+        eadrl_obs::event(
+            "eadrl.degraded",
+            Level::Warn,
+            &[
+                ("context", context.into()),
+                ("model", model.into()),
+                ("faults", faults.into()),
+                ("steps", steps.into()),
+            ],
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eadrl_models::{auto_regressive, rolling_forecast, Naive, SeasonalNaive};
+    use eadrl_models::{
+        auto_regressive, Arima, Ets, EtsKind, ModelError, Naive, SeasonalNaive, SeriesState,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn series(n: usize) -> Vec<f64> {
         (0..n)
@@ -237,17 +248,121 @@ mod tests {
     }
 
     #[test]
-    fn matrix_matches_the_serial_rolling_forecast_bitwise() {
+    fn matrix_matches_per_step_predict_next_bitwise() {
         let s = series(150);
         let (train, seg) = s.split_at(120);
-        let (kept, _) = fit_pool(pool(), train);
+        let mut p = pool();
+        p.push(Box::new(Arima::new(2, 1, 1)));
+        p.push(Box::new(Ets::new(EtsKind::HoltWinters { period: 12 })));
+        let (kept, dropped) = fit_pool(p, train);
+        assert!(dropped.is_empty(), "{dropped:?}");
         let rows = prediction_matrix(&kept, train, seg);
         assert_eq!(rows.len(), seg.len());
-        for (i, model) in kept.iter().enumerate() {
-            let serial = rolling_forecast(model.as_ref(), train, seg);
-            for (t, row) in rows.iter().enumerate() {
-                assert_eq!(row[i].to_bits(), serial[t].to_bits(), "model {i} step {t}");
+        for (t, row) in rows.iter().enumerate() {
+            for (i, model) in kept.iter().enumerate() {
+                let per_call = model.predict_next(&s[..120 + t]);
+                assert_eq!(row[i].to_bits(), per_call.to_bits(), "model {i} step {t}");
             }
         }
+    }
+
+    /// What a [`Counting`] member was asked.
+    #[derive(Debug, Default)]
+    struct Counts {
+        inquiries: AtomicUsize,
+        calls: AtomicUsize,
+        states: AtomicUsize,
+        folded: AtomicUsize,
+    }
+
+    impl Counts {
+        fn read(&self) -> [usize; 4] {
+            [&self.inquiries, &self.calls, &self.states, &self.folded]
+                .map(|n| n.load(Ordering::SeqCst))
+        }
+    }
+
+    /// Forecasts the last value, counting cost inquiries and calls; a
+    /// `stateful` one serves from a state that counts what it folds.
+    struct Counting {
+        counts: Arc<Counts>,
+        stateful: bool,
+    }
+
+    #[derive(Debug)]
+    struct LastValue {
+        last: f64,
+        counts: Arc<Counts>,
+    }
+
+    impl Forecaster for Counting {
+        fn name(&self) -> &str {
+            "Counting"
+        }
+        fn fit(&mut self, _s: &[f64]) -> Result<(), ModelError> {
+            Ok(())
+        }
+        fn predict_next(&self, history: &[f64]) -> f64 {
+            self.counts.calls.fetch_add(1, Ordering::SeqCst);
+            fallback_forecast(history)
+        }
+        fn cost_hint_us(&self) -> Option<u64> {
+            self.counts.inquiries.fetch_add(1, Ordering::SeqCst);
+            None
+        }
+        fn series_state(&self) -> Option<Box<dyn SeriesState>> {
+            if !self.stateful {
+                return None;
+            }
+            self.counts.states.fetch_add(1, Ordering::SeqCst);
+            Some(Box::new(LastValue {
+                last: 0.0,
+                counts: Arc::clone(&self.counts),
+            }))
+        }
+        fn box_clone(&self) -> Box<dyn Forecaster> {
+            unreachable!("test double is never cloned")
+        }
+    }
+
+    impl SeriesState for LastValue {
+        fn reset(&mut self) {
+            self.last = 0.0;
+        }
+        fn fold(&mut self, values: &[f64]) {
+            self.counts.folded.fetch_add(values.len(), Ordering::SeqCst);
+            self.last = values.last().copied().unwrap_or(self.last);
+        }
+        fn predict(&self) -> f64 {
+            self.last
+        }
+    }
+
+    #[test]
+    fn the_walk_asks_each_cost_once_and_calls_or_folds_once_per_step() {
+        let s = series(150);
+        let (train, seg) = s.split_at(120);
+        let per_call = Arc::new(Counts::default());
+        let folding = Arc::new(Counts::default());
+        let pool: Vec<Box<dyn Forecaster>> = vec![
+            Box::new(Counting {
+                counts: Arc::clone(&per_call),
+                stateful: false,
+            }),
+            Box::new(Counting {
+                counts: Arc::clone(&folding),
+                stateful: true,
+            }),
+        ];
+        let rows = prediction_matrix(&pool, train, seg);
+        for (t, row) in rows.iter().enumerate() {
+            let last = s[120 + t - 1];
+            assert_eq!(row, &[last, last], "step {t}");
+        }
+        // [inquiries, calls, states, folded values]: 30 steps, one cost
+        // inquiry each; the per-call member is called once per step, the
+        // stateful one folds the 120 training values, then one per step.
+        assert_eq!(per_call.read(), [30, 30, 0, 0]);
+        assert_eq!(folding.read(), [30, 0, 1, 120 + 29]);
     }
 }

@@ -123,7 +123,9 @@ impl std::error::Error for PredictError {}
 /// * wrappers that intercept `predict_next` (fault injectors, timers)
 ///   must not forward this method, so that they keep seeing every call.
 ///
-/// `eadrl-core`'s `PoolGuard` is the owner on both serving paths.
+/// `eadrl-core`'s guard is the only owner: `PoolGuard` keeps one state
+/// per member on both serving paths, and every rolling prediction
+/// matrix walk keeps one per member for its whole walk.
 pub trait Forecaster: Send + Sync {
     /// Human-readable unique name, e.g. `"ARIMA(2,1,1)"`.
     fn name(&self) -> &str;
@@ -202,23 +204,6 @@ pub fn fallback_forecast(history: &[f64]) -> f64 {
     history.last().copied().unwrap_or(0.0)
 }
 
-/// Rolling one-step-ahead forecasts of a fitted model over `test`, given
-/// the preceding `train` history. Returns one forecast per test value; the
-/// true value is revealed to the model after each prediction (the paper's
-/// online evaluation protocol for base models).
-pub fn rolling_forecast(model: &dyn Forecaster, train: &[f64], test: &[f64]) -> Vec<f64> {
-    // Size the history for the whole walk up front: revealing one
-    // actual per step must not re-grow (and re-copy) the buffer.
-    let mut history = Vec::with_capacity(train.len() + test.len());
-    history.extend_from_slice(train);
-    let mut out = Vec::with_capacity(test.len());
-    for &actual in test {
-        out.push(model.predict_next(&history));
-        history.push(actual);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,15 +245,6 @@ mod tests {
         let cloned = boxed.clone();
         assert_eq!(cloned.predict_next(&[9.0]), 2.0);
         assert_eq!(cloned.name(), "Mean");
-    }
-
-    #[test]
-    fn rolling_forecast_reveals_truth_stepwise() {
-        let mut m = MeanModel { mean: 0.0 };
-        m.fit(&[4.0, 4.0]).unwrap();
-        let preds = rolling_forecast(&m, &[4.0, 4.0], &[1.0, 2.0, 3.0]);
-        assert_eq!(preds, vec![4.0, 4.0, 4.0]);
-        assert_eq!(preds.len(), 3);
     }
 
     #[test]

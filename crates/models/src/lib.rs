@@ -36,9 +36,7 @@ pub mod tree;
 
 pub use arima::Arima;
 pub use ets::{Ets, EtsKind};
-pub use forecaster::{
-    fallback_forecast, rolling_forecast, Forecaster, ModelError, PredictError, SeriesState,
-};
+pub use forecaster::{fallback_forecast, Forecaster, ModelError, PredictError, SeriesState};
 pub use gbm::gradient_boosting;
 pub use gp::gaussian_process;
 pub use linear::auto_regressive;

@@ -665,24 +665,6 @@ impl DdpgAgent {
         }
     }
 
-    /// Greedy evaluation: runs `episodes` noise-free episodes without
-    /// learning and returns the mean per-step reward.
-    pub fn evaluate(&mut self, env: &mut dyn Environment, episodes: usize) -> f64 {
-        let episodes = episodes.max(1);
-        let mut total = 0.0;
-        let mut steps = 0usize;
-        for _ in 0..episodes {
-            let stats = self.run_episode(env, false);
-            total += stats.total_reward;
-            steps += stats.steps;
-        }
-        if steps > 0 {
-            total / steps as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Snapshot of the actor's parameters (for best-checkpoint selection).
     pub fn actor_params(&mut self) -> Vec<f64> {
         self.actor.flat_params()
@@ -908,18 +890,6 @@ mod tests {
             toward > away,
             "critic should prefer moving toward the target: {toward} vs {away}"
         );
-    }
-
-    #[test]
-    fn evaluate_reports_noise_free_performance() {
-        let mut env = PointMass::new(1.0, 15);
-        let mut agent = DdpgAgent::new(1, 1, small_config(ActionSquash::Tanh));
-        agent.train(&mut env, 30);
-        let a = agent.evaluate(&mut env, 3);
-        let b = agent.evaluate(&mut env, 3);
-        // Greedy evaluation is deterministic in a deterministic env.
-        assert_eq!(a, b);
-        assert!(a.is_finite());
     }
 
     #[test]

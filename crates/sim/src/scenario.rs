@@ -27,8 +27,9 @@ use eadrl_core::{Combiner, EaDrl, EaDrlConfig};
 use eadrl_datasets::{generate, DatasetId};
 use eadrl_models::{quick_pool, Forecaster};
 use eadrl_obs::{Event, Level, RingSink};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Serializes scenario runs: telemetry capture swaps the process-global
 /// sink, so two concurrent runs would interleave their event streams.
@@ -90,6 +91,30 @@ pub struct ScenarioOutcome {
 }
 
 impl ScenarioOutcome {
+    /// Audits a run's forecasts against its telemetry and counts the
+    /// degradation events. `violations`, the runner's own findings,
+    /// follow the invariant audit's.
+    fn audit(
+        name: String,
+        forecasts: Vec<f64>,
+        events: Vec<Event>,
+        violations: Vec<String>,
+    ) -> ScenarioOutcome {
+        let mut report = check_run(&forecasts, &events);
+        report.violations.extend(violations);
+        ScenarioOutcome {
+            name,
+            forecast_bits: forecasts.iter().map(|f| f.to_bits()).collect(),
+            forecasts,
+            quarantine_enters: count_quarantine(&events, "enter"),
+            quarantine_exits: count_quarantine(&events, "exit"),
+            degraded_events: count_named(&events, "eadrl.degraded"),
+            sanitize_events: count_named(&events, "eadrl.sanitize"),
+            report,
+            events,
+        }
+    }
+
     /// A compact deterministic fingerprint of the telemetry stream:
     /// `EventKind::Event` names with their payload bits folded in
     /// emission order (FNV-1a). Two runs of the same scenario must
@@ -174,11 +199,17 @@ fn build_pool(scenario: &Scenario) -> Vec<Box<dyn Forecaster>> {
         .collect()
 }
 
-fn capture_telemetry() -> Arc<RingSink> {
+/// Starts a run: takes the scenario lock, which the caller holds for
+/// the whole run, and captures telemetry at debug level.
+fn capture() -> (MutexGuard<'static, ()>, Arc<RingSink>) {
+    let lock = SCENARIO_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    quiet_injected_panics();
     let sink = Arc::new(RingSink::new(65_536));
     eadrl_obs::set_sink(sink.clone());
     eadrl_obs::set_level(Some(Level::Debug));
-    sink
+    (lock, sink)
 }
 
 fn count_named(events: &[Event], name: &str) -> usize {
@@ -200,12 +231,7 @@ fn count_quarantine(events: &[Event], action: &str) -> usize {
 /// Runs the offline-fit → online-serve scenario under the hardened
 /// pipeline and audits the invariants.
 pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
-    let _guard = SCENARIO_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    quiet_injected_panics();
-    let sink = capture_telemetry();
-
+    let (_lock, sink) = capture();
     let series = generate(DatasetId::TaxiDemand2, scenario.series_len, scenario.seed);
     let (train, test) = series.split(0.75);
     let mut model = EaDrl::new(build_pool(scenario), scenario_config(scenario));
@@ -228,41 +254,30 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioOutcome {
         }
         Err(e) => violations.push(format!("offline fit failed: {e}")),
     }
-
-    let events = sink.events();
-    let mut report = check_run(&forecasts, &events);
-    report.violations.extend(violations);
-    ScenarioOutcome {
-        name: scenario.name.clone(),
-        forecast_bits: forecasts.iter().map(|f| f.to_bits()).collect(),
-        forecasts,
-        quarantine_enters: count_quarantine(&events, "enter"),
-        quarantine_exits: count_quarantine(&events, "exit"),
-        degraded_events: count_named(&events, "eadrl.degraded"),
-        sanitize_events: count_named(&events, "eadrl.sanitize"),
-        report,
-        events,
-    }
+    ScenarioOutcome::audit(scenario.name.clone(), forecasts, sink.events(), violations)
 }
 
-/// Runs the drift-triggered online-refresh phase under faults: a
-/// regime-flipping prediction stream drives an [`AdaptiveEaDrl`] whose
-/// observed actuals suffer the plan's gap bursts. Assert-ready outcome:
-/// the detector must survive the gaps (non-finite errors are ignored,
-/// the refresh buffer is sanitized) and still refresh after the flip.
-pub fn run_refresh_scenario(scenario: &Scenario) -> ScenarioOutcome {
-    let _guard = SCENARIO_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    quiet_injected_panics();
-    let sink = capture_telemetry();
+/// The refresh scenarios' policy: the standard configuration at ω = 6.
+fn refresh_config(scenario: &Scenario) -> EaDrlConfig {
+    let mut config = scenario_config(scenario);
+    config.omega = 6;
+    config
+}
 
+/// Warms `adaptive` up on the first third of a three-member regime
+/// stream over the scenario's series and serves the rest, observing NaN
+/// on the plan's gap steps; returns the served forecasts. Member 0
+/// tracks the series before the mid-series flip, member 1 after, member
+/// 2 never — the regime change Page–Hinkley must catch. On the `outage`
+/// steps member 2 drops out of the row the refresh buffer observes.
+fn serve_regime_stream(
+    scenario: &Scenario,
+    adaptive: &mut AdaptiveEaDrl,
+    outage: Range<usize>,
+) -> Vec<f64> {
     let series = generate(DatasetId::TaxiDemand2, scenario.series_len, scenario.seed);
     let values = series.values();
-    let m = 3usize;
     let flip = values.len() / 2;
-    // Member 0 tracks the series before the flip, member 1 after, member
-    // 2 never — the regime change Page–Hinkley must catch.
     let preds: Vec<Vec<f64>> = values
         .iter()
         .enumerate()
@@ -276,49 +291,45 @@ pub fn run_refresh_scenario(scenario: &Scenario) -> ScenarioOutcome {
         })
         .collect();
     let warm = values.len() / 3;
-
-    let mut config = scenario_config(scenario);
-    config.omega = 6;
-    let mut adaptive = AdaptiveEaDrl::new(
-        config,
-        RefreshTrigger::DriftDetected {
-            delta: 0.05,
-            lambda: 6.0,
-        },
-        80,
-    );
     adaptive.warm_up(&preds[..warm], &values[..warm]);
 
     let mut forecasts = Vec::new();
     for (step, (p, &a)) in preds[warm..].iter().zip(values[warm..].iter()).enumerate() {
-        let w = adaptive.weights(m);
+        let w = adaptive.weights(p.len());
         forecasts.push(w.iter().zip(p.iter()).map(|(wi, pi)| wi * pi).sum());
         let observed = if scenario.plan.gapped(step) {
             f64::NAN
         } else {
             a
         };
-        adaptive.observe(p, observed);
+        let row = if outage.contains(&step) { &p[..2] } else { p };
+        adaptive.observe(row, observed);
     }
+    forecasts
+}
 
-    let events = sink.events();
-    let mut report = check_run(&forecasts, &events);
+/// Runs the drift-triggered online-refresh phase under faults: a
+/// regime-flipping prediction stream drives an [`AdaptiveEaDrl`] whose
+/// observed actuals suffer the plan's gap bursts. Assert-ready outcome:
+/// the detector must survive the gaps (non-finite errors are ignored,
+/// the refresh buffer is sanitized) and still refresh after the flip.
+pub fn run_refresh_scenario(scenario: &Scenario) -> ScenarioOutcome {
+    let (_lock, sink) = capture();
+    let mut adaptive = AdaptiveEaDrl::new(
+        refresh_config(scenario),
+        RefreshTrigger::DriftDetected {
+            delta: 0.05,
+            lambda: 6.0,
+        },
+        80,
+    );
+    let forecasts = serve_regime_stream(scenario, &mut adaptive, 0..0);
+
+    let mut violations = Vec::new();
     if adaptive.refreshes() == 0 {
-        report
-            .violations
-            .push("drift-triggered refresh never fired across a regime flip".to_string());
+        violations.push("drift-triggered refresh never fired across a regime flip".to_string());
     }
-    ScenarioOutcome {
-        name: scenario.name.clone(),
-        forecast_bits: forecasts.iter().map(|f| f.to_bits()).collect(),
-        forecasts,
-        quarantine_enters: count_quarantine(&events, "enter"),
-        quarantine_exits: count_quarantine(&events, "exit"),
-        degraded_events: count_named(&events, "eadrl.degraded"),
-        sanitize_events: count_named(&events, "eadrl.sanitize"),
-        report,
-        events,
-    }
+    ScenarioOutcome::audit(scenario.name.clone(), forecasts, sink.events(), violations)
 }
 
 /// Runs the warm-start online-refresh phase with a fault landing in the
@@ -332,60 +343,22 @@ pub fn run_refresh_scenario(scenario: &Scenario) -> ScenarioOutcome {
 /// to record the cold fallback in the `eadrl.online.refresh` telemetry,
 /// and to deploy again on the first refresh over a clean buffer.
 pub fn run_warm_refresh_scenario(scenario: &Scenario) -> ScenarioOutcome {
-    let _guard = SCENARIO_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    quiet_injected_panics();
-    let sink = capture_telemetry();
-
-    let series = generate(DatasetId::TaxiDemand2, scenario.series_len, scenario.seed);
-    let values = series.values();
-    let m = 3usize;
-    let flip = values.len() / 2;
-    let preds: Vec<Vec<f64>> = values
-        .iter()
-        .enumerate()
-        .map(|(t, &a)| {
-            let wobble = ((t * 7) % 13) as f64 / 13.0 - 0.5;
-            if t < flip {
-                vec![a + 0.1 * wobble, a + 2.5 + wobble, a - 7.0]
-            } else {
-                vec![a + 2.5 - wobble, a + 0.1 * wobble, a - 7.0]
-            }
-        })
-        .collect();
-    let warm = values.len() / 3;
-
-    let mut config = scenario_config(scenario);
-    config.omega = 6;
+    let (_lock, sink) = capture();
     let buffer = 60;
-    let mut adaptive = AdaptiveEaDrl::new(config, RefreshTrigger::Periodic { period: 40 }, buffer)
-        .with_strategy(RefreshStrategy::WarmStart { episodes: 4 });
-    adaptive.warm_up(&preds[..warm], &values[..warm]);
-
+    let mut adaptive = AdaptiveEaDrl::new(
+        refresh_config(scenario),
+        RefreshTrigger::Periodic { period: 40 },
+        buffer,
+    )
+    .with_strategy(RefreshStrategy::WarmStart { episodes: 4 });
     // The mid-refresh fault: member 2 drops out for ten steps, so the
     // buffer carries truncated (ragged) rows for the next `buffer`
     // steps. The periodic refreshes at steps 39 and 79 both see the
     // corruption; the one at step 119 trains on a clean window again.
-    let outage = 35..45;
-    let mut forecasts = Vec::new();
-    for (step, (p, &a)) in preds[warm..].iter().zip(values[warm..].iter()).enumerate() {
-        let w = adaptive.weights(m);
-        forecasts.push(w.iter().zip(p.iter()).map(|(wi, pi)| wi * pi).sum());
-        let observed = if scenario.plan.gapped(step) {
-            f64::NAN
-        } else {
-            a
-        };
-        if outage.contains(&step) {
-            adaptive.observe(&p[..2], observed);
-        } else {
-            adaptive.observe(p, observed);
-        }
-    }
+    let forecasts = serve_regime_stream(scenario, &mut adaptive, 35..45);
 
     let events = sink.events();
-    let mut report = check_run(&forecasts, &events);
+    let mut violations = Vec::new();
     let refresh_degraded = events
         .iter()
         .filter(|e| {
@@ -396,8 +369,7 @@ pub fn run_warm_refresh_scenario(scenario: &Scenario) -> ScenarioOutcome {
         })
         .count();
     if refresh_degraded == 0 {
-        report
-            .violations
+        violations
             .push("ragged buffer rows never surfaced as quarantined refresh attempts".to_string());
     }
     let cold_fallbacks = events
@@ -410,26 +382,13 @@ pub fn run_warm_refresh_scenario(scenario: &Scenario) -> ScenarioOutcome {
         })
         .count();
     if cold_fallbacks == 0 {
-        report
-            .violations
+        violations
             .push("warm-start refresh never recorded a cold fallback in telemetry".to_string());
     }
     if adaptive.refreshes() == 0 {
-        report
-            .violations
-            .push("no refresh deployed after the corrupted rows left the buffer".to_string());
+        violations.push("no refresh deployed after the corrupted rows left the buffer".to_string());
     }
-    ScenarioOutcome {
-        name: scenario.name.clone(),
-        forecast_bits: forecasts.iter().map(|f| f.to_bits()).collect(),
-        forecasts,
-        quarantine_enters: count_quarantine(&events, "enter"),
-        quarantine_exits: count_quarantine(&events, "exit"),
-        degraded_events: count_named(&events, "eadrl.degraded"),
-        sanitize_events: count_named(&events, "eadrl.sanitize"),
-        report,
-        events,
-    }
+    ScenarioOutcome::audit(scenario.name.clone(), forecasts, events, violations)
 }
 
 /// Drives the scenario's faults through a deliberately naive serving
@@ -437,12 +396,7 @@ pub fn run_warm_refresh_scenario(scenario: &Scenario) -> ScenarioOutcome {
 /// invariants. This is the regression fixture proving the fault plans
 /// have teeth: it must keep producing violations (CI runs it inverted).
 pub fn run_unhardened(scenario: &Scenario) -> ScenarioOutcome {
-    let _guard = SCENARIO_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    quiet_injected_panics();
-    let sink = capture_telemetry();
-
+    let (_lock, sink) = capture();
     let series = generate(DatasetId::TaxiDemand2, scenario.series_len, scenario.seed);
     let (train, test) = series.split(0.75);
     let mut forecasts = Vec::new();
@@ -471,21 +425,12 @@ pub fn run_unhardened(scenario: &Scenario) -> ScenarioOutcome {
     if crashed {
         violations.push("unhardened serving loop crashed on an injected panic".to_string());
     }
-
-    let events = sink.events();
-    let mut report = check_run(&forecasts, &events);
-    report.violations.extend(violations);
-    ScenarioOutcome {
-        name: format!("{} (unhardened)", scenario.name),
-        forecast_bits: forecasts.iter().map(|f| f.to_bits()).collect(),
+    ScenarioOutcome::audit(
+        format!("{} (unhardened)", scenario.name),
         forecasts,
-        quarantine_enters: count_quarantine(&events, "enter"),
-        quarantine_exits: count_quarantine(&events, "exit"),
-        degraded_events: count_named(&events, "eadrl.degraded"),
-        sanitize_events: count_named(&events, "eadrl.sanitize"),
-        report,
-        events,
-    }
+        sink.events(),
+        violations,
+    )
 }
 
 /// The standard chaos suite: every fault class the guard handles, plus

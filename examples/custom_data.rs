@@ -11,7 +11,10 @@
 //! cargo run --release --example custom_data
 //! ```
 
-use eadrl::core::{Combiner, EaDrl, EaDrlConfig, EaDrlPolicy, PolicySnapshot};
+use eadrl::core::{
+    fit_pool, prediction_matrix, run_combiner, Combiner, EaDrl, EaDrlConfig, EaDrlPolicy,
+    PolicySnapshot,
+};
 use eadrl::datasets::{generate, DatasetId};
 use eadrl::models::quick_pool;
 use eadrl::timeseries::metrics::rmse;
@@ -53,14 +56,8 @@ fn main() {
         // the snapshot workflow end-to-end at the policy level.
         let fit_len = (train.len() as f64 * 0.75).round() as usize;
         let (fit_part, warm_part) = train.split_at(fit_len);
-        let mut pool = quick_pool(5, 7, 7);
-        pool.retain_mut(|m| m.fit(fit_part).is_ok());
-        let preds: Vec<Vec<f64>> = (0..warm_part.len())
-            .map(|t| {
-                let hist = &train[..fit_len + t];
-                pool.iter().map(|m| m.predict_next(hist)).collect()
-            })
-            .collect();
+        let (pool, _) = fit_pool(quick_pool(5, 7, 7), fit_part);
+        let preds = prediction_matrix(&pool, fit_part, warm_part);
         deploy_policy.warm_up(&preds, warm_part);
         let snapshot = deploy_policy.snapshot().expect("trained");
         let mut f = std::fs::File::create(&policy_path).expect("create policy file");
@@ -76,18 +73,10 @@ fn main() {
     let file = std::fs::File::open(&policy_path).expect("open policy file");
     let snapshot = PolicySnapshot::read(file).expect("parse policy");
     let mut restored = EaDrlPolicy::restore(config, &snapshot);
-    let mut pool = quick_pool(5, 7, 7);
     let fit_len = (train.len() as f64 * 0.75).round() as usize;
-    pool.retain_mut(|m| m.fit(&train[..fit_len]).is_ok());
-
-    let mut history = train.to_vec();
-    let mut forecasts = Vec::with_capacity(test.len());
-    for &actual in test {
-        let preds: Vec<f64> = pool.iter().map(|m| m.predict_next(&history)).collect();
-        forecasts.push(restored.combine(&preds));
-        restored.observe(&preds, actual);
-        history.push(actual);
-    }
+    let (pool, _) = fit_pool(quick_pool(5, 7, 7), &train[..fit_len]);
+    let preds = prediction_matrix(&pool, train, test);
+    let forecasts = run_combiner(&mut restored, &preds, test);
     println!(
         "restored-policy rolling RMSE over {} test steps: {:.4}",
         test.len(),

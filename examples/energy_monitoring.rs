@@ -7,10 +7,9 @@
 //! ```
 
 use eadrl::core::baselines::{Demsc, MlPol, SlidingWindowEnsemble, StaticEnsemble};
-use eadrl::core::experiment::sanitize_predictions;
-use eadrl::core::{run_combiner, Combiner, EaDrlConfig, EaDrlPolicy};
+use eadrl::core::{run_combiner, Combiner, EaDrlConfig, EaDrlPolicy, EvaluationProtocol};
 use eadrl::datasets::{generate, DatasetId};
-use eadrl::models::{quick_pool, rolling_forecast};
+use eadrl::models::quick_pool;
 use eadrl::timeseries::metrics::rmse;
 
 fn main() {
@@ -30,25 +29,7 @@ fn main() {
     let mut eadrl_wins = 0;
     for id in channels {
         let series = generate(id, 480, 42);
-        let (train, test) = series.split(0.75);
-        let fit_len = (train.len() as f64 * 0.75).round() as usize;
-        let (fit_part, warm_part) = train.split_at(fit_len);
-
-        let mut pool = quick_pool(5, 144, 42);
-        pool.retain_mut(|m| m.fit(fit_part).is_ok());
-        let matrix = |history: &[f64], segment: &[f64]| -> Vec<Vec<f64>> {
-            let per_model: Vec<Vec<f64>> = pool
-                .iter()
-                .map(|m| rolling_forecast(m.as_ref(), history, segment))
-                .collect();
-            (0..segment.len())
-                .map(|t| per_model.iter().map(|p| p[t]).collect())
-                .collect()
-        };
-        let mut warm = matrix(fit_part, warm_part);
-        let mut online = matrix(train, test);
-        sanitize_predictions(&mut warm, fit_part);
-        sanitize_predictions(&mut online, train);
+        let data = EvaluationProtocol::default().prepare(series.values(), quick_pool(5, 144, 42));
 
         let mut methods: Vec<Box<dyn Combiner>> = vec![
             Box::new(EaDrlPolicy::new(EaDrlConfig::default())),
@@ -59,9 +40,9 @@ fn main() {
         ];
         let mut scores = Vec::new();
         for c in methods.iter_mut() {
-            c.warm_up(&warm, warm_part);
-            let out = run_combiner(c.as_mut(), &online, test);
-            scores.push((c.name().to_string(), rmse(test, &out)));
+            c.warm_up(&data.warm_preds, data.warm_part);
+            let out = run_combiner(c.as_mut(), &data.online_preds, data.test);
+            scores.push((c.name().to_string(), rmse(data.test, &out)));
         }
         let winner = scores
             .iter()

@@ -7,8 +7,9 @@
 //! cargo run --release --example model_zoo
 //! ```
 
+use eadrl::core::{fit_pool, prediction_matrix};
 use eadrl::datasets::{generate, DatasetId};
-use eadrl::models::{rolling_forecast, standard_pool, ModelFamily};
+use eadrl::models::{standard_pool, ModelFamily};
 use eadrl::timeseries::metrics::rmse;
 
 fn main() {
@@ -21,17 +22,20 @@ fn main() {
         test.len()
     );
 
-    let mut results: Vec<(String, &'static str, f64)> = Vec::new();
-    for mut model in standard_pool(5, 24, 42) {
-        let label = model.name().to_string();
-        if model.fit(train).is_err() {
-            println!("  {label:<26} (skipped: series too short)");
-            continue;
-        }
-        let preds = rolling_forecast(model.as_ref(), train, test);
-        let family = ModelFamily::of(&label).label();
-        results.push((label, family, rmse(test, &preds)));
+    let (pool, skipped) = fit_pool(standard_pool(5, 24, 42), train);
+    for label in &skipped {
+        println!("  {label:<26} (skipped: series too short)");
     }
+    let preds = prediction_matrix(&pool, train, test);
+    let mut results: Vec<(String, &'static str, f64)> = pool
+        .iter()
+        .enumerate()
+        .map(|(i, model)| {
+            let column: Vec<f64> = preds.iter().map(|row| row[i]).collect();
+            let family = ModelFamily::of(model.name()).label();
+            (model.name().to_string(), family, rmse(test, &column))
+        })
+        .collect();
 
     results.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap());
     println!("{:<26} {:<18} {:>9}", "model", "family", "RMSE");

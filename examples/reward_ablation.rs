@@ -6,9 +6,9 @@
 //! cargo run --release --example reward_ablation
 //! ```
 
-use eadrl::core::{EnsembleEnv, RewardKind};
+use eadrl::core::{fit_pool, prediction_matrix, EnsembleEnv, RewardKind};
 use eadrl::datasets::{generate, DatasetId};
-use eadrl::models::{quick_pool, rolling_forecast};
+use eadrl::models::quick_pool;
 use eadrl::rl::{DdpgAgent, DdpgConfig};
 
 fn sparkline(values: &[f64]) -> String {
@@ -28,15 +28,8 @@ fn main() {
     let (train, _) = series.split(0.75);
     let fit_len = (train.len() as f64 * 0.75).round() as usize;
     let (fit_part, warm_part) = train.split_at(fit_len);
-    let mut pool = quick_pool(5, 24, 42);
-    pool.retain_mut(|m| m.fit(fit_part).is_ok());
-    let per_model: Vec<Vec<f64>> = pool
-        .iter()
-        .map(|m| rolling_forecast(m.as_ref(), fit_part, warm_part))
-        .collect();
-    let preds: Vec<Vec<f64>> = (0..warm_part.len())
-        .map(|t| per_model.iter().map(|p| p[t]).collect())
-        .collect();
+    let (pool, _) = fit_pool(quick_pool(5, 24, 42), fit_part);
+    let preds = prediction_matrix(&pool, fit_part, warm_part);
 
     println!(
         "training DDPG on {} ({} models, {} validation steps)\n",

@@ -7,38 +7,22 @@
 //! ```
 
 use eadrl::core::baselines::all_baselines;
-use eadrl::core::experiment::sanitize_predictions;
-use eadrl::core::{run_combiner, EaDrlConfig, EaDrlPolicy};
+use eadrl::core::{run_combiner, EaDrlConfig, EaDrlPolicy, EvaluationProtocol};
 use eadrl::datasets::{generate, DatasetId};
-use eadrl::models::{rolling_forecast, standard_pool};
+use eadrl::models::standard_pool;
 use eadrl::timeseries::metrics::{mae, rmse};
 
 fn main() {
     for id in [DatasetId::TaxiDemand1, DatasetId::TaxiDemand2] {
         let series = generate(id, 480, 42);
-        let (train, test) = series.split(0.75);
-        let fit_len = (train.len() as f64 * 0.75).round() as usize;
-        let (fit_part, warm_part) = train.split_at(fit_len);
-
-        // Fit the paper's 43-model pool on the fit segment.
-        let mut pool = standard_pool(5, 48, 42);
-        pool.retain_mut(|m| m.fit(fit_part).is_ok());
-        println!("== {} (pool of {} models) ==", series.name(), pool.len());
-
-        // Per-step prediction matrices for warm-up and online segments.
-        let to_matrix = |history: &[f64], segment: &[f64]| -> Vec<Vec<f64>> {
-            let per_model: Vec<Vec<f64>> = pool
-                .iter()
-                .map(|m| rolling_forecast(m.as_ref(), history, segment))
-                .collect();
-            (0..segment.len())
-                .map(|t| per_model.iter().map(|p| p[t]).collect())
-                .collect()
-        };
-        let mut warm_preds = to_matrix(fit_part, warm_part);
-        let mut online_preds = to_matrix(train, test);
-        sanitize_predictions(&mut warm_preds, fit_part);
-        sanitize_predictions(&mut online_preds, train);
+        // Fit the paper's 43-model pool on the fit segment and walk it
+        // over the warm-up and online segments.
+        let data = EvaluationProtocol::default().prepare(series.values(), standard_pool(5, 48, 42));
+        println!(
+            "== {} (pool of {} models) ==",
+            series.name(),
+            data.pool.len()
+        );
 
         // All combination methods plus EA-DRL.
         let mut combiners = all_baselines(10, 42);
@@ -46,12 +30,12 @@ fn main() {
 
         let mut rows: Vec<(String, f64, f64)> = Vec::new();
         for mut combiner in combiners {
-            combiner.warm_up(&warm_preds, warm_part);
-            let out = run_combiner(combiner.as_mut(), &online_preds, test);
+            combiner.warm_up(&data.warm_preds, data.warm_part);
+            let out = run_combiner(combiner.as_mut(), &data.online_preds, data.test);
             rows.push((
                 combiner.name().to_string(),
-                rmse(test, &out),
-                mae(test, &out),
+                rmse(data.test, &out),
+                mae(data.test, &out),
             ));
         }
         rows.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());

@@ -8,42 +8,25 @@
 //! ```
 
 use eadrl::core::baselines::all_baselines;
-use eadrl::core::experiment::sanitize_predictions;
-use eadrl::core::{run_combiner_traced, weight_churn, EaDrlConfig, EaDrlPolicy};
+use eadrl::core::{
+    run_combiner_traced, weight_churn, EaDrlConfig, EaDrlPolicy, EvaluationProtocol,
+};
 use eadrl::datasets::{generate, DatasetId};
-use eadrl::models::{quick_pool, rolling_forecast};
+use eadrl::models::quick_pool;
 use eadrl::timeseries::metrics::rmse;
 
 fn main() {
     let series = generate(DatasetId::TaxiDemand1, 480, 42);
-    let (train, test) = series.split(0.75);
-    let fit_len = (train.len() as f64 * 0.75).round() as usize;
-    let (fit_part, warm_part) = train.split_at(fit_len);
-
-    let mut pool = quick_pool(5, 48, 42);
-    pool.retain_mut(|m| m.fit(fit_part).is_ok());
-    let matrix = |history: &[f64], segment: &[f64]| -> Vec<Vec<f64>> {
-        let per_model: Vec<Vec<f64>> = pool
-            .iter()
-            .map(|m| rolling_forecast(m.as_ref(), history, segment))
-            .collect();
-        (0..segment.len())
-            .map(|t| per_model.iter().map(|p| p[t]).collect())
-            .collect()
-    };
-    let mut warm = matrix(fit_part, warm_part);
-    let mut online = matrix(train, test);
-    sanitize_predictions(&mut warm, fit_part);
-    sanitize_predictions(&mut online, train);
+    let data = EvaluationProtocol::default().prepare(series.values(), quick_pool(5, 48, 42));
 
     let mut methods = all_baselines(10, 42);
     methods.push(Box::new(EaDrlPolicy::new(EaDrlConfig::default())));
 
     println!(
         "{} online steps on {:?}, pool of {}\n",
-        test.len(),
+        data.test.len(),
         series.name(),
-        pool.len()
+        data.pool.len()
     );
     println!(
         "{:<10} {:>8} {:>12}   dominant model weight over time",
@@ -51,8 +34,8 @@ fn main() {
     );
     let mut rows = Vec::new();
     for mut method in methods {
-        method.warm_up(&warm, warm_part);
-        let (out, traces) = run_combiner_traced(method.as_mut(), &online, test);
+        method.warm_up(&data.warm_preds, data.warm_part);
+        let (out, traces) = run_combiner_traced(method.as_mut(), &data.online_preds, data.test);
         let churn = weight_churn(&traces);
         // Track the weight of whichever model dominates on average.
         let m = traces[0].len();
@@ -76,7 +59,12 @@ fn main() {
                 BARS[((w[champ] * 7.0).round() as usize).min(7)]
             })
             .collect();
-        rows.push((method.name().to_string(), rmse(test, &out), churn, spark));
+        rows.push((
+            method.name().to_string(),
+            rmse(data.test, &out),
+            churn,
+            spark,
+        ));
     }
     rows.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
     for (name, err, churn, spark) in rows {

@@ -169,9 +169,31 @@ fn bench_mlp_train_step(c: &mut Harness) {
     });
 }
 
+/// A synthetic transition's values, owned so that a timed run only pushes
+/// them by reference.
+struct Sample {
+    state: Vec<f64>,
+    action: Vec<f64>,
+    reward: f64,
+    next_state: Vec<f64>,
+    done: bool,
+}
+
+impl Sample {
+    fn view(&self) -> Transition<'_> {
+        Transition {
+            state: &self.state,
+            action: &self.action,
+            reward: self.reward,
+            next_state: &self.next_state,
+            done: self.done,
+        }
+    }
+}
+
 /// A synthetic transition: uniform states, a random simplex action and
 /// `reward`; every ninth one is terminal.
-fn transition(rng: &mut DetRng, action_dim: usize, reward: f64, i: usize) -> Transition {
+fn transition(rng: &mut DetRng, action_dim: usize, reward: f64, i: usize) -> Sample {
     let state: Vec<f64> = (0..STATE_DIM)
         .map(|_| rng.random_range(-1.0..1.0))
         .collect();
@@ -185,7 +207,7 @@ fn transition(rng: &mut DetRng, action_dim: usize, reward: f64, i: usize) -> Tra
     for a in action.iter_mut() {
         *a /= sum;
     }
-    Transition {
+    Sample {
         state,
         action,
         reward,
@@ -211,7 +233,7 @@ fn agent_with(batch_size: usize) -> DdpgAgent {
     let mut rng = DetRng::seed_from_u64(99);
     for i in 0..256 {
         let reward = rng.random_range(-1.0..1.0);
-        agent.observe(transition(&mut rng, ACTION_DIM, reward, i));
+        agent.observe(transition(&mut rng, ACTION_DIM, reward, i).view());
     }
     agent
 }
@@ -221,7 +243,7 @@ fn agent_with(batch_size: usize) -> DdpgAgent {
 /// [`UPDATES_PER_RUN`] transitions a timed run pushes, one before each
 /// update. Rewards are rank-valued (`k / 43`, the normalized Eq. 3
 /// reward), so the diversity median sits on ties.
-fn paper_agent() -> (DdpgAgent, Vec<Transition>) {
+fn paper_agent() -> (DdpgAgent, Vec<Sample>) {
     let mut agent = DdpgAgent::new(
         STATE_DIM,
         PAPER_ACTION_DIM,
@@ -241,7 +263,7 @@ fn paper_agent() -> (DdpgAgent, Vec<Transition>) {
         transition(&mut rng, PAPER_ACTION_DIM, reward, i)
     };
     for i in 0..PAPER_PREFILL {
-        agent.observe(rank_transition(i));
+        agent.observe(rank_transition(i).view());
     }
     let pushes = (0..UPDATES_PER_RUN)
         .map(|i| rank_transition(PAPER_PREFILL + i))
@@ -255,8 +277,8 @@ fn bench_ddpg_update_paper(c: &mut Harness) {
     let mut group = c.benchmark_group("ddpg_update_batch32_paper");
     group.bench_function("batched", |b| {
         b.iter_batched(paper_agent, |(mut agent, pushes)| {
-            for t in pushes {
-                agent.observe(t);
+            for t in &pushes {
+                agent.observe(t.view());
                 agent.update();
             }
             black_box(agent.updates())

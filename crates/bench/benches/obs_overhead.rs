@@ -61,10 +61,10 @@ fn seeded_agent() -> DdpgAgent {
             *a /= sum;
         }
         agent.observe(Transition {
-            state,
-            action,
+            state: &state,
+            action: &action,
             reward: rng.random_range(-1.0..1.0),
-            next_state,
+            next_state: &next_state,
             done: i % 9 == 0,
         });
     }

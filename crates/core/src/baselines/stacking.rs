@@ -49,7 +49,9 @@ impl Combiner for Stacking {
         vec![1.0 / m.max(1) as f64; m]
     }
 
-    fn combine(&mut self, preds: &[f64]) -> f64 {
+    /// The forest's prediction from the raw model forecasts; the reported
+    /// weights take no part.
+    fn combine_with(&self, _weights: &[f64], preds: &[f64]) -> f64 {
         match &self.forest {
             Some(forest) => forest.predict(preds),
             None => preds.iter().sum::<f64>() / preds.len().max(1) as f64,

@@ -15,8 +15,9 @@ use eadrl_timeseries::window::StepRing;
 ///    predictions, then [`Combiner::observe`] with the realized actual.
 ///
 /// The default [`Combiner::combine`] forms the paper's linearly weighted
-/// ensemble (Eq. 1) from [`Combiner::weights`]; non-linear methods such as
-/// Stacking override `combine` directly.
+/// ensemble (Eq. 1): it computes [`Combiner::weights`] once and hands them
+/// to [`Combiner::combine_with`], whose default is the dot product.
+/// Non-linear methods such as Stacking override `combine_with`.
 ///
 /// ```
 /// use eadrl_core::baselines::SlidingWindowEnsemble;
@@ -47,7 +48,13 @@ pub trait Combiner: Send {
     /// Combines one step's model predictions into the ensemble forecast.
     fn combine(&mut self, preds: &[f64]) -> f64 {
         let w = self.weights(preds.len());
-        dot(&w, preds)
+        self.combine_with(&w, preds)
+    }
+
+    /// Combines one step's model predictions under `weights`, the vector
+    /// [`Combiner::weights`] returned for this step: their dot product.
+    fn combine_with(&self, weights: &[f64], preds: &[f64]) -> f64 {
+        dot(weights, preds)
     }
 
     /// Reveals the realized value for the step just combined, along with
@@ -70,7 +77,9 @@ pub fn run_combiner(combiner: &mut dyn Combiner, preds: &[Vec<f64>], actuals: &[
 /// Like [`run_combiner`], but additionally records the weight vector the
 /// combiner used at every step — the raw material for weight-trajectory
 /// analyses (how fast does a method move mass between models around a
-/// drift?).
+/// drift?). Each step computes its weights once, as
+/// [`Combiner::combine`] does, so the forecasts equal [`run_combiner`]'s
+/// bit for bit.
 pub fn run_combiner_traced(
     combiner: &mut dyn Combiner,
     preds: &[Vec<f64>],
@@ -81,8 +90,8 @@ pub fn run_combiner_traced(
     let mut traces = Vec::with_capacity(preds.len());
     for (p, &a) in preds.iter().zip(actuals.iter()) {
         let w = combiner.weights(p.len());
+        out.push(combiner.combine_with(&w, p));
         traces.push(w);
-        out.push(combiner.combine(p));
         combiner.observe(p, a);
     }
     (out, traces)
@@ -184,9 +193,15 @@ impl SlidingErrorWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::all_baselines;
+    use crate::{AdaptiveEaDrl, EaDrlConfig, EaDrlPolicy, RefreshTrigger};
 
-    /// Trivial combiner for the runner test: always uniform weights.
-    struct Uniform;
+    /// Trivial combiner for the runner tests: always uniform weights,
+    /// counting how often they were asked for.
+    #[derive(Default)]
+    struct Uniform {
+        weight_calls: usize,
+    }
 
     impl Combiner for Uniform {
         fn name(&self) -> &str {
@@ -196,6 +211,7 @@ mod tests {
         fn warm_up(&mut self, _preds: &[Vec<f64>], _actuals: &[f64]) {}
 
         fn weights(&mut self, m: usize) -> Vec<f64> {
+            self.weight_calls += 1;
             vec![1.0 / m as f64; m]
         }
 
@@ -206,7 +222,7 @@ mod tests {
     fn run_combiner_averages_predictions() {
         let preds = vec![vec![1.0, 3.0], vec![2.0, 4.0]];
         let actuals = [2.0, 3.0];
-        let out = run_combiner(&mut Uniform, &preds, &actuals);
+        let out = run_combiner(&mut Uniform::default(), &preds, &actuals);
         assert_eq!(out, vec![2.0, 3.0]);
     }
 
@@ -214,12 +230,80 @@ mod tests {
     fn traced_run_matches_untraced_and_records_weights() {
         let preds = vec![vec![1.0, 3.0]; 4];
         let actuals = [2.0; 4];
-        let plain = run_combiner(&mut Uniform, &preds, &actuals);
-        let (traced, weights) = run_combiner_traced(&mut Uniform, &preds, &actuals);
+        let plain = run_combiner(&mut Uniform::default(), &preds, &actuals);
+        let mut counted = Uniform::default();
+        let (traced, weights) = run_combiner_traced(&mut counted, &preds, &actuals);
         assert_eq!(plain, traced);
+        // One weighting per step serves both the trace and the forecast.
+        assert_eq!(counted.weight_calls, 4);
         assert_eq!(weights.len(), 4);
         assert!(weights.iter().all(|w| w == &vec![0.5, 0.5]));
         assert_eq!(weight_churn(&weights), 0.0);
+    }
+
+    /// Model 0 accurate before the flip at step 140, model 1 after it,
+    /// model 2 never.
+    fn regime_stream() -> (Vec<Vec<f64>>, Vec<f64>) {
+        let actuals: Vec<f64> = (0..200)
+            .map(|t| (t as f64 / 6.0).sin() * 3.0 + 10.0)
+            .collect();
+        let preds = actuals
+            .iter()
+            .enumerate()
+            .map(|(t, &a)| {
+                let w = ((t * 7) % 13) as f64 / 13.0 - 0.5;
+                if t < 140 {
+                    vec![a + 0.1 * w, a + 2.5 + w, a - 7.0]
+                } else {
+                    vec![a + 2.5 - w, a + 0.1 * w, a - 7.0]
+                }
+            })
+            .collect();
+        (preds, actuals)
+    }
+
+    /// Every shipped combiner, fresh: the baselines, the EA-DRL policy
+    /// and its refreshing variants.
+    fn every_combiner() -> Vec<Box<dyn Combiner>> {
+        let config = EaDrlConfig {
+            omega: 6,
+            episodes: 8,
+            max_iter: 40,
+            restarts: 1,
+            ..Default::default()
+        };
+        let mut all = all_baselines(10, 3);
+        all.push(Box::new(EaDrlPolicy::new(config.clone())));
+        all.push(Box::new(AdaptiveEaDrl::new(
+            config.clone(),
+            RefreshTrigger::Periodic { period: 50 },
+            60,
+        )));
+        all.push(Box::new(AdaptiveEaDrl::new(
+            config,
+            RefreshTrigger::DriftDetected {
+                delta: 0.1,
+                lambda: 5.0,
+            },
+            60,
+        )));
+        all
+    }
+
+    #[test]
+    fn every_combiner_forecasts_the_same_bits_traced_or_not() {
+        let (preds, actuals) = regime_stream();
+        let (warm_p, online_p) = preds.split_at(80);
+        let (warm_a, online_a) = actuals.split_at(80);
+        for (mut plain, mut traced) in every_combiner().into_iter().zip(every_combiner()) {
+            plain.warm_up(warm_p, warm_a);
+            traced.warm_up(warm_p, warm_a);
+            let out = run_combiner(plain.as_mut(), online_p, online_a);
+            let (traced_out, weights) = run_combiner_traced(traced.as_mut(), online_p, online_a);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&traced_out), "{}", plain.name());
+            assert_eq!(weights.len(), online_p.len(), "{}", plain.name());
+        }
     }
 
     #[test]

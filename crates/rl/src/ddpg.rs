@@ -369,8 +369,8 @@ impl DdpgAgent {
         self.config.squash.forward(&raw)
     }
 
-    /// Stores a transition in the replay buffer.
-    pub fn observe(&mut self, transition: Transition) {
+    /// Copies a transition into the replay buffer.
+    pub fn observe(&mut self, transition: Transition<'_>) {
         self.buffer.push(transition);
     }
 
@@ -410,9 +410,10 @@ impl DdpgAgent {
         let sd = self.state_dim;
         let ad = self.action_dim;
 
-        // ---- Stage the minibatch (one RNG draw; the drawn transitions
-        // are copied straight into the reused matrices — no per-transition
-        // clones). Joining first lands the previous update's Polyak step.
+        // ---- Stage the minibatch (one RNG draw; the drawn rows are
+        // copied straight from the replay buffer into the reused
+        // matrices). Joining first lands the previous update's Polyak
+        // step.
         let mut job = self.target_pass.join();
         {
             let _phase = eadrl_obs::span_at(Level::Trace, "ddpg.stage");
@@ -423,11 +424,11 @@ impl DdpgAgent {
             job.rewards.resize(n, 0.0);
             job.dones.resize(n, false);
             for (s, t) in batch.iter().enumerate() {
-                self.bufs.states.row_mut(s).copy_from_slice(&t.state);
+                self.bufs.states.row_mut(s).copy_from_slice(t.state);
                 let row = self.bufs.sa.row_mut(s);
-                row[..sd].copy_from_slice(&t.state);
-                row[sd..].copy_from_slice(&t.action);
-                job.next_states.row_mut(s).copy_from_slice(&t.next_state);
+                row[..sd].copy_from_slice(t.state);
+                row[sd..].copy_from_slice(t.action);
+                job.next_states.row_mut(s).copy_from_slice(t.next_state);
                 job.rewards[s] = t.reward;
                 job.dones[s] = t.done;
             }
@@ -573,10 +574,10 @@ impl DdpgAgent {
             steps += 1;
             if train {
                 self.observe(Transition {
-                    state: state.clone(),
-                    action,
+                    state: &state,
+                    action: &action,
                     reward,
-                    next_state: next_state.clone(),
+                    next_state: &next_state,
                     done,
                 });
                 if let Some(stats) = self.update() {
@@ -688,17 +689,33 @@ mod tests {
         v
     }
 
+    /// A drawn transition's values, copied out of the replay rows so the
+    /// reference can update the networks while it walks the batch.
+    struct Drawn {
+        state: Vec<f64>,
+        action: Vec<f64>,
+        reward: f64,
+        next_state: Vec<f64>,
+        done: bool,
+    }
+
     /// The reference the batched update is compared against: the original
     /// transition-at-a-time update loop, plus the parameter snapshots the
     /// comparison reads.
     impl DdpgAgent {
         fn update_per_sample(&mut self) -> UpdateStats {
             let n = self.config.batch_size;
-            let batch: Vec<Transition> = self
+            let batch: Vec<Drawn> = self
                 .buffer
                 .sample(n, self.config.sampling, &mut self.rng)
                 .iter()
-                .cloned()
+                .map(|t| Drawn {
+                    state: t.state.to_vec(),
+                    action: t.action.to_vec(),
+                    reward: t.reward,
+                    next_state: t.next_state.to_vec(),
+                    done: t.done,
+                })
                 .collect();
 
             // ---- Critic update: minimize (Q(s,a) - y)² with Bellman targets.
@@ -827,10 +844,10 @@ mod tests {
         assert_eq!(agent.updates(), 0);
         for _ in 0..agent.config.batch_size {
             agent.observe(Transition {
-                state: vec![0.0],
-                action: vec![0.0],
+                state: &[0.0],
+                action: &[0.0],
                 reward: 0.0,
-                next_state: vec![0.0],
+                next_state: &[0.0],
                 done: false,
             });
         }
@@ -1018,10 +1035,10 @@ mod tests {
                 *a /= sum;
             }
             agent.observe(Transition {
-                state,
-                action,
+                state: &state,
+                action: &action,
                 reward: rng.random_range(-1.0..1.0),
-                next_state,
+                next_state: &next_state,
                 done: i % 7 == 0,
             });
         }
@@ -1101,11 +1118,12 @@ mod tests {
         })
     }
 
-    /// One synthetic transition at the paper's shape: the state is ω
-    /// recent values, the action a softmax point over the pool, and the
+    /// Stores one synthetic transition at the paper's shape: the state is
+    /// ω recent values, the action a softmax point over the pool, and the
     /// reward is rank-valued (`k / m`, as the normalized Eq. 3 reward),
     /// so the replay median sits on ties.
-    fn paper_transition(rng: &mut DetRng, sd: usize, ad: usize, i: usize) -> Transition {
+    fn observe_paper_transition(agent: &mut DdpgAgent, rng: &mut DetRng, i: usize) {
+        let (sd, ad) = (agent.state_dim, agent.action_dim);
         let state: Vec<f64> = (0..sd).map(|_| rng.random_range(-1.0..1.0)).collect();
         let next_state: Vec<f64> = (0..sd).map(|_| rng.random_range(-1.0..1.0)).collect();
         let mut action: Vec<f64> = (0..ad).map(|_| rng.random_range(0.0..1.0)).collect();
@@ -1114,13 +1132,13 @@ mod tests {
             *a /= sum;
         }
         let rank = rng.random_range(1..ad + 1);
-        Transition {
-            state,
-            action,
+        agent.observe(Transition {
+            state: &state,
+            action: &action,
             reward: rank as f64 / ad as f64,
-            next_state,
+            next_state: &next_state,
             done: i.is_multiple_of(11),
-        }
+        });
     }
 
     #[test]
@@ -1151,11 +1169,11 @@ mod tests {
             );
             let mut rng = DetRng::seed_from_u64(0x9a9e);
             for i in 0..100 {
-                agent.observe(paper_transition(&mut rng, SD, AD, i));
+                observe_paper_transition(&mut agent, &mut rng, i);
             }
             let mut stats = Vec::with_capacity(600);
             for i in 100..400 {
-                agent.observe(paper_transition(&mut rng, SD, AD, i));
+                observe_paper_transition(&mut agent, &mut rng, i);
                 let s = agent.update().expect("buffer holds a batch");
                 stats.push(s.critic_loss);
                 stats.push(s.actor_objective);

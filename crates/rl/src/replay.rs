@@ -2,17 +2,29 @@
 
 use eadrl_rng::DetRng;
 
-/// One stored transition `(s, a, r, s', done)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Transition {
+/// Values per block of rows: 64 KiB, half glibc's default mmap
+/// threshold, so every block comes from the allocator's heap. A larger
+/// allocation is mapped on its own, and freeing it raises glibc's mmap
+/// threshold to its size and the heap's trim threshold to twice that for
+/// the rest of the process. With one 2 MB row store per buffer, every
+/// later buffer came from the heap, which then kept up to 4 MB of freed
+/// memory resident per arena, so a process that trains one agent after
+/// another peaked no lower than with a vector per state and action.
+const BLOCK_VALUES: usize = 8192;
+
+/// One transition `(s, a, r, s', done)`, borrowed: what
+/// [`ReplayBuffer::push`] copies in, and what a drawn [`Batch`] yields as
+/// views into the buffer's rows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Transition<'a> {
     /// State the action was taken in.
-    pub state: Vec<f64>,
+    pub state: &'a [f64],
     /// The executed action.
-    pub action: Vec<f64>,
+    pub action: &'a [f64],
     /// Immediate reward.
     pub reward: f64,
     /// Resulting state.
-    pub next_state: Vec<f64>,
+    pub next_state: &'a [f64],
     /// Whether the episode terminated at `next_state`.
     pub done: bool,
 }
@@ -30,6 +42,17 @@ pub enum SamplingStrategy {
 
 /// Fixed-capacity ring-buffer of transitions.
 ///
+/// Each transition is stored as one fixed-stride row
+/// `[state | action | next_state]` beside its reward and terminal flag,
+/// so a stored transition costs its values and no allocation of its own:
+/// 521 bytes at the paper's shape (ω = 10, 43 members). The first push
+/// fixes the row shape. Rows fill 64 KiB blocks (130 paper-shape rows
+/// each), and a block is allocated when its first row arrives, with room
+/// for at most the rows the ring can still take. Rows are only appended
+/// into that room or overwritten in place, never zero-filled, so the
+/// buffer touches no memory it does not use, and once the ring is full a
+/// push allocates nothing.
+///
 /// The buffer maintains Eq. 4's reward median: the stored rewards are
 /// kept in ascending order, updated on every push and overwrite, so
 /// diversity sampling and the telemetry read the median off the middle.
@@ -46,8 +69,8 @@ pub enum SamplingStrategy {
 /// let mut buffer = ReplayBuffer::new(100);
 /// for reward in [0.1, 0.9, 0.5] {
 ///     buffer.push(Transition {
-///         state: vec![0.0], action: vec![1.0],
-///         reward, next_state: vec![0.0], done: false,
+///         state: &[0.0], action: &[1.0],
+///         reward, next_state: &[0.0], done: false,
 ///     });
 /// }
 /// assert_eq!(buffer.reward_median(), 0.5);
@@ -58,11 +81,19 @@ pub enum SamplingStrategy {
 #[derive(Debug, Clone)]
 pub struct ReplayBuffer {
     capacity: usize,
-    storage: Vec<Transition>,
+    /// Every stored transition as one `[state | action | next_state]`
+    /// row, slot after slot, `block_rows` rows to a block.
+    blocks: Vec<Vec<f64>>,
+    block_rows: usize,
+    /// State and action lengths, fixed by the first push.
+    state_dim: usize,
+    action_dim: usize,
     next_slot: usize,
-    /// `storage[i].reward` for every slot, contiguous for the median
-    /// split's scan.
+    /// Each slot's reward, contiguous for the median split's scan; its
+    /// length is the number of stored transitions.
     rewards: Vec<f64>,
+    /// Each slot's terminal flag.
+    dones: Vec<bool>,
     /// The stored non-NaN rewards in ascending [`f64::total_cmp`] order.
     sorted: Vec<f64>,
     /// Reusable index pools for the median split (cleared, capacity kept).
@@ -72,29 +103,31 @@ pub struct ReplayBuffer {
     drawn: Vec<usize>,
 }
 
-/// A drawn mini-batch: slot indices into the buffer, in draw order, and
-/// the transitions they name.
+/// A drawn mini-batch: the buffer's last draw, whose transitions are
+/// views into the buffer's rows, in draw order.
 #[derive(Debug, Clone, Copy)]
 pub struct Batch<'a> {
-    storage: &'a [Transition],
-    slots: &'a [usize],
+    buffer: &'a ReplayBuffer,
 }
 
 impl<'a> Batch<'a> {
     /// Number of drawn transitions.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.buffer.drawn.len()
     }
 
     /// True when nothing was drawn (an empty buffer or `n == 0`).
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.buffer.drawn.is_empty()
     }
 
     /// The drawn transitions, in draw order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a Transition> + 'a {
-        let storage = self.storage;
-        self.slots.iter().map(move |&slot| &storage[slot])
+    pub fn iter(&self) -> impl Iterator<Item = Transition<'a>> + 'a {
+        let buffer = self.buffer;
+        buffer
+            .drawn
+            .iter()
+            .map(move |&slot| buffer.transition(slot))
     }
 }
 
@@ -106,12 +139,16 @@ impl ReplayBuffer {
     /// Panics when `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay capacity must be positive");
-        let reserve = capacity.min(4096);
+        let reserve = Self::reserved_slots(capacity);
         ReplayBuffer {
             capacity,
-            storage: Vec::with_capacity(reserve),
+            blocks: Vec::new(),
+            block_rows: 1,
+            state_dim: 0,
+            action_dim: 0,
             next_slot: 0,
             rewards: Vec::with_capacity(reserve),
+            dones: Vec::with_capacity(reserve),
             sorted: Vec::with_capacity(reserve),
             high: Vec::new(),
             low: Vec::new(),
@@ -119,14 +156,19 @@ impl ReplayBuffer {
         }
     }
 
+    /// Slots reserved up front: the capacity, up to 4096.
+    fn reserved_slots(capacity: usize) -> usize {
+        capacity.min(4096)
+    }
+
     /// Number of stored transitions.
     pub fn len(&self) -> usize {
-        self.storage.len()
+        self.rewards.len()
     }
 
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.storage.is_empty()
+        self.rewards.is_empty()
     }
 
     /// Maximum capacity.
@@ -134,17 +176,78 @@ impl ReplayBuffer {
         self.capacity
     }
 
-    /// Stores a transition, overwriting the oldest once at capacity, and
-    /// moves its reward into (and the overwritten one out of) the sorted
-    /// rewards.
-    pub fn push(&mut self, t: Transition) {
+    /// Values per row: `state | action | next_state`.
+    fn stride(&self) -> usize {
+        2 * self.state_dim + self.action_dim
+    }
+
+    /// Where `slot`'s row lies: its block and the row's first value.
+    fn locate(&self, slot: usize) -> (usize, usize) {
+        (
+            slot / self.block_rows,
+            slot % self.block_rows * self.stride(),
+        )
+    }
+
+    /// The transition stored in `slot`, as views into its row.
+    fn transition(&self, slot: usize) -> Transition<'_> {
+        let (block, at) = self.locate(slot);
+        let row = &self.blocks[block][at..at + self.stride()];
+        let (state, rest) = row.split_at(self.state_dim);
+        let (action, next_state) = rest.split_at(self.action_dim);
+        Transition {
+            state,
+            action,
+            reward: self.rewards[slot],
+            next_state,
+            done: self.dones[slot],
+        }
+    }
+
+    /// Copies a transition in, overwriting the oldest once at capacity,
+    /// and moves its reward into (and the overwritten one out of) the
+    /// sorted rewards. The first push fixes the row shape. While the ring
+    /// fills, a push allocates only when its row starts a new block; once
+    /// the ring is full, never.
+    ///
+    /// # Panics
+    /// Panics when the transition's shape differs from the first push's.
+    pub fn push(&mut self, t: Transition<'_>) {
+        if self.is_empty() {
+            self.state_dim = t.state.len();
+            self.action_dim = t.action.len();
+            self.block_rows = (BLOCK_VALUES / self.stride().max(1)).max(1);
+            self.blocks
+                .reserve_exact(Self::reserved_slots(self.capacity).div_ceil(self.block_rows));
+        }
+        assert!(
+            t.state.len() == self.state_dim
+                && t.action.len() == self.action_dim
+                && t.next_state.len() == self.state_dim,
+            "transition shape differs from the buffer's rows"
+        );
         let reward = t.reward;
-        if self.storage.len() < self.capacity {
-            self.storage.push(t);
-            self.rewards.push(reward);
+        if self.len() < self.capacity {
+            let (block, at) = self.locate(self.len());
+            if at == 0 {
+                let room = self.block_rows.min(self.capacity - self.len());
+                self.blocks.push(Vec::with_capacity(room * self.stride())); // eadrl-lint: allow(hot-path-alloc): one block per 64 KiB of rows while the ring fills; none once it is full
+            }
+            let rows = &mut self.blocks[block];
+            rows.extend_from_slice(t.state);
+            rows.extend_from_slice(t.action);
+            rows.extend_from_slice(t.next_state);
+            self.rewards.push(reward); // eadrl-lint: allow(hot-path-alloc): fills the slots reserved at construction; grows only past 4096 stored transitions
+            self.dones.push(t.done); // eadrl-lint: allow(hot-path-alloc): fills the slots reserved at construction; grows only past 4096 stored transitions
         } else {
+            let (sd, ad, stride) = (self.state_dim, self.action_dim, self.stride());
+            let (block, at) = self.locate(self.next_slot);
+            let row = &mut self.blocks[block][at..at + stride];
+            row[..sd].copy_from_slice(t.state);
+            row[sd..sd + ad].copy_from_slice(t.action);
+            row[sd + ad..].copy_from_slice(t.next_state);
+            self.dones[self.next_slot] = t.done;
             let old = std::mem::replace(&mut self.rewards[self.next_slot], reward);
-            self.storage[self.next_slot] = t;
             self.next_slot = (self.next_slot + 1) % self.capacity;
             if let Ok(at) = self.sorted.binary_search_by(|x| x.total_cmp(&old)) {
                 self.sorted.remove(at);
@@ -171,11 +274,11 @@ impl ReplayBuffer {
     /// the call falls back to uniform sampling for the missing half.
     pub fn sample(&mut self, n: usize, strategy: SamplingStrategy, rng: &mut DetRng) -> Batch<'_> {
         self.drawn.clear();
-        if !self.storage.is_empty() {
+        if !self.is_empty() {
             match strategy {
                 SamplingStrategy::Uniform => {
                     for _ in 0..n {
-                        let slot = rng.random_range(0..self.storage.len());
+                        let slot = rng.random_range(0..self.len());
                         self.drawn.push(slot); // eadrl-lint: allow(hot-path-alloc): push into a cleared, capacity-retaining Vec — allocation-free at steady state
                     }
                 }
@@ -198,7 +301,7 @@ impl ReplayBuffer {
                     for (pool, count) in [(&self.high, half), (&self.low, n - half)] {
                         for _ in 0..count {
                             let slot = if pool.is_empty() {
-                                rng.random_range(0..self.storage.len())
+                                rng.random_range(0..self.rewards.len())
                             } else {
                                 pool[rng.random_range(0..pool.len())]
                             };
@@ -208,10 +311,7 @@ impl ReplayBuffer {
                 }
             }
         }
-        Batch {
-            storage: &self.storage,
-            slots: &self.drawn,
-        }
+        Batch { buffer: self }
     }
 
     /// Fraction of stored transitions whose reward is at or above the
@@ -219,13 +319,13 @@ impl ReplayBuffer {
     /// half that diversity sampling draws from. Near 1.0 it signals a
     /// degenerate reward landscape where the median split collapses.
     pub fn above_median_fraction(&self) -> f64 {
-        if self.storage.is_empty() {
+        if self.is_empty() {
             return f64::NAN;
         }
         // With no non-NaN reward the median is NaN and nothing is above it.
         let median = self.reward_median();
         let above = self.sorted.len() - self.sorted.partition_point(|&x| x < median);
-        above as f64 / self.storage.len() as f64
+        above as f64 / self.len() as f64
     }
 
     /// Median of the stored non-NaN rewards (`NaN` when there are none),
@@ -247,12 +347,12 @@ mod tests {
     use super::*;
     use eadrl_ptest::prelude::*;
 
-    fn t(reward: f64) -> Transition {
+    fn t(reward: f64) -> Transition<'static> {
         Transition {
-            state: vec![0.0],
-            action: vec![0.0],
+            state: &[0.0],
+            action: &[0.0],
             reward,
-            next_state: vec![0.0],
+            next_state: &[0.0],
             done: false,
         }
     }
@@ -265,10 +365,56 @@ mod tests {
         }
         assert_eq!(buf.len(), 3);
         // Oldest (0, 1) overwritten by 3 and 4.
-        let rewards: Vec<f64> = buf.storage.iter().map(|x| x.reward).collect();
+        let rewards = &buf.rewards;
         assert!(rewards.contains(&2.0));
         assert!(rewards.contains(&3.0));
         assert!(rewards.contains(&4.0));
+    }
+
+    #[test]
+    fn blocks_arrive_with_their_first_row_and_are_never_zero_filled() {
+        let (state, action) = ([0.5; 10], [0.25; 43]);
+        let paper = Transition {
+            state: &state,
+            action: &action,
+            reward: 1.0,
+            next_state: &state,
+            done: false,
+        };
+        let mut buf = ReplayBuffer::new(10_000);
+        assert_eq!(buf.blocks.capacity(), 0);
+        buf.push(paper);
+        // 130 paper-shape rows to a 64 KiB block; room for the blocks of
+        // the first 4096 rows is reserved once.
+        assert_eq!(buf.block_rows, 130);
+        assert_eq!(buf.blocks.capacity(), 32);
+        assert_eq!((buf.blocks.len(), buf.blocks[0].len()), (1, 63));
+        assert_eq!(buf.blocks[0].capacity(), 130 * 63);
+        for _ in 1..131 {
+            buf.push(paper);
+        }
+        assert_eq!(buf.blocks.len(), 2);
+        assert_eq!(buf.blocks[0].len(), 130 * 63);
+        assert_eq!(buf.blocks[1].len(), 63);
+        // The last block holds only the rows the ring can still take.
+        let mut small = ReplayBuffer::new(200);
+        for _ in 0..200 {
+            small.push(paper);
+        }
+        assert_eq!(small.blocks[1].capacity(), 70 * 63);
+        small.push(paper);
+        assert_eq!(small.blocks.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape differs")]
+    fn a_push_of_another_shape_panics() {
+        let mut buf = ReplayBuffer::new(4);
+        buf.push(t(0.0));
+        buf.push(Transition {
+            action: &[0.0, 1.0],
+            ..t(1.0)
+        });
     }
 
     #[test]
@@ -373,12 +519,12 @@ mod tests {
 
     /// The sort-per-call diversity sampler the maintained median
     /// replaced, returning slot indices: the same split and draws.
-    fn reference_diversity(storage: &[Transition], n: usize, rng: &mut DetRng) -> Vec<usize> {
-        let mut rewards: Vec<f64> = storage.iter().map(|t| t.reward).collect();
+    fn reference_diversity(stored: &[f64], n: usize, rng: &mut DetRng) -> Vec<usize> {
+        let mut rewards = stored.to_vec();
         let median = median_of_unsorted(&mut rewards);
         let (mut high, mut low) = (Vec::new(), Vec::new());
-        for (i, t) in storage.iter().enumerate() {
-            if t.reward >= median {
+        for (i, &reward) in stored.iter().enumerate() {
+            if reward >= median {
                 high.push(i);
             } else {
                 low.push(i);
@@ -389,7 +535,7 @@ mod tests {
         for (pool, count) in [(&high, half), (&low, n - half)] {
             for _ in 0..count {
                 out.push(if pool.is_empty() {
-                    rng.random_range(0..storage.len())
+                    rng.random_range(0..stored.len())
                 } else {
                     pool[rng.random_range(0..pool.len())]
                 });
@@ -430,16 +576,14 @@ mod tests {
             for &op in &ops {
                 if op % 4 == 3 && !buf.is_empty() {
                     let n = 1 + (op / 4 % 9) as usize;
-                    let drawn = buf
-                        .sample(n, SamplingStrategy::Diversity, &mut rng)
-                        .slots
-                        .to_vec();
-                    let expect = reference_diversity(&buf.storage, n, &mut rng_ref);
+                    buf.sample(n, SamplingStrategy::Diversity, &mut rng);
+                    let drawn = buf.drawn.clone();
+                    let expect = reference_diversity(&buf.rewards, n, &mut rng_ref);
                     prop_assert_eq!(drawn, expect);
                 } else {
                     buf.push(t(reward_for(op)));
                 }
-                let mut rewards: Vec<f64> = buf.storage.iter().map(|x| x.reward).collect();
+                let mut rewards = buf.rewards.clone();
                 let mut in_order: Vec<f64> = rewards.iter().copied().filter(|r| !r.is_nan()).collect();
                 in_order.sort_by(f64::total_cmp);
                 prop_assert_eq!(
@@ -448,7 +592,7 @@ mod tests {
                 );
                 let (got, want) = (buf.reward_median(), median_of_unsorted(&mut rewards));
                 prop_assert!(got == want || (got.is_nan() && want.is_nan()), "{got} vs {want}");
-                let above = buf.storage.iter().filter(|x| x.reward >= want).count();
+                let above = buf.rewards.iter().filter(|&&r| r >= want).count();
                 prop_assert_eq!(
                     buf.above_median_fraction().to_bits(),
                     (above as f64 / buf.len() as f64).to_bits()

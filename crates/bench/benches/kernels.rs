@@ -276,8 +276,8 @@ fn paper_agent() -> (DdpgAgent, Vec<Sample>) {
 fn bench_ddpg_update_paper(c: &mut Harness) {
     let mut group = c.benchmark_group("ddpg_update_batch32_paper");
     group.bench_function("batched", |b| {
-        b.iter_batched(paper_agent, |(mut agent, pushes)| {
-            for t in &pushes {
+        b.iter_batched(paper_agent, |(agent, pushes)| {
+            for t in pushes.iter() {
                 agent.observe(t.view());
                 agent.update();
             }
@@ -297,7 +297,7 @@ fn bench_ddpg_update(c: &mut Harness, batch_sizes: &[usize]) {
             // sample to the next.
             b.iter_batched(
                 || agent_with(batch_size),
-                |mut agent| {
+                |agent| {
                     for _ in 0..UPDATES_PER_RUN {
                         agent.update();
                     }

@@ -87,7 +87,7 @@ fn bench_modes(c: &mut Harness) {
                 std::io::sink(),
             ))));
             eadrl_obs::set_level(level);
-            b.iter_batched(seeded_agent, |mut agent| {
+            b.iter_batched(seeded_agent, |agent| {
                 for _ in 0..UPDATES_PER_RUN {
                     agent.update();
                 }

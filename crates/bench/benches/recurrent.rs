@@ -92,9 +92,9 @@ fn bench_lstm_epoch(c: &mut Harness, batch_sizes: &[usize]) {
                         Matrix::default(),
                     )
                 },
-                |((mut lstm, mut head, mut opt), mut ws, mut hb, mut gb)| {
+                |((lstm, head, opt), ws, hb, gb)| {
                     for chunk in idx.chunks(batch) {
-                        let mut g = Stack(&mut lstm, &mut head);
+                        let mut g = Stack(lstm, head);
                         g.zero_grad();
                         let n = chunk.len();
                         ws.stage(n, STEPS, 1, HIDDEN);
@@ -103,19 +103,19 @@ fn bench_lstm_epoch(c: &mut Harness, batch_sizes: &[usize]) {
                                 ws.set_input(s, t, std::slice::from_ref(v));
                             }
                         }
-                        g.0.forward_batch(&mut ws);
+                        g.0.forward_batch(ws);
                         hb.resize(n, HIDDEN);
                         hb.data_mut().copy_from_slice(ws.h_last());
                         gb.resize(n, 1);
                         {
-                            let out = g.1.forward_batch(&hb);
+                            let out = g.1.forward_batch(hb);
                             for (r, &i) in chunk.iter().enumerate() {
                                 let gr = mse_loss_grad(out.row(r), &[targets[i]]);
                                 gb.row_mut(r).copy_from_slice(&gr);
                             }
                         }
-                        let gh = g.1.backward_batch(&gb);
-                        g.0.backward_batch_last(gh.data(), &mut ws, false);
+                        let gh = g.1.backward_batch(gb);
+                        g.0.backward_batch_last(gh.data(), ws, false);
                         g.clip_grad_norm(5.0);
                         opt.step(&mut g);
                     }
@@ -142,9 +142,9 @@ fn bench_bilstm_epoch(c: &mut Harness, batch: usize) {
                     Matrix::default(),
                 )
             },
-            |((mut bi, mut head, mut opt), mut ws, mut hb, mut gb)| {
+            |((bi, head, opt), ws, hb, gb)| {
                 for chunk in idx.chunks(batch) {
-                    let mut g = Stack(&mut bi, &mut head);
+                    let mut g = Stack(bi, head);
                     g.zero_grad();
                     let n = chunk.len();
                     ws.stage(n, STEPS, 1, HIDDEN);
@@ -153,19 +153,19 @@ fn bench_bilstm_epoch(c: &mut Harness, batch: usize) {
                             ws.set_input(s, t, std::slice::from_ref(v));
                         }
                     }
-                    g.0.forward_batch(&mut ws);
+                    g.0.forward_batch(ws);
                     hb.resize(n, 2 * HIDDEN);
                     hb.data_mut().copy_from_slice(ws.output());
                     gb.resize(n, 1);
                     {
-                        let out = g.1.forward_batch(&hb);
+                        let out = g.1.forward_batch(hb);
                         for (r, &i) in chunk.iter().enumerate() {
                             let gr = mse_loss_grad(out.row(r), &[targets[i]]);
                             gb.row_mut(r).copy_from_slice(&gr);
                         }
                     }
-                    let gh = g.1.backward_batch(&gb);
-                    g.0.backward_batch_last(gh.data(), &mut ws, false);
+                    let gh = g.1.backward_batch(gb);
+                    g.0.backward_batch_last(gh.data(), ws, false);
                     g.clip_grad_norm(5.0);
                     opt.step(&mut g);
                 }
@@ -188,13 +188,13 @@ fn bench_conv_batch(c: &mut Harness, batch: usize) {
     group.bench_function("batched", |b| {
         b.iter_batched(
             || (conv_seed.clone(), ConvWorkspace::new()),
-            |(mut conv, mut ws)| {
+            |(conv, ws)| {
                 conv.zero_grad();
-                conv.stage_batch(&mut ws, batch, in_len);
+                conv.stage_batch(ws, batch, in_len);
                 for (s, w) in windows.iter().take(batch).enumerate() {
                     ws.input_mut(s).copy_from_slice(w);
                 }
-                conv.forward_batch(&mut ws);
+                conv.forward_batch(ws);
                 for s in 0..batch {
                     for t in 0..t_out {
                         let y: Vec<f64> = ws.output_row(s, t).to_vec();
@@ -204,7 +204,7 @@ fn bench_conv_batch(c: &mut Harness, batch: usize) {
                         }
                     }
                 }
-                conv.backward_batch_weights_only(&mut ws);
+                conv.backward_batch_weights_only(ws);
                 black_box(conv.grad_norm())
             },
         );

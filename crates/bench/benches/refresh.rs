@@ -90,7 +90,7 @@ fn bench_restart_scaling(c: &mut Harness) {
         group.bench_function(format!("threads{threads}"), |b| {
             b.iter_batched(
                 || EaDrlPolicy::new(config.clone()),
-                |mut policy| {
+                |policy| {
                     policy.warm_up(&preds, &actuals);
                     black_box(policy.is_trained())
                 },
@@ -163,7 +163,7 @@ fn bench_fit_pool_paper(c: &mut Harness, series: &[f64]) {
         group.bench_function(format!("threads{threads}"), |b| {
             b.iter_batched(
                 || standard_pool(5, 24, 42),
-                |pool| black_box(fit_pool(pool, &series[..PAPER_FIT]).0.len()),
+                |pool| fit_pool(std::mem::take(pool), &series[..PAPER_FIT]),
             );
         });
     }

@@ -30,7 +30,7 @@ struct Prepared {
 fn prepare(id: DatasetId, scale: Scale) -> Prepared {
     let series = generate(id, scale.series_len, scale.seed);
     let season = series.frequency().default_season().min(series.len() / 4);
-    let data = EvaluationProtocol::default().prepare(series.values(), build_pool(scale, season));
+    let data = EvaluationProtocol.prepare(series.values(), build_pool(scale, season));
 
     let baseline_rmses = all_baselines(OMEGA, scale.seed)
         .into_iter()

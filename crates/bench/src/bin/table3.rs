@@ -25,8 +25,7 @@ fn main() {
     for id in DatasetId::all() {
         let series = generate(id, scale.series_len, scale.seed);
         let season = series.frequency().default_season().min(series.len() / 4);
-        let data =
-            EvaluationProtocol::default().prepare(series.values(), build_pool(scale, season));
+        let data = EvaluationProtocol.prepare(series.values(), build_pool(scale, season));
         let (warm_preds, warm_part) = (&data.warm_preds, data.warm_part);
 
         // EA-DRL: policy trained offline (untimed), online loop timed.

@@ -387,25 +387,29 @@ impl Bencher {
         self.result = Some(summarize(&mut per_iter_ns, iters));
     }
 
-    /// Measures `routine` on a fresh input from `setup` each sample;
-    /// `setup` time is excluded. Meant for routines that consume or
-    /// mutate their input (model fits, full training episodes), which
-    /// are milliseconds-scale, so each sample times a single call.
+    /// Measures `routine` on a fresh input from `setup` each sample.
+    /// Meant for routines that mutate their input (model fits, full
+    /// training episodes), which are milliseconds-scale, so each sample
+    /// times a single call. Only the call is timed: `setup` runs before
+    /// the clock starts, and the input, which the routine borrows, and
+    /// the routine's output are dropped after it stops, as in
+    /// [`once`](Self::once).
     pub fn iter_batched<I, O>(
         &mut self,
         mut setup: impl FnMut() -> I,
-        mut routine: impl FnMut(I) -> O,
+        mut routine: impl FnMut(&mut I) -> O,
     ) {
         // One warm-up invocation to populate caches and page in code.
-        std::hint::black_box(routine(setup()));
+        std::hint::black_box(routine(&mut setup()));
 
         let samples = self.budget.samples;
         let mut per_iter_ns = Vec::with_capacity(samples);
         for _ in 0..samples {
-            let input = setup();
+            let mut input = setup();
             let start = Instant::now();
-            std::hint::black_box(routine(input));
+            let out = std::hint::black_box(routine(&mut input));
             per_iter_ns.push(start.elapsed().as_nanos() as f64);
+            drop((input, out));
         }
         self.result = Some(summarize(&mut per_iter_ns, 1));
     }
@@ -450,6 +454,29 @@ mod tests {
     fn holds(gate: Gate, cases: &[(&str, f64)]) -> bool {
         let rows: Vec<(String, f64)> = cases.iter().map(|&(c, ns)| (c.to_string(), ns)).collect();
         gate.verdict(&rows).is_ok()
+    }
+
+    #[test]
+    fn iter_batched_times_neither_teardown() {
+        /// Sleeps 5 ms when dropped.
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        let mut b = Bencher {
+            budget: Harness::tiny().budget,
+            result: None,
+        };
+        b.iter_batched(|| SlowDrop, |_input| SlowDrop);
+        let m = b.result.expect("iter_batched records a measurement");
+        assert_eq!(m.samples, 4);
+        assert!(
+            m.median_ns < 1e6,
+            "a drop was timed: median {} ns",
+            m.median_ns
+        );
     }
 
     #[test]
@@ -517,7 +544,7 @@ mod tests {
         group.bench_function("a", |b| b.iter(|| std::hint::black_box(2u64)));
         h.benchmark_group("g0")
             .bench_function("skipped", |_| {})
-            .bench_function("c", |b| b.iter_batched(|| 3u64, |x| x + 1));
+            .bench_function("c", |b| b.iter_batched(|| 3u64, |x| *x + 1));
         h.describe("simd", "portable");
 
         let doc = parse(&h.report()).expect("the report is valid JSON");

@@ -162,7 +162,7 @@ pub fn evaluate_dataset(id: DatasetId, scale: Scale) -> DatasetEvaluation {
         .frequency()
         .default_season()
         .min(scale.series_len / 4);
-    EvaluationProtocol::default().evaluate(
+    EvaluationProtocol.evaluate(
         series.name(),
         series.values(),
         build_pool(scale, season),

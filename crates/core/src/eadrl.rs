@@ -13,7 +13,7 @@ use eadrl_rl::{
     actor_network, ActionSquash, DdpgAgent, DdpgConfig, EpisodeStats, SamplingStrategy,
 };
 use eadrl_rng::DetRng;
-use eadrl_timeseries::sanitize::sanitize_series;
+use eadrl_timeseries::sanitize::{sanitize_series, SanitizeStats};
 use eadrl_timeseries::window::SlideWindow;
 
 /// Shannon entropy of a weight vector (natural log) — 0 for a one-hot
@@ -25,19 +25,6 @@ pub fn weight_entropy(weights: &[f64]) -> f64 {
         .filter(|&&w| w > 0.0)
         .map(|&w| -w * w.ln())
         .sum()
-}
-
-/// What advances the policy's state window online.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OnlineState {
-    /// The window advances with the ensemble's own outputs — identical to
-    /// the training-time MDP transition (§II-B), so the online state
-    /// distribution matches what the policy was trained on. Default.
-    EnsembleOutputs,
-    /// The window advances with realized values when available (§II-E's
-    /// "let state s be X^ω"), falling back to ensemble outputs in
-    /// recursive multi-step forecasting.
-    Observed,
 }
 
 /// Hyper-parameters of EA-DRL.
@@ -56,7 +43,7 @@ pub struct EaDrlConfig {
     /// Reward definition.
     pub reward: RewardKind,
     /// Fraction of the training series held out as the policy-learning
-    /// validation segment.
+    /// validation segment, clamped to 5–50 %.
     pub val_fraction: f64,
     /// Independent training restarts; the actor with the best greedy
     /// validation RMSE across all restarts is kept (the paper tunes
@@ -70,8 +57,6 @@ pub struct EaDrlConfig {
     /// concentrated weight vector from undirected noise — a needle-in-a-
     /// haystack exploration problem on short validation segments.
     pub informed_init: bool,
-    /// Online state-window semantics.
-    pub online_state: OnlineState,
     /// Graceful-degradation policy for the online serving path (per-model
     /// `catch_unwind`, non-finite masking, quarantine/re-entry) — see
     /// [`crate::guard`].
@@ -87,10 +72,9 @@ impl Default for EaDrlConfig {
             episodes: 50,
             max_iter: 100,
             reward: RewardKind::Rank { normalize: true },
-            val_fraction: 0.25,
+            val_fraction: POLICY_TAIL,
             restarts: 2,
             informed_init: true,
-            online_state: OnlineState::EnsembleOutputs,
             guard: GuardConfig::default(),
             ddpg: DdpgConfig {
                 gamma: 0.9,
@@ -108,6 +92,42 @@ impl Default for EaDrlConfig {
             },
         }
     }
+}
+
+/// The paper's policy-learning tail: the last 25 % of a training series
+/// trains the policy, the rest fits the pool. [`EaDrlConfig::default`]'s
+/// `val_fraction` and [`crate::EvaluationProtocol`] both read it.
+pub(crate) const POLICY_TAIL: f64 = 0.25;
+
+/// Splits a training series into the prefix the pool fits on and the
+/// policy-learning tail of `val_fraction` of it (clamped to 5–50 %),
+/// leaving the prefix at most `len - 2` values long.
+pub(crate) fn policy_split(train: &[f64], val_fraction: f64) -> (&[f64], &[f64]) {
+    let tail = val_fraction.clamp(0.05, 0.5);
+    let fit_len = ((train.len() as f64) * (1.0 - tail)).round() as usize;
+    train.split_at(fit_len.min(train.len().saturating_sub(2)))
+}
+
+/// Repairs `series` with [`sanitize_series`] and reports a repair as one
+/// Warn `eadrl.sanitize` event tagged with `context` (`fit`,
+/// `predict_history` or `refresh_buffer`). `None`, reporting nothing,
+/// when the series is clean.
+pub(crate) fn sanitize_reported(
+    series: &[f64],
+    context: &str,
+) -> Option<(Vec<f64>, SanitizeStats)> {
+    let (fixed, stats) = sanitize_series(series)?;
+    eadrl_obs::event(
+        "eadrl.sanitize",
+        Level::Warn,
+        &[
+            ("context", context.into()),
+            ("replaced", stats.replaced.into()),
+            ("leading", stats.leading.into()),
+            ("len", stats.len.into()),
+        ],
+    );
+    Some((fixed, stats))
 }
 
 /// Sharpness of the informed initialization (higher = more mass on the
@@ -187,8 +207,7 @@ impl EaDrlPolicy {
 
     /// Rebuilds a deployable policy from a snapshot. The snapshot's
     /// topology (ω, hidden sizes, squash) overrides the corresponding
-    /// fields of `config`; everything else (e.g. online-state semantics)
-    /// comes from `config`.
+    /// fields of `config`; everything else comes from `config`.
     ///
     /// # Panics
     /// Panics when `snapshot.params` does not hold the parameter count of
@@ -288,20 +307,15 @@ impl Combiner for EaDrlPolicy {
         w
     }
 
-    fn observe(&mut self, preds: &[f64], actual: f64) {
-        // With `OnlineState::Observed` (§II-E's reading) the realized
-        // value advances the window when available; the default
-        // `EnsembleOutputs` matches the training-time transition (§II-B),
-        // which keeps the online state distribution in-domain for the
-        // policy network and measures slightly better end-to-end.
-        if self.config.online_state == OnlineState::Observed && actual.is_finite() {
-            self.window.slide(actual);
-            return;
-        }
-        // The cached weighting is read in place — no per-step clone. The
-        // uniform fallback multiplies each prediction by the same
-        // `1.0 / m` factor a materialized uniform vector would hold, in
-        // `dot`'s summation order, so the result is bitwise unchanged.
+    fn observe(&mut self, preds: &[f64], _actual: f64) {
+        // The window advances with the ensemble's own output, the
+        // training-time transition (§II-B), so the online state stays in
+        // the distribution the policy was trained on; the realized value
+        // is not read. The cached weighting is read in place — no
+        // per-step clone. The uniform fallback multiplies each prediction
+        // by the same `1.0 / m` factor a materialized uniform vector would
+        // hold, in `dot`'s summation order, so the result is bitwise
+        // unchanged.
         let ens = if self.last_weights.len() == preds.len() {
             dot(&self.last_weights, preds)
         } else {
@@ -616,7 +630,6 @@ pub struct EaDrl {
     dropped: Vec<String>,
     policy: EaDrlPolicy,
     guard: PoolGuard,
-    fitted: bool,
 }
 
 impl EaDrl {
@@ -632,54 +645,41 @@ impl EaDrl {
             dropped: Vec::new(),
             policy: EaDrlPolicy::new(config),
             guard,
-            fitted: false,
         }
     }
 
     /// Fits the pool and learns the combination policy offline.
     ///
-    /// The training series is split `1 - val_fraction` / `val_fraction`;
-    /// base models fit on the prefix, their rolling one-step predictions
-    /// over the suffix become the policy-learning environment. Pool members
-    /// that cannot fit (series too short for their configuration) are
-    /// dropped and reported via [`EaDrl::dropped_models`].
+    /// The training series is split `1 - val_fraction` / `val_fraction`,
+    /// the split [`EvaluationProtocol`](crate::EvaluationProtocol) makes
+    /// at the default fraction. Base models fit on the prefix; their
+    /// rolling one-step predictions over the suffix become the
+    /// policy-learning environment. Pool members that cannot fit (series
+    /// too short for their configuration) are dropped and reported via
+    /// [`EaDrl::dropped_models`].
     pub fn fit(&mut self, train: &[f64]) -> Result<(), ModelError> {
         let _span = eadrl_obs::span("eadrl.fit");
         // Repair gaps/non-finite values before any model sees the series
         // (forward-fill policy — see `eadrl_timeseries::sanitize`). A
         // fully non-finite series cannot be repaired meaningfully.
-        let sanitized = sanitize_series(train);
+        let sanitized = sanitize_reported(train, "fit");
         let train: &[f64] = match &sanitized {
             None => train,
-            Some((fixed, stats)) => {
-                eadrl_obs::event(
-                    "eadrl.sanitize",
-                    Level::Warn,
-                    &[
-                        ("context", "fit".into()),
-                        ("replaced", stats.replaced.into()),
-                        ("leading", stats.leading.into()),
-                        ("len", stats.len.into()),
-                    ],
-                );
-                if stats.replaced == stats.len {
-                    return Err(ModelError::Numerical {
-                        context: "training series has no finite values".into(),
-                    });
-                }
-                fixed
+            Some((_, stats)) if stats.replaced == stats.len => {
+                return Err(ModelError::Numerical {
+                    context: "training series has no finite values".into(),
+                });
             }
+            Some((fixed, _)) => fixed,
         };
-        let val_fraction = self.policy.config.val_fraction.clamp(0.05, 0.5);
-        let fit_len = ((train.len() as f64) * (1.0 - val_fraction)).round() as usize;
+        let (fit_part, val_part) = policy_split(train, self.policy.config.val_fraction);
         let omega = self.policy.config.omega;
-        if fit_len < 20 || train.len() - fit_len < omega + 2 {
+        if fit_part.len() < 20 || val_part.len() < omega + 2 {
             return Err(ModelError::SeriesTooShort {
                 needed: 20 + omega + 2,
                 got: train.len(),
             });
         }
-        let (fit_part, val_part) = train.split_at(fit_len);
 
         // Fit the pool in parallel, dropping members the series cannot
         // support. Per-member fitting is independent (each model is
@@ -712,7 +712,6 @@ impl EaDrl {
         self.policy.warm_up(&preds, val_part);
         // Health tracking starts fresh for the fitted pool.
         self.guard.reset(self.pool.len());
-        self.fitted = true;
         Ok(())
     }
 
@@ -729,23 +728,8 @@ impl EaDrl {
     /// the unguarded loop, so clean runs stay byte-for-byte reproducible.
     pub fn predict_next(&mut self, history: &[f64]) -> f64 {
         let _span = eadrl_obs::span_at(Level::Debug, "eadrl.predict_next");
-        let sanitized = sanitize_series(history);
-        let history: &[f64] = match &sanitized {
-            None => history,
-            Some((fixed, stats)) => {
-                eadrl_obs::event(
-                    "eadrl.sanitize",
-                    Level::Warn,
-                    &[
-                        ("context", "predict_history".into()),
-                        ("replaced", stats.replaced.into()),
-                        ("leading", stats.leading.into()),
-                        ("len", stats.len.into()),
-                    ],
-                );
-                fixed
-            }
-        };
+        let sanitized = sanitize_reported(history, "predict_history");
+        let history: &[f64] = sanitized.as_ref().map_or(history, |(fixed, _)| fixed);
         let sweep = self.guard.sweep(&self.pool, history);
         let w = self.policy.weights(self.pool.len());
         if sweep.all_active {
@@ -830,12 +814,6 @@ impl EaDrl {
     /// Immutable access to the learned policy.
     pub fn policy(&self) -> &EaDrlPolicy {
         &self.policy
-    }
-
-    /// Indices of pool members currently quarantined by the degradation
-    /// guard (empty on a healthy pool).
-    pub fn quarantined_models(&self) -> Vec<usize> {
-        self.guard.quarantined()
     }
 
     /// Immutable access to the degradation guard's health state.

@@ -3,29 +3,22 @@
 //! per-method timing.
 
 use crate::combiner::{run_combiner, Combiner};
+use crate::eadrl::{policy_split, POLICY_TAIL};
 use crate::parallel::{fit_pool, prediction_matrix, report_faults, rolling_column};
 use eadrl_models::Forecaster;
 use eadrl_timeseries::metrics::rmse;
 use std::time::Instant;
 
-/// Protocol parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct EvaluationProtocol {
-    /// Train fraction of the full series (paper: 0.75).
-    pub train_ratio: f64,
-    /// Fraction of the training set held out as the combiner warm-up /
-    /// policy-learning segment.
-    pub warm_fraction: f64,
-}
+/// Train fraction of the full series (the paper's 75/25 split).
+const TRAIN_RATIO: f64 = 0.75;
 
-impl Default for EvaluationProtocol {
-    fn default() -> Self {
-        EvaluationProtocol {
-            train_ratio: 0.75,
-            warm_fraction: 0.25,
-        }
-    }
-}
+/// The paper's evaluation protocol: the first 75 % of a series trains,
+/// the rest is forecast online, and the training part is split like
+/// [`EaDrl::fit`](crate::EaDrl::fit)'s at the default `val_fraction`:
+/// the pool fits the first 75 % of it, the combiners warm up on the
+/// rest.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EvaluationProtocol;
 
 /// One method's outcome on one dataset.
 #[derive(Debug, Clone)]
@@ -85,7 +78,7 @@ impl DatasetEvaluation {
 /// built by [`EvaluationProtocol::prepare`]: the split of the series,
 /// the fitted pool and its two sanitized rolling prediction matrices.
 pub struct Prepared<'a> {
-    /// The training part of the series (the first `train_ratio`).
+    /// The training part of the series (the first 75 %).
     pub train: &'a [f64],
     /// The test part the online methods forecast.
     pub test: &'a [f64],
@@ -206,12 +199,9 @@ impl EvaluationProtocol {
     /// (dropping the members the series cannot support) and walks the
     /// fitted pool over the validation part and the test part.
     pub fn prepare<'a>(&self, series: &'a [f64], pool: Vec<Box<dyn Forecaster>>) -> Prepared<'a> {
-        let train_ratio = self.train_ratio.clamp(0.1, 0.95);
-        let cut = ((series.len() as f64) * train_ratio).round() as usize;
+        let cut = ((series.len() as f64) * TRAIN_RATIO).round() as usize;
         let (train, test) = series.split_at(cut.min(series.len().saturating_sub(2)));
-        let warm_fraction = self.warm_fraction.clamp(0.05, 0.5);
-        let fit_len = ((train.len() as f64) * (1.0 - warm_fraction)).round() as usize;
-        let (fit_part, warm_part) = train.split_at(fit_len.min(train.len().saturating_sub(2)));
+        let (fit_part, warm_part) = policy_split(train, POLICY_TAIL);
         let (pool, dropped) = fit_pool(pool, fit_part);
         let mut warm_preds = prediction_matrix(&pool, fit_part, warm_part);
         let mut online_preds = prediction_matrix(&pool, train, test);
@@ -350,7 +340,7 @@ mod tests {
 
     #[test]
     fn protocol_produces_results_for_all_methods() {
-        let eval = EvaluationProtocol::default().evaluate(
+        let eval = EvaluationProtocol.evaluate(
             "sine",
             &series(),
             pool(),
@@ -373,7 +363,7 @@ mod tests {
 
     #[test]
     fn ensemble_beats_naive_on_seasonal_data() {
-        let eval = EvaluationProtocol::default().evaluate(
+        let eval = EvaluationProtocol.evaluate(
             "sine",
             &series(),
             pool(),
@@ -387,7 +377,7 @@ mod tests {
 
     #[test]
     fn ranking_orders_by_rmse() {
-        let eval = EvaluationProtocol::default().evaluate(
+        let eval = EvaluationProtocol.evaluate(
             "sine",
             &series(),
             pool(),
@@ -443,7 +433,7 @@ mod tests {
     fn unfittable_pool_members_are_reported() {
         let mut p = pool();
         p.push(Box::new(SeasonalNaive::new(50_000)));
-        let eval = EvaluationProtocol::default().evaluate("sine", &series(), p, vec![], vec![]);
+        let eval = EvaluationProtocol.evaluate("sine", &series(), p, vec![], vec![]);
         assert_eq!(eval.pool_size, 3);
         assert_eq!(eval.dropped_models.len(), 1);
     }

@@ -29,7 +29,7 @@ pub mod parallel;
 pub mod persist;
 
 pub use combiner::{run_combiner, run_combiner_traced, weight_churn, Combiner};
-pub use eadrl::{weight_entropy, EaDrl, EaDrlConfig, EaDrlPolicy, OnlineState};
+pub use eadrl::{weight_entropy, EaDrl, EaDrlConfig, EaDrlPolicy};
 pub use env::{EnsembleEnv, RewardKind};
 pub use experiment::{
     multi_horizon_rmse, sanitize_predictions, DatasetEvaluation, EvaluationProtocol, MethodResult,

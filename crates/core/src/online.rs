@@ -14,10 +14,9 @@
 //! ([`RefreshTrigger::DriftDetected`]).
 
 use crate::combiner::Combiner;
-use crate::eadrl::{EaDrlConfig, EaDrlPolicy, Training};
+use crate::eadrl::{sanitize_reported, EaDrlConfig, EaDrlPolicy, Training};
 use eadrl_obs::Level;
 use eadrl_timeseries::drift::PageHinkley;
-use eadrl_timeseries::sanitize::sanitize_series;
 use eadrl_timeseries::window::StepRing;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -80,11 +79,6 @@ pub struct AdaptiveEaDrl {
     policy: EaDrlPolicy,
     /// Sliding buffer of recent steps used as the refresh training data.
     history: StepRing,
-    /// Reusable staging area for the refresh training matrix — the
-    /// history rows are copied into these buffers in place instead of
-    /// cloning a fresh matrix per refresh.
-    staged_preds: Vec<Vec<f64>>,
-    staged_actuals: Vec<f64>,
     detector: Option<PageHinkley>,
     steps_since_refresh: usize,
     refreshes: usize,
@@ -110,8 +104,6 @@ impl AdaptiveEaDrl {
             trigger,
             strategy: RefreshStrategy::Cold,
             history: StepRing::new(buffer_len.max(8)),
-            staged_preds: Vec::new(),
-            staged_actuals: Vec::new(),
             detector,
             steps_since_refresh: 0,
             refreshes: 0,
@@ -143,13 +135,6 @@ impl AdaptiveEaDrl {
         &self.policy
     }
 
-    fn push_history(&mut self, preds: &[f64], actual: f64) {
-        // The ring reuses the evicted slot's row allocation, so a
-        // saturated buffer records steps without the old per-step
-        // `to_vec` + O(n) shift.
-        self.history.record(preds, actual);
-    }
-
     fn refresh(&mut self, cause: &str) {
         // Not enough recent data to rebuild the environment.
         let skip = || {
@@ -167,46 +152,18 @@ impl AdaptiveEaDrl {
             return;
         }
         let _span = eadrl_obs::span("eadrl.online.refresh");
-        // Stage the training matrix into the persistent buffers: row
-        // allocations from earlier refreshes are rewritten in place
-        // instead of cloning every history row again.
-        let mut preds = std::mem::take(&mut self.staged_preds);
-        let mut actuals = std::mem::take(&mut self.staged_actuals);
-        while preds.len() < self.history.len() {
-            preds.push(Vec::new());
-        }
-        preds.truncate(self.history.len());
-        actuals.clear();
-        for (row, (p, a)) in preds.iter_mut().zip(self.history.iter()) {
-            row.clear();
-            row.extend_from_slice(p);
-            actuals.push(*a);
-        }
+        // The training matrix: the ring's steps, oldest first.
+        let mut preds: Vec<Vec<f64>> = self.history.iter().map(|(p, _)| p.clone()).collect();
+        let mut actuals: Vec<f64> = self.history.iter().map(|&(_, a)| a).collect();
         // A live buffer can carry non-finite entries (faulty members, gap
         // bursts); repair it before it reaches policy learning. A buffer
         // with no finite actual at all cannot train anything.
-        match sanitize_series(&actuals) {
-            None => {}
-            Some((fixed, stats)) => {
-                eadrl_obs::event(
-                    "eadrl.sanitize",
-                    Level::Warn,
-                    &[
-                        ("context", "refresh_buffer".into()),
-                        ("replaced", stats.replaced.into()),
-                        ("leading", stats.leading.into()),
-                        ("len", stats.len.into()),
-                    ],
-                );
-                if stats.replaced == stats.len {
-                    skip();
-                    self.staged_preds = preds;
-                    self.staged_actuals = actuals;
-                    return;
-                }
-                actuals.clear();
-                actuals.extend_from_slice(&fixed);
+        if let Some((fixed, stats)) = sanitize_reported(&actuals, "refresh_buffer") {
+            if stats.replaced == stats.len {
+                skip();
+                return;
             }
+            actuals = fixed;
         }
         crate::experiment::sanitize_predictions(&mut preds, &actuals);
         // Bounded retry: each retry after a caught panic bumps the DDPG
@@ -288,8 +245,6 @@ impl AdaptiveEaDrl {
                 ("restart", cold_restart.into()),
             ],
         );
-        self.staged_preds = preds;
-        self.staged_actuals = actuals;
         self.steps_since_refresh = 0;
         if let Some(d) = self.detector.as_mut() {
             d.reset();
@@ -333,7 +288,8 @@ impl Combiner for AdaptiveEaDrl {
             _ => None,
         };
         self.policy.observe(preds, actual);
-        self.push_history(preds, actual);
+        // The ring rewrites the evicted slot's row in place.
+        self.history.record(preds, actual);
         self.steps_since_refresh += 1;
 
         let cause = match self.trigger {

@@ -168,7 +168,7 @@ fn nan_member_no_longer_poisons_the_ensemble() {
     }
 
     // Every serve-phase call faulted, so the member must be quarantined…
-    assert_eq!(model.quarantined_models(), vec![nan_index]);
+    assert_eq!(model.guard().quarantined(), vec![nan_index]);
     // …and the effective weights renormalized over the survivors.
     let weights = model.current_weights();
     assert!(weights.iter().all(|w| w.is_finite() && *w >= 0.0));
@@ -194,7 +194,7 @@ fn panic_burst_quarantines_then_reenters() {
     for &actual in &series[TRAIN_LEN..] {
         let forecast = model.predict_next(&history);
         assert!(forecast.is_finite(), "panic leaked a non-finite forecast");
-        was_quarantined |= model.quarantined_models().contains(&bomb_index);
+        was_quarantined |= model.guard().quarantined().contains(&bomb_index);
         history.push(actual);
     }
     assert!(
@@ -202,9 +202,9 @@ fn panic_burst_quarantines_then_reenters() {
         "three consecutive panics never tripped quarantine"
     );
     assert!(
-        model.quarantined_models().is_empty(),
+        model.guard().quarantined().is_empty(),
         "member did not re-enter after the burst ended: {:?}",
-        model.quarantined_models()
+        model.guard().quarantined()
     );
     assert!(model.guard().total_faults(bomb_index) >= 3);
 }

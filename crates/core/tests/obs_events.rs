@@ -3,14 +3,35 @@
 //! stream (one `ddpg.episode` per configured episode, an `eadrl.fit`
 //! span, per-step `eadrl.weights` vectors), and a warm-start refresh
 //! must train under its own span, not under the fit's `eadrl.warm_up`.
+//! Each input repair (the training series, a served history, a refresh
+//! buffer) reports itself as exactly one `eadrl.sanitize` warning.
 //!
-//! One `#[test]`: the sink and level are process-global, so two tests in
-//! this binary would race on them.
+//! The sink and level are process-global, so every test in this binary
+//! holds [`OBS`] while it records.
 
 use eadrl_core::{AdaptiveEaDrl, Combiner, EaDrl, EaDrlConfig, RefreshStrategy, RefreshTrigger};
 use eadrl_models::{auto_regressive, Forecaster, Naive, SeasonalNaive};
-use eadrl_obs::{EventKind, Level, NoopSink, RingSink, Value};
-use std::sync::Arc;
+use eadrl_obs::{Event, EventKind, Level, NoopSink, RingSink, Value};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Serializes the tests' use of the process-global sink and level.
+static OBS: Mutex<()> = Mutex::new(());
+
+fn lock_obs() -> MutexGuard<'static, ()> {
+    OBS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Runs `f` with a fresh ring sink installed at debug level and returns
+/// the sink.
+fn record(f: impl FnOnce()) -> Arc<RingSink> {
+    let sink = Arc::new(RingSink::new(65_536));
+    eadrl_obs::set_sink(sink.clone());
+    eadrl_obs::set_level(Some(Level::Debug));
+    f();
+    eadrl_obs::set_level(None);
+    eadrl_obs::set_sink(Arc::new(NoopSink));
+    sink
+}
 
 fn seasonal_series(n: usize) -> Vec<f64> {
     (0..n)
@@ -28,6 +49,7 @@ fn tiny_pool() -> Vec<Box<dyn Forecaster>> {
 
 #[test]
 fn fit_and_predict_emit_the_documented_event_stream() {
+    let _obs = lock_obs();
     let sink = Arc::new(RingSink::new(65_536));
     eadrl_obs::set_sink(sink.clone());
     eadrl_obs::set_level(Some(Level::Debug));
@@ -156,6 +178,72 @@ fn fit_and_predict_emit_the_documented_event_stream() {
         vec!["eadrl.online.refresh/eadrl.online.select/ddpg.episode"; warm_episodes],
         "a warm refresh's episodes nest under its own selection span"
     );
+}
+
+#[test]
+fn each_input_repair_emits_one_sanitize_warning() {
+    let _obs = lock_obs();
+    let config = || {
+        let mut config = EaDrlConfig {
+            omega: 6,
+            episodes: 4,
+            max_iter: 40,
+            restarts: 1,
+            ..Default::default()
+        };
+        config.ddpg.seed = 17;
+        config
+    };
+
+    // A training series with a leading gap and a two-value gap.
+    let mut train = seasonal_series(240);
+    for i in [0, 50, 51] {
+        train[i] = f64::NAN;
+    }
+    let mut model = EaDrl::new(tiny_pool(), config());
+    let sink = record(|| model.fit(&train).unwrap());
+    assert_one_sanitize(&sink, "fit", 3, 1, 240);
+
+    // A served history with a gap at its tail.
+    let mut history = seasonal_series(240);
+    history[237] = f64::INFINITY;
+    history[238] = f64::NAN;
+    let sink = record(|| assert!(model.predict_next(&history).is_finite()));
+    assert_one_sanitize(&sink, "predict_history", 2, 0, 240);
+
+    // A refresh buffer holding one non-finite actual.
+    let values = seasonal_series(200);
+    let preds: Vec<Vec<f64>> = values
+        .iter()
+        .map(|&a| vec![a + 0.3, a + 1.5, a - 4.0])
+        .collect();
+    let mut adaptive = AdaptiveEaDrl::new(config(), RefreshTrigger::Never, 60);
+    adaptive.warm_up(&preds[..100], &values[..100]);
+    for (t, (p, &a)) in preds[100..].iter().zip(&values[100..]).enumerate() {
+        adaptive.observe(p, if t == 70 { f64::NAN } else { a });
+    }
+    let sink = record(|| adaptive.refresh_now());
+    assert_one_sanitize(&sink, "refresh_buffer", 1, 0, 60);
+    assert_eq!(adaptive.refreshes(), 1, "the repaired buffer trains");
+}
+
+/// Asserts that `sink` holds exactly one `eadrl.sanitize` event: a
+/// warning whose fields are, in order, `context`, `replaced`, `leading`
+/// and `len` with the given values.
+fn assert_one_sanitize(sink: &RingSink, context: &str, replaced: u64, leading: u64, len: u64) {
+    let events: Vec<Event> = sink.events_named("eadrl.sanitize");
+    assert_eq!(events.len(), 1, "{context}: {events:?}");
+    let event = &events[0];
+    assert_eq!((event.kind, event.level), (EventKind::Event, Level::Warn));
+    let want = [
+        ("context", Value::Str(context.to_string())),
+        ("replaced", Value::U64(replaced)),
+        ("leading", Value::U64(leading)),
+        ("len", Value::U64(len)),
+    ];
+    let got: Vec<(&str, &Value)> = event.fields.iter().map(|(k, v)| (k.as_str(), v)).collect();
+    let want: Vec<(&str, &Value)> = want.iter().map(|(k, v)| (*k, v)).collect();
+    assert_eq!(got, want, "{context}");
 }
 
 /// The span paths of every `ddpg.episode` span recorded so far.

@@ -80,7 +80,7 @@ fn run_evaluation(seed: u64) -> Vec<(String, u64, Vec<u64>)> {
         Box::new(StaticEnsemble::new()),
         Box::new(SlidingWindowEnsemble::new(10)),
     ];
-    let eval = EvaluationProtocol::default().evaluate(
+    let eval = EvaluationProtocol.evaluate(
         "par-differential",
         series.values(),
         pool,

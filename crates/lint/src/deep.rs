@@ -128,7 +128,8 @@ pub struct VerdictEntry {
     pub qualified: String,
     /// Workspace-relative file.
     pub file: String,
-    /// 1-based `fn` line.
+    /// 1-based `fn` line (`--explain` prints it; the committed table
+    /// leaves it out).
     pub line: usize,
     /// `safe` / `allowed` / `panics-via`.
     pub verdict: &'static str,
@@ -785,15 +786,16 @@ pub fn line_used_markers(files: &[SourceFile], suppressed: &[Finding]) -> BTreeS
 // ---------------------------------------------------------------------
 
 /// Renders the verdict table as the committed `lint-panic-report.json`
-/// (sorted, diffable, one object per pub fn).
+/// (sorted, diffable, one object per pub fn). Rows carry no line
+/// number, so the table changes only when a verdict or the set of pub
+/// fns does, not when code moves within a file.
 pub fn panic_report_json(verdicts: &[VerdictEntry]) -> String {
     let mut s = String::from("{\n  \"version\": 1,\n  \"fns\": [\n");
     for (i, v) in verdicts.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"fn\": \"{}\", \"file\": \"{}\", \"line\": {}, \"verdict\": \"{}\"{}}}{}\n",
+            "    {{\"fn\": \"{}\", \"file\": \"{}\", \"verdict\": \"{}\"{}}}{}\n",
             crate::json_escape(&v.qualified),
             crate::json_escape(&v.file),
-            v.line,
             v.verdict,
             match &v.chain {
                 Some(c) => format!(", \"chain\": \"{}\"", crate::json_escape(c)),

@@ -7,15 +7,15 @@
 //! warn, span, span_at}` call-sites and validates the dotted name
 //! against that table, so adding an event without documenting it — or
 //! typo-ing `eadrl.onlien.drift` — fails CI instead of silently
-//! producing a trace `obs_validate` can't account for.
+//! producing a trace `obs_report check --schema` can't account for.
 
 use crate::lexer::TokenKind;
 use crate::rules::{Finding, LintContext, Rule};
 use crate::source::SourceFile;
 
 // The schema parser/matcher itself lives in `eadrl-obs` (`eadrl_obs::schema`)
-// so the trace-side tools (`obs_validate --schema`, `obs_report check`)
-// share it without depending on the linter; this rule consumes it.
+// so the trace checker (`obs_report check --schema`) shares it without
+// depending on the linter; this rule consumes it.
 pub use eadrl_obs::schema::ObsSchema;
 
 /// Functions in `eadrl_obs` whose first string-literal argument is an

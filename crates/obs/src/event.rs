@@ -1,7 +1,7 @@
 //! Telemetry events: the JSONL schema every sink speaks.
 //!
-//! One event is one line. The wire contract (checked by the
-//! `obs_validate` binary and CI) is:
+//! One event is one line. The wire contract (checked in CI by
+//! `obs_report check` in `eadrl-prof`) is:
 //!
 //! ```json
 //! {"ts": 1754489600123456, "name": "ddpg.episode", "kind": "event",

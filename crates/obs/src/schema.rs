@@ -1,11 +1,10 @@
 //! The telemetry name schema: the machine-readable form of DESIGN.md's
 //! "Telemetry event schema" table.
 //!
-//! One table, three consumers: `eadrl-lint` validates emitter call-sites
-//! at review time, `obs_validate --schema` validates a captured trace
-//! after a run, and `obs_report check` validates a trace before
-//! profiling it. [`ObsSchema`] lives here (rather than in the lint
-//! crate, where it originated) so the two trace-side tools don't need a
+//! One table, two consumers: `eadrl-lint` validates emitter call-sites
+//! at review time, and `obs_report check --schema` validates a captured
+//! trace after a run. [`ObsSchema`] lives here (rather than in the lint
+//! crate, where it originated) so the trace checker doesn't need a
 //! dependency on the linter.
 
 /// The event-name schema: one pattern per documented name; `*` matches

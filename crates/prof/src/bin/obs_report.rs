@@ -5,8 +5,15 @@
 //! obs_report flame   TRACE [--raw] [--out FILE]
 //! obs_report workers TRACE [--json]
 //! obs_report diff    BASE NEW [--threshold X] [--min-us N] [--json] [--raw]
-//! obs_report check   TRACE [--schema DESIGN.md] [--allow-truncated]
+//! obs_report check   TRACE [--schema DESIGN.md] [--require NAME]... [--allow-truncated]
 //! ```
+//!
+//! `check` is the trace health gate: every line must parse as an
+//! [`eadrl_obs::Event`], the trace must hold events and no ring-buffer
+//! drops, `--schema` checks every event and span-path segment against
+//! DESIGN.md's "Telemetry event schema" table, and each `--require NAME`
+//! demands an event whose name or one of its span-path segments is NAME
+//! ([`eadrl_obs::Event::name_matches`]).
 //!
 //! By default the span tree collapses `par.worker` chunk spans so the
 //! report shape is independent of `EADRL_PAR_THREADS` (see
@@ -32,7 +39,7 @@ subcommands:
   workers TRACE [--json]                      per-worker utilization
   diff    BASE NEW [--threshold X] [--min-us N] [--json] [--raw]
                                               latency diff; exit 1 on regression
-  check   TRACE [--schema DESIGN.md] [--allow-truncated]
+  check   TRACE [--schema DESIGN.md] [--require NAME]... [--allow-truncated]
                                               trace health gate; exit 1 on problems
 
 --raw keeps per-chunk par.worker spans (thread-count-dependent shape).";
@@ -78,6 +85,7 @@ struct Flags {
     threshold: f64,
     min_us: u64,
     schema: Option<String>,
+    require: Vec<String>,
     allow_truncated: bool,
 }
 
@@ -92,6 +100,7 @@ fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, Failure> {
         threshold: defaults.threshold,
         min_us: defaults.min_us,
         schema: None,
+        require: Vec::new(),
         allow_truncated: false,
     };
     let mut args = args.peekable();
@@ -128,6 +137,7 @@ fn parse_flags(args: impl Iterator<Item = String>) -> Result<Flags, Failure> {
                     .map_err(|_| usage_err(format!("--min-us: '{v}' is not a count")))?;
             }
             "--schema" => flags.schema = Some(value_of("--schema", &mut args)?),
+            "--require" => flags.require.push(value_of("--require", &mut args)?),
             other if other.starts_with("--") => {
                 return Err(usage_err(format!("unknown flag '{other}'")));
             }
@@ -253,6 +263,14 @@ fn cmd_check(flags: &Flags) -> Result<(), Failure> {
                     event.name
                 )));
             }
+        }
+    }
+    for name in &flags.require {
+        if !trace.events.iter().any(|event| event.name_matches(name)) {
+            return Err(gate_err(format!(
+                "{path}: no event named '{name}' in {} events",
+                trace.events.len()
+            )));
         }
     }
     let tree = SpanTree::build(&trace, &TreeOptions::shape_stable());

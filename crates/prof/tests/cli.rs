@@ -130,6 +130,38 @@ fn check_accepts_clean_traces_and_rejects_truncated_ones() {
 }
 
 #[test]
+fn check_requires_every_named_event() {
+    let golden = fixture("golden.jsonl");
+    // A full name, a span-path segment and an event name all match.
+    let output = obs_report(&[
+        "check",
+        &golden,
+        "--require",
+        "eadrl.fit",
+        "--require",
+        "ddpg.targets",
+        "--require",
+        "eadrl.weights",
+    ]);
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+
+    let output = obs_report(&["check", &golden, "--require", "eadrl.predict_next"]);
+    assert_eq!(output.status.code(), Some(1), "a missing name must exit 1");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("no event named 'eadrl.predict_next' in 14 events"),
+        "stderr: {stderr}"
+    );
+    // A prefix of a segment is not a match.
+    let output = obs_report(&["check", &golden, "--require", "ddpg"]);
+    assert_eq!(output.status.code(), Some(1));
+}
+
+#[test]
 fn usage_errors_exit_2() {
     assert_eq!(obs_report(&[]).status.code(), Some(2));
     assert_eq!(obs_report(&["tree"]).status.code(), Some(2));
@@ -138,6 +170,10 @@ fn usage_errors_exit_2() {
         Some(2)
     );
     assert_eq!(obs_report(&["frobnicate", "x"]).status.code(), Some(2));
+    assert_eq!(
+        obs_report(&["check", "x", "--require"]).status.code(),
+        Some(2)
+    );
     assert_eq!(
         obs_report(&["diff", "a", "b", "--threshold", "bogus"])
             .status

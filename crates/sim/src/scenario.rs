@@ -295,8 +295,7 @@ fn serve_regime_stream(
 
     let mut forecasts = Vec::new();
     for (step, (p, &a)) in preds[warm..].iter().zip(values[warm..].iter()).enumerate() {
-        let w = adaptive.weights(p.len());
-        forecasts.push(w.iter().zip(p.iter()).map(|(wi, pi)| wi * pi).sum());
+        forecasts.push(adaptive.combine(p));
         let observed = if scenario.plan.gapped(step) {
             f64::NAN
         } else {

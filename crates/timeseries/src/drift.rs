@@ -1,11 +1,10 @@
-//! Concept-drift detectors.
+//! Concept-drift detection.
 //!
 //! The DEMSC baseline ("drift-aware combination of Top.sel and Clus") only
 //! re-runs its expensive clustering/selection machinery when a drift is
-//! detected in the stream of model errors. These detectors provide that
-//! informed-update mechanism.
-
-use crate::window::SlideWindow;
+//! detected in the stream of model errors, and the online policy refresh
+//! can fire on the same signal. [`PageHinkley`] provides that
+//! informed-update mechanism for both.
 
 /// Page–Hinkley test for detecting increases in the mean of a stream.
 ///
@@ -75,74 +74,6 @@ impl PageHinkley {
     }
 }
 
-/// A simple adaptive-window (ADWIN-flavoured) mean-shift detector.
-///
-/// Keeps a bounded window of recent values; on each update it tests every
-/// split of the window into "old | recent" halves and signals drift when
-/// the two sub-window means differ by more than a Hoeffding-style bound.
-/// On detection the older half is dropped, so the window adapts.
-#[derive(Debug, Clone)]
-pub struct AdaptiveWindowDetector {
-    window: SlideWindow,
-    confidence: f64,
-}
-
-impl AdaptiveWindowDetector {
-    /// Creates a detector with window capacity `max_len` and confidence
-    /// parameter `confidence` in `(0, 1)` (smaller = more sensitive bound
-    /// denominator; typical value 0.002 as in ADWIN).
-    pub fn new(max_len: usize, confidence: f64) -> Self {
-        AdaptiveWindowDetector {
-            window: SlideWindow::new(max_len.max(4)),
-            confidence: confidence.clamp(1e-6, 0.999),
-        }
-    }
-
-    /// Feeds one observation; returns `true` when a mean shift is detected.
-    ///
-    /// Non-finite observations are ignored without entering the window
-    /// (same rationale as [`PageHinkley::update`]: one NaN would make
-    /// every sub-window mean NaN and disable detection permanently).
-    pub fn update(&mut self, value: f64) -> bool {
-        if !value.is_finite() {
-            return false;
-        }
-        self.window.slide(value);
-        let n = self.window.len();
-        if n < 8 {
-            return false;
-        }
-        // Range of the window normalizes the Hoeffding bound.
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &v in self.window.iter() {
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let range = (hi - lo).max(1e-12);
-        let total: f64 = self.window.iter().sum();
-        let mut left_sum = 0.0;
-        for split in 4..(n - 3) {
-            left_sum += self.window[split - 1];
-            if split == 4 {
-                // left_sum currently only holds element 3; rebuild properly.
-                left_sum = self.window[..split].iter().sum();
-            }
-            let n0 = split as f64;
-            let n1 = (n - split) as f64;
-            let mean0 = left_sum / n0;
-            let mean1 = (total - left_sum) / n1;
-            let m = 1.0 / (1.0 / n0 + 1.0 / n1);
-            let eps = range * ((1.0 / (2.0 * m)) * (4.0 * n as f64 / self.confidence).ln()).sqrt();
-            if (mean0 - mean1).abs() > eps {
-                // Drop the stale half and signal.
-                self.window.advance(split);
-                return true;
-            }
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,34 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_window_detects_level_shift() {
-        let mut d = AdaptiveWindowDetector::new(200, 0.002);
-        for _ in 0..100 {
-            assert!(!d.update(0.0));
-        }
-        let mut detected = false;
-        for _ in 0..100 {
-            if d.update(10.0) {
-                detected = true;
-                break;
-            }
-        }
-        assert!(detected);
-        // After drift the stale half is dropped.
-        assert!(d.window.len() < 200);
-    }
-
-    #[test]
-    fn adaptive_window_silent_on_constant_stream() {
-        let mut d = AdaptiveWindowDetector::new(100, 0.002);
-        for i in 0..300 {
-            assert!(!d.update(5.0), "false positive at {i}");
-        }
-        let mean = d.window.iter().sum::<f64>() / d.window.len() as f64;
-        assert!((mean - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn non_finite_observations_do_not_poison_detectors() {
         let mut ph = PageHinkley::new(0.05, 5.0);
         for _ in 0..50 {
@@ -229,29 +132,5 @@ mod tests {
             }
         }
         assert!(detected, "NaN input disabled Page–Hinkley");
-
-        let mut d = AdaptiveWindowDetector::new(100, 0.002);
-        for _ in 0..50 {
-            d.update(0.0);
-        }
-        assert!(!d.update(f64::NAN));
-        assert_eq!(d.window.len(), 50, "NaN must not enter the window");
-        let mut detected = false;
-        for _ in 0..100 {
-            if d.update(10.0) {
-                detected = true;
-                break;
-            }
-        }
-        assert!(detected, "NaN input disabled the adaptive window");
-    }
-
-    #[test]
-    fn adaptive_window_caps_length() {
-        let mut d = AdaptiveWindowDetector::new(50, 0.002);
-        for i in 0..500 {
-            d.update((i % 3) as f64);
-        }
-        assert!(d.window.len() <= 50);
     }
 }

@@ -8,8 +8,8 @@
 //! * [`metrics`] — RMSE / NRMSE / MAE / MAPE / sMAPE / R²,
 //! * [`transform`] — z-score and min-max scalers, differencing,
 //! * [`stats`] — autocorrelation, partial autocorrelation, rolling moments,
-//! * [`drift`] — Page–Hinkley and adaptive-window drift detectors (used by
-//!   the DEMSC baseline's informed update mechanism),
+//! * [`drift`] — the Page–Hinkley drift detector (the DEMSC baseline's
+//!   informed update mechanism and the online refresh trigger),
 //! * [`sanitize`] — non-finite/gap repair for serving-path input
 //!   histories (forward-fill policy, documented in the module),
 //! * [`window`] — fixed-capacity sliding windows (`SlideWindow`,
@@ -29,7 +29,7 @@ pub mod transform;
 pub mod window;
 
 pub use decompose::{decompose_additive, Decomposition};
-pub use drift::{AdaptiveWindowDetector, PageHinkley};
+pub use drift::PageHinkley;
 pub use embedding::{embed, sliding_windows, Embedded};
 pub use io::{read_csv_column, read_csv_file, write_csv, IoError};
 pub use metrics::{mae, mape, mse, nrmse, r2, rmse, smape};

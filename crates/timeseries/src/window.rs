@@ -91,15 +91,6 @@ impl SlideWindow {
         self.buf[..src.len()].copy_from_slice(src);
     }
 
-    /// Drops the `k` oldest values (all of them when `k >= len`) without
-    /// touching the rest — the adaptive drift detector's post-detection
-    /// truncation.
-    pub fn advance(&mut self, k: usize) {
-        let k = k.min(self.len);
-        self.head += k;
-        self.len -= k;
-    }
-
     /// Removes every value (capacity is retained).
     pub fn clear(&mut self) {
         self.head = 0;
@@ -269,25 +260,6 @@ mod tests {
         assert_eq!(w.as_slice(), &[3.0, 4.0, 5.0]);
         w.slide(6.0);
         assert_eq!(w.as_slice(), &[4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn advance_drops_oldest_and_keeps_sliding() {
-        let mut w = SlideWindow::new(4);
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            w.slide(x);
-        }
-        w.advance(2);
-        assert_eq!(w.as_slice(), &[3.0, 4.0]);
-        // The window keeps working at the physical buffer boundary.
-        for i in 0..20 {
-            w.slide(i as f64);
-        }
-        assert_eq!(w.as_slice(), &[16.0, 17.0, 18.0, 19.0]);
-        w.advance(100);
-        assert!(w.is_empty());
-        w.slide(1.0);
-        assert_eq!(w.as_slice(), &[1.0]);
     }
 
     #[test]

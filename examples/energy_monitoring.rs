@@ -29,7 +29,7 @@ fn main() {
     let mut eadrl_wins = 0;
     for id in channels {
         let series = generate(id, 480, 42);
-        let data = EvaluationProtocol::default().prepare(series.values(), quick_pool(5, 144, 42));
+        let data = EvaluationProtocol.prepare(series.values(), quick_pool(5, 144, 42));
 
         let mut methods: Vec<Box<dyn Combiner>> = vec![
             Box::new(EaDrlPolicy::new(EaDrlConfig::default())),

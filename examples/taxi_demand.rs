@@ -17,7 +17,7 @@ fn main() {
         let series = generate(id, 480, 42);
         // Fit the paper's 43-model pool on the fit segment and walk it
         // over the warm-up and online segments.
-        let data = EvaluationProtocol::default().prepare(series.values(), standard_pool(5, 48, 42));
+        let data = EvaluationProtocol.prepare(series.values(), standard_pool(5, 48, 42));
         println!(
             "== {} (pool of {} models) ==",
             series.name(),

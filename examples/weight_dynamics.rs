@@ -17,7 +17,7 @@ use eadrl::timeseries::metrics::rmse;
 
 fn main() {
     let series = generate(DatasetId::TaxiDemand1, 480, 42);
-    let data = EvaluationProtocol::default().prepare(series.values(), quick_pool(5, 48, 42));
+    let data = EvaluationProtocol.prepare(series.values(), quick_pool(5, 48, 42));
 
     let mut methods = all_baselines(10, 42);
     methods.push(Box::new(EaDrlPolicy::new(EaDrlConfig::default())));

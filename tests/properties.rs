@@ -6,7 +6,6 @@ use eadrl::core::baselines::{
 use eadrl::core::env::normalize_window;
 use eadrl::core::experiment::sanitize_predictions;
 use eadrl::core::Combiner;
-use eadrl::linalg::vector::{normalize_simplex, softmax};
 use eadrl::rl::ActionSquash;
 use eadrl::timeseries::metrics::{mae, rmse};
 use eadrl::timeseries::transform::{difference, undifference, Scaler, ZScoreScaler};
@@ -136,15 +135,5 @@ proptest! {
         let m = mae(&actual, &predicted);
         // Jensen: RMSE >= MAE always.
         prop_assert!(r >= m - 1e-9, "rmse {r} < mae {m}");
-    }
-
-    #[test]
-    fn softmax_and_simplex_normalization_agree_on_extremes(
-        mut values in prop::collection::vec(0.0f64..1e6, 1..30),
-    ) {
-        let sm = softmax(&values);
-        prop_assert!((sm.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        normalize_simplex(&mut values);
-        prop_assert!((values.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 }

@@ -22,7 +22,7 @@ fn mini_eval(id: DatasetId, seed: u64) -> eadrl::core::DatasetEvaluation {
         Box::new(MlPol::new()),
         Box::new(EaDrlPolicy::new(config)),
     ];
-    EvaluationProtocol::default().evaluate(
+    EvaluationProtocol.evaluate(
         series.name(),
         series.values(),
         quick_pool(5, 24, seed),

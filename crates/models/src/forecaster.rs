@@ -124,8 +124,10 @@ impl std::error::Error for PredictError {}
 ///   must not forward this method, so that they keep seeing every call.
 ///
 /// `eadrl-core`'s guard is the only owner: `PoolGuard` keeps one state
-/// per member on both serving paths, and every rolling prediction
-/// matrix walk keeps one per member for its whole walk.
+/// per member on both serving paths (and, while the history slides by
+/// one value per step, a second one that it folds ahead on a helper
+/// thread), and every rolling prediction matrix walk keeps one per
+/// member for its whole walk.
 pub trait Forecaster: Send + Sync {
     /// Human-readable unique name, e.g. `"ARIMA(2,1,1)"`.
     fn name(&self) -> &str;

@@ -4,10 +4,15 @@
 #   1. `chaos run` (eadrl-sim): the five scenario lines with their
 #      telemetry fingerprints;
 #   2. `table2 --quick --json` (eadrl-bench): the quick Table II report;
-#   3. `serve_bench --all`: each workload's `forecast_rmse`, which is
-#      computed on fixed reference inputs and so does not depend on
-#      `--seconds`. It is printed as Rust's shortest round-trip decimal,
-#      which names exactly one f64 bit pattern.
+#   3. `serve_bench --all --seconds 2` (seed 42, as CI's smoke runs it):
+#      each workload's `forecast_rmse`, which is computed on fixed
+#      reference inputs served as fast as the server answers, and so does
+#      not depend on `--seconds`; it is printed as Rust's shortest
+#      round-trip decimal, which names exactly one f64 bit pattern. Then
+#      each workload's `forecast_digest`, the FNV-1a digest of the bits
+#      of every forecast of the paced pass, where steps arrive at the
+#      workload's rate and sidecar helpers park and wake between them;
+#      it depends on `--seconds` and `--seed`.
 #
 # Usage, from the workspace root:
 #   sh traces/numerics.sh chaos.txt table2.json serve_bench.jsonl > numerics.fresh
@@ -20,3 +25,5 @@ cat "$2"
 echo "# serve_bench --all: workload forecast_rmse"
 sed -n -e 's/.*"workload":"\([a-z0-9_]*\)".*/\1/p' \
     -e 's/.*"forecast_rmse":{"value":\([^,}]*\).*/\1/p' "$3" | paste -d' ' - -
+echo "# serve_bench --all --seconds 2: workload forecast_digest"
+sed -n 's/.*"workload":"\([a-z0-9_]*\)".*"forecast_digest":"\([0-9a-f]*\)".*/\1 \2/p' "$3"
